@@ -47,13 +47,7 @@ from .rotations import (
     RotationFamily,
     TranslationTable,
     TubeFamily,
-    besicovitch_stage,
-    check_containment,
     empirical_v_bounds,
-    gamma_theta,
-    translation_vector,
-    translation_vector_limit,
-    tube_family,
 )
 from .sequences import (
     DimensionSchedule,

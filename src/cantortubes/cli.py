@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .dyadic import parse_rational
@@ -21,19 +19,31 @@ from .errors import (
     PopulationCapError,
     RenderCapError,
 )
-from .hierarchy import Construction, verify_counts, verify_level_invariants, \
-    verify_spacing
-from .measures import box_dimension_x_projection, dimension_bound_report, \
-    neighborhood_area
-from .pipeline import RunConfig, run_pipeline, verify_manifest
+from .pipeline import (
+    PipelineError,
+    RunConfig,
+    rotation_family,
+    run_pipeline,
+    run_stage,
+    verify_manifest,
+)
 from .render import render_svg
-from .rotations import RotationFamily, verify_translation_invariants
-from .sequences import build_schedule, derive_sequences, validate_sequences
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+
+#: Subcommands that run one pipeline stage: (command, stage, help).
+STAGE_COMMANDS = (
+    ("seq", "sequences", "derive and validate the scale sequences"),
+    ("arc", "arcs", "solve the per-level arcs"),
+    ("build", "build", "materialize levels to CSV"),
+    ("verify", "verify", "run the verification suite"),
+    ("vtheta", "vtheta", "dump the translation-vector tables"),
+    ("area", "area", "measure the stage neighborhood area"),
+    ("dim", "dimension", "box-dimension estimate of the x-projection"),
+)
 
 
 def _load_config(args) -> RunConfig:
@@ -53,12 +63,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _construction(cfg: RunConfig) -> Construction:
-    table = derive_sequences(build_schedule(cfg.s, cfg.depth), cfg.c,
-                             profile=cfg.profile, C_tube=cfg.C_tube)
-    return Construction(table, prec=cfg.precision, cap=cfg.materialization_cap)
-
-
 def _emit(args, name: str, text: str):
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -67,77 +71,22 @@ def _emit(args, name: str, text: str):
     print(path)
 
 
-def cmd_seq(args) -> int:
-    cfg = _load_config(args)
-    table = derive_sequences(build_schedule(cfg.s, cfg.depth), cfg.c,
-                             profile=cfg.profile, C_tube=cfg.C_tube)
-    report = validate_sequences(table)
-    _emit(args, "sequences.json", json.dumps(
-        {"table": table.to_json(), "validation": report.to_json()}, indent=1) + "\n")
-    return EXIT_OK if report.ok else EXIT_VERIFICATION
-
-
-def cmd_arc(args) -> int:
-    cons = _construction(_load_config(args))
-    checks = [s.check() for s in cons.sols]
-    _emit(args, "arcs.json", json.dumps({
-        "solutions": [s.to_json() for s in cons.sols],
-        "checks": [r.to_json() for r in checks],
-    }, indent=1) + "\n")
-    return EXIT_OK if all(r.ok for r in checks) else EXIT_VERIFICATION
-
-
-def cmd_build(args) -> int:
-    from .pipeline import _level_csv
-
-    cons = _construction(_load_config(args))
-    depth = cons.materializable_depth()
-    for n in range(1, depth + 1):
-        _emit(args, f"level_{n}.csv", _level_csv(cons.level(n)))
-    print(f"materialized levels 1..{depth} "
-          f"(deeper levels via lazy paths only)", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    cons = _construction(cfg)
-    rf = RotationFamily(cons)
-    depth = cons.materializable_depth()
-    reports = [verify_level_invariants(cons, n) for n in range(1, depth + 1)]
-    reports += [verify_spacing(cons, c) for c in range(2, depth + 1)]
-    reports += [verify_spacing(cons, c, n_samples=cfg.spacing_samples,
-                               rng=random.Random(cfg.seed + c))
-                for c in range(depth + 1, cons.table.depth + 1)]
-    reports.append(verify_counts(cons, min(depth, cons.table.depth - 1)))
-    reports.append(verify_translation_invariants(
-        rf, rng=random.Random(cfg.seed + 1)))
-    blob = {"reports": [r.to_json() for r in reports]}
-    failures = [e.name for r in reports for e in r.failures]
-    blob["failures"] = failures
-    _emit(args, "verify.json", json.dumps(blob, indent=1) + "\n")
-    for r in reports:
-        for e in r.entries:
-            print(f"[{e.status:>12}] {r.title}: {e.name}")
-    known = {"N_1 below the angle-step ratio"}
-    return EXIT_OK if not (set(failures) - known) else EXIT_VERIFICATION
-
-
-def cmd_vtheta(args) -> int:
-    from .pipeline import _vtheta_csv
-
-    cons = _construction(_load_config(args))
-    rf = RotationFamily(cons)
-    level = args.level
-    if level >= rf.grid_depth():
-        raise PopulationCapError(level=level, population=-1, cap=-1)
-    _emit(args, f"vtheta_level_{level}.csv", _vtheta_csv(rf.translation_table(level)))
-    return EXIT_OK
+def cmd_stage(args) -> int:
+    """Run one pipeline stage; it writes its bundle files under --out."""
+    bundle = run_stage(_load_config(args), args.stage,
+                       Path(args.out) if args.out else Path("."))
+    for f in bundle.files:
+        print(bundle.out_dir / f["path"])
+    if args.stage == "verify":
+        blob = json.loads((bundle.out_dir / "verify.json").read_text())
+        for r in blob["reports"]:
+            for e in r["checks"]:
+                print(f"[{e['status']:>12}] {r['title']}: {e['name']}")
+    return EXIT_OK if bundle.ok else EXIT_VERIFICATION
 
 
 def cmd_tubes(args) -> int:
-    cons = _construction(_load_config(args))
-    rf = RotationFamily(cons)
+    rf = rotation_family(_load_config(args))
     fam = rf.tube_family(args.level, args.index, variant=args.variant)
     corners = fam.corners()
     lines = ["tube,corner,x,y"]
@@ -149,37 +98,8 @@ def cmd_tubes(args) -> int:
     return EXIT_OK
 
 
-def cmd_area(args) -> int:
-    cfg = _load_config(args)
-    cons = _construction(cfg)
-    rf = RotationFamily(cons)
-    level = min(2, cons.materializable_depth())
-    fams = rf.besicovitch_stage(level)
-    radius = cfg.neighborhood_radius or cons.table.theta_(2)
-    res = cfg.raster_resolution or Fraction(radius, 4)
-    est = neighborhood_area(fams, float(radius), float(res), threads=cfg.threads)
-    _emit(args, "area.json", json.dumps({
-        "stage_level": level,
-        "radius": str(radius),
-        "resolution": str(res),
-        "estimate": est.to_json(),
-        "bound": dimension_bound_report(cons, level - 1, est),
-    }, indent=1) + "\n")
-    return EXIT_OK
-
-
-def cmd_dim(args) -> int:
-    cons = _construction(_load_config(args))
-    est = box_dimension_x_projection(
-        cons, min(cons.table.depth, cons.materializable_depth() + 1))
-    _emit(args, "dimension.json", json.dumps(est.to_json(), indent=1) + "\n")
-    print(f"slope = {est.slope}, target = {est.target}")
-    return EXIT_OK
-
-
 def cmd_render(args) -> int:
-    cons = _construction(_load_config(args))
-    rf = RotationFamily(cons)
+    rf = rotation_family(_load_config(args))
     params = {}
     if args.target in ("arc_diagram", "level_set"):
         params["level"] = args.level
@@ -188,7 +108,7 @@ def cmd_render(args) -> int:
     elif args.target == "gamma_theta":
         params["thetas"] = [float(t) for t in (args.thetas or "0,0.3,0.7").split(",")]
         params["level"] = args.level
-    text = render_svg(args.target, cons, rf, **params)
+    text = render_svg(args.target, rf.cons, rf, **params)
     _emit(args, f"{args.target}_level_{args.level}.svg", text)
     return EXIT_OK
 
@@ -227,27 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=argparse.SUPPRESS)
         sp.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
-    sp = sub.add_parser("seq", help="derive and validate the scale sequences")
-    sp.add_argument("action", choices=("derive",))
-    common(sp)
-    sp.set_defaults(fn=cmd_seq)
-
-    sp = sub.add_parser("arc", help="solve the per-level arcs")
-    common(sp)
-    sp.set_defaults(fn=cmd_arc)
-
-    sp = sub.add_parser("build", help="materialize levels to CSV")
-    common(sp)
-    sp.set_defaults(fn=cmd_build)
-
-    sp = sub.add_parser("verify", help="run the verification suite")
-    common(sp)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("vtheta", help="dump a translation-vector table")
-    sp.add_argument("--level", type=int, default=2)
-    common(sp)
-    sp.set_defaults(fn=cmd_vtheta)
+    for command, stage, help_text in STAGE_COMMANDS:
+        sp = sub.add_parser(command, help=help_text)
+        if command == "seq":
+            sp.add_argument("action", choices=("derive",))
+        common(sp)
+        sp.set_defaults(fn=cmd_stage, stage=stage)
 
     sp = sub.add_parser("tubes", help="dump one tube family's corners")
     sp.add_argument("--level", type=int, default=2)
@@ -255,14 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=("T", "T_prime"), default="T")
     common(sp)
     sp.set_defaults(fn=cmd_tubes)
-
-    sp = sub.add_parser("area", help="measure the stage neighborhood area")
-    common(sp)
-    sp.set_defaults(fn=cmd_area)
-
-    sp = sub.add_parser("dim", help="box-dimension estimate of the x-projection")
-    common(sp)
-    sp.set_defaults(fn=cmd_dim)
 
     sp = sub.add_parser("render", help="emit an SVG diagram")
     sp.add_argument("target", choices=("arc_diagram", "level_set",
@@ -289,13 +186,16 @@ def main(argv=None) -> int:
         if cfg_threads is not None and cfg_threads < 1:
             raise ValueError("--threads must be >= 1")
         return args.fn(args)
-    except (PopulationCapError, GridTooLargeError, RenderCapError) as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, OffGridError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CantorTubesError as exc:
+    except (CantorTubesError, ValueError, OSError) as exc:
+        # A pipeline stage wraps the error it hit; its cause sets the code.
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, (PopulationCapError, GridTooLargeError,
+                              RenderCapError)):
+            print(f"resource cap: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        if isinstance(cause, (ValueError, OffGridError, OSError)):
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

@@ -212,55 +212,6 @@ class Construction:
         self._counts: dict[int, tuple] = {}
         self._lazy_counts: dict[tuple, int] = {}
 
-    def cache_key(self) -> str:
-        """Hash identifying the table and working precision; level caches
-        are only valid under the same key."""
-        import hashlib
-        import json
-
-        blob = json.dumps({"table": self.table.to_json(), "prec": self.prec},
-                          sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def save_levels(self, path):
-        """Binary cache of the materialized levels (full precision)."""
-        import pickle
-        from pathlib import Path
-
-        payload = {"key": self.cache_key(), "levels": {}, "counts": self._counts}
-        for n, level in self._levels.items():
-            payload["levels"][n] = {
-                "N_prev": level.N_prev,
-                "counts_prev": level.counts_prev,
-                "rects": [(r.path, r.anchor.real._mpf_, r.anchor.imag._mpf_,
-                           r.width, r.height._mpf_) for r in level.rects],
-            }
-        Path(path).write_bytes(pickle.dumps(payload))
-
-    def load_levels(self, path) -> bool:
-        """Restore a level cache; returns False (and loads nothing) when the
-        cache was written for a different table or precision."""
-        import pickle
-        from pathlib import Path
-
-        payload = pickle.loads(Path(path).read_bytes())
-        if payload["key"] != self.cache_key():
-            return False
-        with workprec(self.prec):
-            for n, blob in payload["levels"].items():
-                rects = [
-                    RectNode(level=n, path=tuple(p),
-                             anchor=mpmath.mpc(mpmath.mpf(xr), mpmath.mpf(xi)),
-                             width=Fraction(w), height=mpmath.mpf(h))
-                    for p, xr, xi, w, h in blob["rects"]]
-                self._levels[n] = LevelSet(level=n, rects=rects,
-                                           N_prev=blob["N_prev"],
-                                           counts_prev=blob["counts_prev"])
-        self._counts.update(payload["counts"])
-        return True
-
-    # -- materialized levels -------------------------------------------------
-
     def sol(self, n: int) -> ArcSolution:
         """Arc solution used to subdivide level n (1-based)."""
         return self.sols[n - 1]

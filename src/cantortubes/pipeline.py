@@ -1,6 +1,10 @@
 """End-to-end pipeline: derive, solve, build, verify, measure, render, and
 write everything under an output directory with a hashed manifest.
 
+The run is an ordered list of stages (sequences, arcs, build, verify,
+projections, vtheta, tubes, area, dimension, containment, render); each
+writes its own bundle files, and `run_stage` runs one of them alone.
+
 Outputs are a pure function of the configuration (seeded sampling included);
 two runs with the same configuration produce byte-identical files.
 """
@@ -10,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,13 +115,53 @@ class RunConfig:
 
 @dataclass
 class RunBundle:
+    """What a run wrote (`files`: path, size and hash per file) and whether
+    every stage it ran passed."""
+
     config: RunConfig
     out_dir: Path
-    cons: Construction
-    rotations: RotationFamily
-    reports: dict = field(default_factory=dict)
-    files: list = field(default_factory=list)
-    ok: bool = True
+    files: list
+    ok: bool
+
+
+class _Run:
+    """State shared by the stages of one run, each piece built on first use:
+    config -> table -> construction -> rotation family -> materialized depth
+    -> stage families.  A stage run on its own builds only what it reads."""
+
+    def __init__(self, config: RunConfig, out_dir: Path | None):
+        self.config = config
+        self.out_dir = out_dir
+        self.files = []
+
+    @cached_property
+    def table(self):
+        cfg = self.config
+        return derive_sequences(build_schedule(cfg.s, cfg.depth), cfg.c,
+                                profile=cfg.profile, C_tube=cfg.C_tube)
+
+    @cached_property
+    def cons(self) -> Construction:
+        cfg = self.config
+        return Construction(self.table, prec=cfg.precision,
+                            cap=cfg.materialization_cap,
+                            angle_tol_log2=cfg.angle_tol_log2)
+
+    @cached_property
+    def rf(self) -> RotationFamily:
+        return RotationFamily(self.cons)
+
+    @cached_property
+    def mat_depth(self) -> int:
+        return self.cons.materializable_depth()
+
+    @cached_property
+    def stage_level(self) -> int:
+        return min(2, self.mat_depth)
+
+    @cached_property
+    def fams(self) -> list:
+        return self.rf.besicovitch_stage(self.stage_level)
 
     def write(self, rel: str, content: str):
         path = self.out_dir / rel
@@ -133,202 +178,233 @@ class RunBundle:
         self.write(rel, json.dumps(obj, indent=1) + "\n")
 
 
-def _level_csv(level_set) -> str:
-    lines = ["level,rank,anchor_x,anchor_y,width,height"]
-    for rank, r in enumerate(level_set.rects, start=1):
-        lines.append(
-            f"{r.level},{rank},{float(r.anchor.real)!r},"
-            f"{float(r.anchor.imag)!r},{float(r.width)!r},{float(r.height)!r}")
-    return "\n".join(lines) + "\n"
+# -- stages: each writes its bundle files and returns whether it passed --------
+
+def _sequences(run: _Run) -> bool:
+    report = validate_sequences(run.table)
+    run.write_json("sequences.json", {
+        "table": run.table.to_json(),
+        "validation": report.to_json(),
+    })
+    return report.ok
 
 
-def _vtheta_csv(table) -> str:
-    lines = ["index,theta_num,theta_log2_den,x,y,case"]
-    for e in table.entries:
-        d = dyadic_to_json(e.theta)
-        lines.append(f"{e.index},{d['num']},{d['log2_den']},{e.x!r},{e.y!r},{e.case}")
-    return "\n".join(lines) + "\n"
+def _arcs(run: _Run) -> bool:
+    sols = run.cons.sols
+    checks = [s.check() for s in sols]
+    run.write_json("arcs.json", {
+        "solutions": [s.to_json() for s in sols],
+        "checks": [r.to_json() for r in checks],
+    })
+    return all(r.ok for r in checks)
+
+
+def _build(run: _Run) -> bool:
+    for n in range(1, run.mat_depth + 1):
+        lines = ["level,rank,anchor_x,anchor_y,width,height"]
+        for rank, r in enumerate(run.cons.level(n).rects, start=1):
+            lines.append(
+                f"{r.level},{rank},{float(r.anchor.real)!r},"
+                f"{float(r.anchor.imag)!r},{float(r.width)!r},{float(r.height)!r}")
+        run.write(f"levels/level_{n}.csv", "\n".join(lines) + "\n")
+    return True
+
+
+def _verify(run: _Run) -> bool:
+    cfg, cons, mat_depth = run.config, run.cons, run.mat_depth
+    depth = run.table.depth
+    reports = [verify_level_invariants(cons, n)
+               for n in range(1, mat_depth + 1)]
+    reports += [verify_spacing(cons, child)
+                for child in range(2, mat_depth + 1)]
+    reports += [verify_spacing(cons, child, n_samples=cfg.spacing_samples,
+                               rng=random.Random(cfg.seed + child))
+                for child in range(mat_depth + 1, depth + 1)]
+    reports.append(verify_counts(cons, min(mat_depth, depth - 1)))
+    reports.append(verify_translation_invariants(
+        run.rf, rng=random.Random(cfg.seed + 1), n_thetas=40))
+    known = {"N_1 below the angle-step ratio"}
+    failures = [e.name for r in reports for e in r.failures]
+    blob = {
+        "profile": cfg.profile,
+        "reports": [r.to_json() for r in reports],
+        "failures": failures,
+        "expected_failures": sorted(known & set(failures)),
+        "unexpected_failures": sorted(set(failures) - known),
+    }
+    if cfg.profile == "demo":
+        blob["banner"] = DEMO_BANNER
+    run.write_json("verify.json", blob)
+    return not blob["unexpected_failures"]
+
+
+def _projections(run: _Run) -> bool:
+    cons, mat_depth = run.cons, run.mat_depth
+    proj = {}
+    for n in range(1, mat_depth + 1):
+        ly, lx = projection_lengths(cons.level(n), cons.prec)
+        proj[str(n)] = {"len_y": float(ly), "len_x": float(lx)}
+    if run.table.depth > mat_depth:
+        ly, lx = projection_lengths_lazy(cons, mat_depth + 1)
+        proj[str(mat_depth + 1)] = {
+            "len_y": float(ly), "len_x": float(lx), "lazy": True}
+    run.write_json("projections.json", proj)
+    return True
+
+
+def _vtheta(run: _Run) -> bool:
+    for n in range(1, run.rf.grid_depth()):
+        lines = ["index,theta_num,theta_log2_den,x,y,case"]
+        for e in run.rf.translation_table(n).entries:
+            d = dyadic_to_json(e.theta)
+            lines.append(f"{e.index},{d['num']},{d['log2_den']},"
+                         f"{e.x!r},{e.y!r},{e.case}")
+        run.write(f"vtheta_level_{n}.csv", "\n".join(lines) + "\n")
+    return True
+
+
+def _tubes(run: _Run) -> bool:
+    fams = run.fams
+    run.write_json("tubes.json", {
+        "level": run.stage_level,
+        "families": len(fams),
+        "tubes_per_family": len(fams[0]),
+        "C": str(fams[0].C),
+        "half_width": fams[0].half_width,
+        "half_height": fams[0].half_height,
+    })
+    return True
+
+
+def _area(run: _Run) -> bool:
+    if run.stage_level < 2:
+        return True
+    cfg = run.config
+    radius = cfg.neighborhood_radius
+    radius = run.table.theta_(2) if radius is None else radius
+    res = cfg.raster_resolution
+    res = Fraction(radius, 4) if res is None else res
+    est = neighborhood_area(run.fams, float(radius), float(res),
+                            threads=cfg.threads)
+    run.write_json("area.json", {
+        "stage_level": run.stage_level,
+        "radius": str(radius),
+        "resolution": str(res),
+        "estimate": est.to_json(),
+        "bound": dimension_bound_report(run.cons, run.stage_level - 1, est),
+    })
+    return True
+
+
+def _dimension(run: _Run) -> bool:
+    cons, depth = run.cons, run.table.depth
+    dim = box_dimension_x_projection(cons, min(depth, run.mat_depth + 1))
+    run.write_json("dimension.json", {
+        "estimate": dim.to_json(),
+        "stage_bounds": [dimension_bound_report(cons, n)
+                         for n in range(1, depth)],
+    })
+    lines = ["level,scale,count,covering_sum,slope"]
+    for p, (d, cnt), s in zip(dim.levels, dim.scales, dim.covering_sums):
+        lines.append(f"{p},{d},{cnt},{s!r},{dim.slope!r}")
+    run.write("dimension.csv", "\n".join(lines) + "\n")
+    return True
+
+
+def _containment(run: _Run) -> bool:
+    cfg = run.config
+    rng = random.Random(cfg.seed + 2)
+    checks = []
+    worst = {}
+    shortfalls = []
+    for _ in range(cfg.containment_thetas):
+        th = Fraction(rng.random()).limit_denominator(10**12)
+        for n in (1, run.stage_level):
+            rep = run.rf.check_containment(
+                th, n, n_samples=cfg.containment_anchors,
+                rng=random.Random(cfg.seed + 3))
+            checks.append(rep.to_json())
+            worst[n] = max(worst.get(n, 0.0), rep.C_min)
+            if not rep.contained:
+                shortfalls.append(rep)
+    # The first level carries 1/c factors in its constants: its minimal
+    # sufficient multiplier tops out near 29, so misses there within that
+    # ceiling are a known property of the construction, not a defect of
+    # the run.
+    unexpected = sum(1 for r in shortfalls
+                     if not (r.level == 1 and r.C_min <= FIRST_LEVEL_C_CEILING))
+    run.write_json("containment.json", {
+        "C": str(run.table.C_tube),
+        "max_C_min_per_level": {str(k): v for k, v in sorted(worst.items())},
+        "first_level_known_ceiling": FIRST_LEVEL_C_CEILING,
+        "known_first_level_shortfalls": sum(
+            1 for r in shortfalls if r.level == 1),
+        "unexpected_shortfalls": unexpected,
+        "checks": checks,
+    })
+    return not unexpected
+
+
+def _render(run: _Run) -> bool:
+    cons, rf, mat_depth = run.cons, run.rf, run.mat_depth
+    run.write("svg/arc_level_1.svg", render_arc_diagram(cons, 1))
+    if mat_depth >= 2:
+        run.write("svg/level_2.svg", render_level_set(cons, 2))
+    run.write("svg/tubes_stage_1.svg",
+              render_tube_stage(rf, 1, family_stride=2))
+    run.write("svg/gamma_samples.svg", render_gamma_theta(
+        rf, [0.0, 0.21, 0.55, 0.83], run.stage_level,
+        n_samples=200, seed=run.config.seed))
+    return True
+
+
+#: The bundle stages in run order; a stage is named by its function's name
+#: without the leading underscore.
+_STAGES = (_sequences, _arcs, _build, _verify, _projections, _vtheta, _tubes,
+           _area, _dimension, _containment, _render)
+
+
+def _execute(run: _Run, stages) -> bool:
+    """Run the stages in order; True when every one passed.  A package error
+    is re-raised as a `PipelineError` naming its stage."""
+    ok = True
+    for stage in stages:
+        try:
+            ok = stage(run) and ok
+        except CantorTubesError as exc:
+            raise PipelineError(stage.__name__[1:], exc) from exc
+    return ok
 
 
 def run_pipeline(config: RunConfig, out_dir) -> RunBundle:
+    """Run every stage and write the bundle with its hashed manifest."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage = "configure"
-    try:
-        schedule = build_schedule(config.s, config.depth)
-        table = derive_sequences(schedule, config.c, profile=config.profile,
-                                 C_tube=config.C_tube)
-        stage = "sequences"
-        seq_report = validate_sequences(table)
-        cons = Construction(table, prec=config.precision,
-                            cap=config.materialization_cap,
-                            angle_tol_log2=config.angle_tol_log2)
-        rf = RotationFamily(cons)
-        bundle = RunBundle(config=config, out_dir=out_dir, cons=cons,
-                           rotations=rf)
-        bundle.write_json("sequences.json", {
-            "table": table.to_json(),
-            "validation": seq_report.to_json(),
-        })
-        bundle.reports["sequences"] = seq_report
+    run = _Run(config, out_dir)
+    ok = _execute(run, _STAGES)
+    run.write_json("manifest.json", {
+        "config": config.to_json(),
+        "ok": ok,
+        "banner": DEMO_BANNER if config.profile == "demo" else None,
+        "files": sorted(run.files, key=lambda f: f["path"]),
+    })
+    return RunBundle(config=config, out_dir=out_dir, files=run.files, ok=ok)
 
-        stage = "arcs"
-        arc_checks = [s.check() for s in cons.sols]
-        bundle.write_json("arcs.json", {
-            "solutions": [s.to_json() for s in cons.sols],
-            "checks": [r.to_json() for r in arc_checks],
-        })
-        bundle.reports["arcs"] = arc_checks
 
-        stage = "build"
-        mat_depth = cons.materializable_depth()
-        for n in range(1, mat_depth + 1):
-            bundle.write(f"levels/level_{n}.csv", _level_csv(cons.level(n)))
+def run_stage(config: RunConfig, name: str, out_dir) -> RunBundle:
+    """Run one stage on its own; it writes the same files, at the same paths,
+    as in a full run.  No manifest is written."""
+    stages = {stage.__name__[1:]: stage for stage in _STAGES}
+    if name not in stages:
+        raise ValueError(f"unknown stage {name!r}; one of {tuple(stages)}")
+    out_dir = Path(out_dir)
+    run = _Run(config, out_dir)
+    ok = _execute(run, (stages[name],))
+    return RunBundle(config=config, out_dir=out_dir, files=run.files, ok=ok)
 
-        stage = "verify"
-        rng = random.Random(config.seed)
-        verify_reports = []
-        for n in range(1, mat_depth + 1):
-            verify_reports.append(verify_level_invariants(cons, n))
-        for child in range(2, mat_depth + 1):
-            verify_reports.append(verify_spacing(cons, child))
-        for child in range(mat_depth + 1, table.depth + 1):
-            verify_reports.append(verify_spacing(
-                cons, child, n_samples=config.spacing_samples,
-                rng=random.Random(config.seed + child)))
-        verify_reports.append(verify_counts(
-            cons, min(mat_depth, table.depth - 1)))
-        verify_reports.append(verify_translation_invariants(
-            rf, rng=random.Random(config.seed + 1), n_thetas=40))
-        known = {"N_1 below the angle-step ratio"}
-        failures = [e.name for r in verify_reports for e in r.failures]
-        blob = {
-            "profile": config.profile,
-            "reports": [r.to_json() for r in verify_reports],
-            "failures": failures,
-            "expected_failures": sorted(known & set(failures)),
-            "unexpected_failures": sorted(set(failures) - known),
-        }
-        if config.profile == "demo":
-            blob["banner"] = DEMO_BANNER
-        bundle.write_json("verify.json", blob)
-        bundle.reports["verify"] = verify_reports
-        bundle.ok = not blob["unexpected_failures"]
 
-        stage = "projections"
-        proj = {}
-        for n in range(1, mat_depth + 1):
-            ly, lx = projection_lengths(cons.level(n), cons.prec)
-            proj[str(n)] = {"len_y": float(ly), "len_x": float(lx)}
-        if table.depth > mat_depth:
-            ly, lx = projection_lengths_lazy(cons, mat_depth + 1)
-            proj[str(mat_depth + 1)] = {
-                "len_y": float(ly), "len_x": float(lx), "lazy": True}
-        bundle.write_json("projections.json", proj)
-
-        stage = "vtheta"
-        for n in range(1, rf.grid_depth()):
-            t = rf.translation_table(n)
-            bundle.write(f"vtheta_level_{n}.csv", _vtheta_csv(t))
-
-        stage = "tubes"
-        stage_level = min(2, mat_depth)
-        fams = rf.besicovitch_stage(stage_level)
-        bundle.write_json("tubes.json", {
-            "level": stage_level,
-            "families": len(fams),
-            "tubes_per_family": len(fams[0]),
-            "C": str(fams[0].C),
-            "half_width": fams[0].half_width,
-            "half_height": fams[0].half_height,
-        })
-
-        area_blob = None
-        if stage_level >= 2:
-            stage = "area"
-            radius = config.neighborhood_radius
-            radius = table.theta_(2) if radius is None else radius
-            res = config.raster_resolution
-            res = Fraction(radius, 4) if res is None else res
-            est = neighborhood_area(fams, float(radius), float(res),
-                                    threads=config.threads)
-            area_blob = {
-                "stage_level": stage_level,
-                "radius": str(radius),
-                "resolution": str(res),
-                "estimate": est.to_json(),
-                "bound": dimension_bound_report(cons, stage_level - 1, est),
-            }
-            bundle.write_json("area.json", area_blob)
-
-        stage = "dimension"
-        dim = box_dimension_x_projection(cons, min(table.depth, mat_depth + 1))
-        bundle.write_json("dimension.json", {
-            "estimate": dim.to_json(),
-            "stage_bounds": [dimension_bound_report(cons, n)
-                             for n in range(1, table.depth)],
-        })
-        lines = ["level,scale,count,covering_sum,slope"]
-        for p, (d, cnt), s in zip(dim.levels, dim.scales, dim.covering_sums):
-            lines.append(f"{p},{d},{cnt},{s!r},{dim.slope!r}")
-        bundle.write("dimension.csv", "\n".join(lines) + "\n")
-
-        stage = "containment"
-        rng = random.Random(config.seed + 2)
-        cont = []
-        worst = {}
-        shortfalls = []
-        for _ in range(config.containment_thetas):
-            th = Fraction(rng.random()).limit_denominator(10**12)
-            for n in (1, min(2, mat_depth)):
-                rep = rf.check_containment(
-                    th, n, n_samples=config.containment_anchors,
-                    rng=random.Random(config.seed + 3))
-                cont.append(rep.to_json())
-                worst[n] = max(worst.get(n, 0.0), rep.C_min)
-                if not rep.contained:
-                    shortfalls.append(rep)
-                    # The first level carries 1/c factors in its constants:
-                    # its minimal sufficient multiplier tops out near 29, so
-                    # misses there within that ceiling are a known property
-                    # of the construction, not a defect of the run.
-                    if not (n == 1 and rep.C_min <= FIRST_LEVEL_C_CEILING):
-                        bundle.ok = False
-        bundle.write_json("containment.json", {
-            "C": str(table.C_tube),
-            "max_C_min_per_level": {str(k): v for k, v in sorted(worst.items())},
-            "first_level_known_ceiling": FIRST_LEVEL_C_CEILING,
-            "known_first_level_shortfalls": sum(
-                1 for r in shortfalls if r.level == 1),
-            "unexpected_shortfalls": sum(
-                1 for r in shortfalls
-                if not (r.level == 1 and r.C_min <= FIRST_LEVEL_C_CEILING)),
-            "checks": cont,
-        })
-
-        stage = "render"
-        bundle.write("svg/arc_level_1.svg", render_arc_diagram(cons, 1))
-        if mat_depth >= 2:
-            bundle.write("svg/level_2.svg", render_level_set(cons, 2))
-        bundle.write("svg/tubes_stage_1.svg",
-                     render_tube_stage(rf, 1, family_stride=2))
-        bundle.write("svg/gamma_samples.svg", render_gamma_theta(
-            rf, [0.0, 0.21, 0.55, 0.83], min(2, mat_depth),
-            n_samples=200, seed=config.seed))
-
-        stage = "manifest"
-        manifest = {
-            "config": config.to_json(),
-            "ok": bundle.ok,
-            "banner": DEMO_BANNER if config.profile == "demo" else None,
-            "files": sorted(bundle.files, key=lambda f: f["path"]),
-        }
-        bundle.write_json("manifest.json", manifest)
-        return bundle
-    except CantorTubesError as exc:
-        if isinstance(exc, PipelineError):
-            raise
-        raise PipelineError(stage, exc) from exc
+def rotation_family(config: RunConfig) -> RotationFamily:
+    """The rotation family of the construction a run of `config` uses."""
+    return _Run(config, None).rf
 
 
 def verify_manifest(out_dir) -> list:

@@ -87,7 +87,11 @@ def _paint_band(families, inflate, grid, row0, row1):
     rc = cell * np.sqrt(2.0) / 2.0
     big = (grid.nx + 4) * cell
     ys = grid.y0 + (np.arange(row0, row1) + 0.5) * cell
-    diffs = [np.zeros((nrows, grid.nx + 1), dtype=np.int16) for _ in range(3)]
+    # A cell's running sum counts the boxes over it: int16 holds up to
+    # 32,767 stacked boxes, more would wrap around to a false zero.
+    n_boxes = sum(len(fam) for fam in families)
+    dtype = np.int16 if n_boxes <= np.iinfo(np.int16).max else np.int32
+    diffs = [np.zeros((nrows, grid.nx + 1), dtype=dtype) for _ in range(3)]
     row_idx = np.arange(nrows)
     for fam in families:
         hw, hh = fam.half_width + inflate, fam.half_height + inflate
@@ -115,7 +119,7 @@ def _paint_band(families, inflate, grid, row0, row1):
                 np.add.at(diff, (rows, il[ok]), 1)
                 np.add.at(diff, (rows, ih[ok]), -1)
     for target, diff in zip((grid.full_in, grid.center_in, grid.touched), diffs):
-        np.greater(np.cumsum(diff, axis=1, dtype=np.int16)[:, :grid.nx], 0,
+        np.greater(np.cumsum(diff, axis=1, dtype=dtype)[:, :grid.nx], 0,
                    out=target[row0:row1])
 
 
@@ -135,8 +139,7 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
     if nx * ny > max_cells:
         raise GridTooLargeError(
             f"{nx} x {ny} = {nx * ny} cells exceeds {max_cells}; use a "
-            "coarser resolution or raise max_cells (tiled bands keep memory "
-            "at three boolean grids)")
+            "coarser resolution or raise max_cells")
     grid = RasterResult(
         x0=x0, y0=y0, cell=resolution, nx=nx, ny=ny,
         center_in=np.zeros((ny, nx), dtype=bool),

@@ -12,7 +12,7 @@ the level's stage of the covering set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -156,7 +156,7 @@ class RotationFamily:
                 return m
         raise OffGridError(
             f"{theta} is not a multiple of any usable grid step "
-            f"(finest: level {self.grid_depth()}); use translation_vector_limit")
+            f"(finest: level {self.grid_depth()}); use v_limit")
 
     # -- translation vectors ---------------------------------------------------
 
@@ -393,33 +393,6 @@ class RotationFamily:
             v_error_bound=float(v_bound),
             scanned_all_families=scanned_all,
         )
-
-
-# -- module-level wrappers matching the operation surface ---------------------
-
-def translation_vector(rf: RotationFamily, theta):
-    """Translation vector for an on-grid angle; raises OffGridError off-grid."""
-    return rf.v(theta)
-
-
-def translation_vector_limit(rf: RotationFamily, theta, tol=None) -> VLimitResult:
-    return rf.v_limit(theta, tol)
-
-
-def gamma_theta(rf: RotationFamily, theta, level: int, **kw):
-    return rf.gamma_anchors(theta, level, **kw)
-
-
-def tube_family(rf: RotationFamily, level: int, l: int, C=None, variant="T"):
-    return rf.tube_family(level, l, C, variant)
-
-
-def besicovitch_stage(rf: RotationFamily, level: int, C=None, **kw):
-    return rf.besicovitch_stage(level, C, **kw)
-
-
-def check_containment(rf: RotationFamily, theta, n: int, C=None, **kw):
-    return rf.check_containment(theta, n, C, **kw)
 
 
 def empirical_v_bounds(rf: RotationFamily, n: int, n_samples: int = 400,

@@ -17,7 +17,7 @@ from cantortubes.hierarchy import (
     verify_spacing,
 )
 from cantortubes.numerics import frac_to_mpf, workprec
-from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
+from cantortubes.sequences import SequenceTable
 
 
 @pytest.fixture(scope="module")
@@ -223,26 +223,3 @@ def test_demo_construction_depth4(demo_table, demo_arcs):
     report = verify_spacing(cons, child_level=4, n_samples=50,
                             rng=random.Random(2))
     assert report.ok, [e.to_json() for e in report.entries if e.status != "pass"]
-
-
-def test_level_cache_roundtrip(cons, tmp_path, strict_table):
-    cons.level(2)
-    cons.counts(2)
-    cache = tmp_path / "levels.bin"
-    cons.save_levels(cache)
-
-    fresh = Construction(strict_table, prec=cons.prec, sols=cons.sols)
-    assert fresh.load_levels(cache)
-    assert 2 in fresh._levels
-    with workprec(cons.prec):
-        for a, b in zip(cons.level(2).rects, fresh.level(2).rects):
-            assert a.path == b.path and a.anchor == b.anchor
-            assert a.width == b.width and a.height == b.height
-    assert fresh.N(2) == cons.N(2)  # cached counts restored, no re-search
-
-    # A cache from a different table is refused.
-    other_table = derive_sequences(build_schedule(Fraction(1, 2), 3),
-                                   Fraction(1, 16))
-    other = Construction(other_table)
-    assert not other.load_levels(cache)
-    assert 2 not in other._levels

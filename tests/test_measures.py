@@ -243,3 +243,12 @@ def test_raster_band_threading_identical(rf):
     b = rasterize(fams, 1 / 512, threads=2)
     assert a.counts() == b.counts()
     assert np.array_equal(a.center_in, b.center_in)
+
+
+def test_raster_counts_survive_deep_stacking():
+    # 32,768 boxes stacked on one cell exceed an int16 running count.
+    one = box_family(0.5, 0.5, 1, 1)
+    stacked = box_family(0.5, 0.5, 1, 1)
+    stacked.centers = np.repeat(one.centers, 32_768, axis=0)
+    assert rasterize([one], 0.1).counts() == (64, 100, 144)
+    assert rasterize([stacked], 0.1).counts() == (64, 100, 144)

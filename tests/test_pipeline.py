@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from cantortubes.cli import main
-from cantortubes.pipeline import RunConfig, run_pipeline, verify_manifest
+from cantortubes.errors import GridTooLargeError
+from cantortubes.pipeline import (
+    PipelineError,
+    RunConfig,
+    run_pipeline,
+    verify_manifest,
+)
 
 FAST = dict(
     # Coarse raster and small samples keep the full pipeline quick; the
@@ -115,19 +121,17 @@ def test_cli_seq_bad_config():
 
 def test_cli_build_and_render(tmp_path):
     assert main(["--out", str(tmp_path), "build", "--depth", "2"]) == 0
-    assert (tmp_path / "level_2.csv").exists()
+    assert (tmp_path / "levels/level_2.csv").exists()
     assert main(["--out", str(tmp_path), "render", "arc_diagram",
                  "--depth", "2"]) == 0
     assert (tmp_path / "arc_diagram_level_1.svg").read_text().startswith("<?xml")
 
 
 def test_cli_vtheta(tmp_path):
-    assert main(["--out", str(tmp_path), "vtheta", "--level", "2"]) == 0
+    assert main(["--out", str(tmp_path), "vtheta"]) == 0
     lines = (tmp_path / "vtheta_level_2.csv").read_text().splitlines()
     assert lines[0] == "index,theta_num,theta_log2_den,x,y,case"
     assert len(lines) == 1 + 257
-    # Resource code when the requested grid is too deep to enumerate.
-    assert main(["--out", str(tmp_path), "vtheta", "--level", "3"]) == 3
 
 
 def test_cli_verify_exit_code(tmp_path, capsys):
@@ -140,7 +144,7 @@ def test_cli_verify_exit_code(tmp_path, capsys):
 def test_cli_dim(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "dim"]) == 0
     blob = json.loads((tmp_path / "dimension.json").read_text())
-    assert blob["slope"] is not None
+    assert blob["estimate"]["slope"] is not None
 
 
 def test_cli_tubes(tmp_path):
@@ -149,3 +153,51 @@ def test_cli_tubes(tmp_path):
     lines = (tmp_path / "tubes_level_2_l3.csv").read_text().splitlines()
     assert lines[0] == "tube,corner,x,y"
     assert len(lines) == 1 + 16 * 4
+
+
+#: Each stage subcommand and the bundle files it writes.
+STAGE_FILES = {
+    ("seq", "derive"): ["sequences.json"],
+    ("arc",): ["arcs.json"],
+    ("build",): ["levels/level_1.csv", "levels/level_2.csv"],
+    ("verify",): ["verify.json"],
+    ("vtheta",): ["vtheta_level_1.csv", "vtheta_level_2.csv"],
+    ("area",): ["area.json"],
+    ("dim",): ["dimension.json", "dimension.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def tight_bundle(tmp_path_factory):
+    """A full run whose arcs are solved tighter than the default, so a stage
+    that ignored part of the config would show."""
+    cfg = RunConfig(angle_tol_log2=-80, **FAST)
+    out = tmp_path_factory.mktemp("tight")
+    run_pipeline(cfg, out)
+    config = out.parent / "tight_config.json"
+    config.write_text(json.dumps(cfg.to_json()))
+    return config, out
+
+
+@pytest.mark.parametrize("command", list(STAGE_FILES), ids=lambda c: c[0])
+def test_cli_stage_matches_pipeline(tight_bundle, tmp_path, command):
+    config, bundle_dir = tight_bundle
+    assert main(["--config", str(config), "--out", str(tmp_path), *command]) == 0
+    written = sorted(str(p.relative_to(tmp_path))
+                     for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(STAGE_FILES[command])
+    for rel in written:
+        assert (tmp_path / rel).read_bytes() == (bundle_dir / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("command", ["pipeline", "area"])
+def test_cli_resource_cap_exit_code(tmp_path, command):
+    # c = 2^-5 makes the default stage-2 raster exceed the cell cap.
+    assert main(["--out", str(tmp_path), command, "--c", "2^-5"]) == 3
+
+
+def test_pipeline_error_names_stage(tmp_path):
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(RunConfig(c=Fraction(1, 32)), tmp_path)
+    assert info.value.stage == "area"
+    assert isinstance(info.value.cause, GridTooLargeError)

@@ -296,6 +296,8 @@ def test_containment_level2_random_thetas(rf):
         assert rep.contained, rep.to_json()
         assert rep.C_min <= 16
         assert rep.sampled
+    # An on-grid angle with the default multiplier.
+    assert rf.check_containment(Fraction(1, 4), 2, n_samples=50).contained
 
 
 def test_stage_nesting_under_inflation(rf, strict_table):
@@ -309,20 +311,3 @@ def test_stage_nesting_under_inflation(rf, strict_table):
         assert t.rotation == tp.rotation
         assert t.half_width + t2 <= tp.half_width
         assert t.half_height + t2 <= tp.half_height
-
-
-def test_functional_wrappers(rf, strict_table):
-    # The module-level operation surface delegates to the family object.
-    from cantortubes.rotations import (besicovitch_stage, check_containment,
-                                       gamma_theta, translation_vector,
-                                       translation_vector_limit, tube_family)
-
-    th = 3 * strict_table.theta_(2)
-    with workprec(rf.cons.prec):
-        assert translation_vector(rf, th) == rf.v(th)
-    assert translation_vector_limit(rf, 0.4, tol=1e-2).converged
-    pts, _, _, _ = gamma_theta(rf, Fraction(0), 2)
-    assert len(pts) == len(rf.cons.level(2).rects)
-    assert len(tube_family(rf, 2, 3)) == 16
-    assert len(besicovitch_stage(rf, 1)) == 17
-    assert check_containment(rf, Fraction(1, 4), 2, n_samples=50).contained
