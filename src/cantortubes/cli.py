@@ -56,7 +56,7 @@ def _load_config(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, parse_rational(val))
-    for key in ("depth", "profile", "seed", "threads"):
+    for key in ("depth", "profile", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -100,14 +100,9 @@ def cmd_tubes(args) -> int:
 
 def cmd_render(args) -> int:
     rf = rotation_family(_load_config(args))
-    params = {}
-    if args.target in ("arc_diagram", "level_set"):
-        params["level"] = args.level
-    elif args.target == "tube_stage":
-        params["level"] = args.level
-    elif args.target == "gamma_theta":
+    params = {"level": args.level}
+    if args.target == "gamma_theta":
         params["thetas"] = [float(t) for t in (args.thetas or "0,0.3,0.7").split(",")]
-        params["level"] = args.level
     text = render_svg(args.target, rf.cons, rf, **params)
     _emit(args, f"{args.target}_level_{args.level}.svg", text)
     return EXIT_OK
@@ -132,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "measurement and rendering")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory (default: cwd)")
-    p.add_argument("--threads", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -145,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         # a before-subcommand value from being clobbered by the default.
         sp.add_argument("--config", default=argparse.SUPPRESS)
         sp.add_argument("--out", default=argparse.SUPPRESS)
-        sp.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
     for command, stage, help_text in STAGE_COMMANDS:
         sp = sub.add_parser(command, help=help_text)
@@ -182,9 +175,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg_threads = getattr(args, "threads", None)
-        if cfg_threads is not None and cfg_threads < 1:
-            raise ValueError("--threads must be >= 1")
         return args.fn(args)
     except (CantorTubesError, ValueError, OSError) as exc:
         # A pipeline stage wraps the error it hit; its cause sets the code.

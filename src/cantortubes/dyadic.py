@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def is_dyadic(x: Fraction) -> bool:
     """True if x has a power-of-two denominator (2**0 = 1 included)."""

@@ -93,8 +93,7 @@ class AreaEstimate:
 
 
 def neighborhood_area(families, radius, resolution,
-                      max_cells: int = DEFAULT_MAX_CELLS,
-                      threads: int = 1) -> AreaEstimate:
+                      max_cells: int = DEFAULT_MAX_CELLS) -> AreaEstimate:
     """Rasterized area of the radius-neighborhood of a tube-family union
     (each rotated box inflated by the radius in its own frame)."""
     radius = float(radius)
@@ -106,34 +105,25 @@ def neighborhood_area(families, radius, resolution,
             f"resolution {resolution} too coarse for radius {radius}; "
             "need resolution <= radius/4")
     grid = rasterize(families, resolution, inflate=radius,
-                     max_cells=max_cells, threads=threads)
+                     max_cells=max_cells)
     return AreaEstimate.from_raster(grid)
 
 
 def pairwise_overlap_loss(fam_a, fam_b, resolution,
-                          max_cells: int = DEFAULT_MAX_CELLS,
-                          threads: int = 1) -> AreaEstimate:
+                          max_cells: int = DEFAULT_MAX_CELLS) -> AreaEstimate:
     """Rasterized area of the set difference (union A) minus (union B) for
     two families of the same level at nearby angles."""
     resolution = float(resolution)
-    ga = rasterize([fam_a], resolution, max_cells=max_cells, threads=threads)
+    ga = rasterize([fam_a], resolution, max_cells=max_cells)
     # Rasterize B on the identical grid so masks align cell for cell.
-    gb = RasterResult(
-        x0=ga.x0, y0=ga.y0, cell=ga.cell, nx=ga.nx, ny=ga.ny,
-        center_in=np.zeros_like(ga.center_in),
-        full_in=np.zeros_like(ga.full_in),
-        touched=np.zeros_like(ga.touched),
-    )
-    from .raster import _paint_band
-
-    _paint_band([fam_b], 0.0, gb, 0, gb.ny)
+    gb = rasterize([fam_b], resolution, like=ga)
     a = ga.cell_area
-    value = int((ga.center_in & ~gb.center_in).sum()) * a
+    cells_on = int((ga.center_in & ~gb.center_in).sum())
+    value = cells_on * a
     lower = int((ga.full_in & ~gb.touched).sum()) * a
     upper = int((ga.touched & ~gb.full_in).sum()) * a
     return AreaEstimate(value=value, lower=lower, upper=upper,
-                        resolution=ga.cell,
-                        cells_on=int((ga.center_in & ~gb.center_in).sum()),
+                        resolution=ga.cell, cells_on=cells_on,
                         error_bound=max(value - lower, upper - value))
 
 

@@ -30,16 +30,6 @@ def frac_to_mpf(x: Fraction):
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
-def rot(angle: Fraction):
-    """Clockwise rotation factor e^{-i*angle} for an exact rational angle."""
-    return mpmath.expj(-frac_to_mpf(angle))
-
-
-def as_xy(z) -> tuple:
-    """Complex point -> (x, y)."""
-    return (z.real, z.imag)
-
-
 def arith_error(prec: int, scale: float = 1.0, ops: int = 64) -> float:
     """Conservative absolute error bound for a value of magnitude ~scale
     computed with ~ops rounded operations at `prec` bits."""

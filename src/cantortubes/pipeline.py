@@ -74,7 +74,11 @@ class RunConfig:
     containment_thetas: int = 20
     containment_anchors: int = 400
     precision: int | None = None
-    threads: int = 1
+
+    def __post_init__(self):
+        if self.containment_anchors < 1:
+            raise ValueError(f"containment_anchors must be >= 1, got "
+                             f"{self.containment_anchors}")
 
     @classmethod
     def from_json(cls, blob: dict) -> "RunConfig":
@@ -84,7 +88,7 @@ class RunConfig:
                 kw[key] = parse_rational(blob[key])
         for key in ("depth", "angle_tol_log2", "materialization_cap", "seed",
                     "spacing_samples", "containment_thetas",
-                    "containment_anchors", "precision", "threads"):
+                    "containment_anchors", "precision"):
             if key in blob and blob[key] is not None:
                 kw[key] = int(blob[key])
         if "profile" in blob:
@@ -109,7 +113,6 @@ class RunConfig:
             "containment_thetas": self.containment_thetas,
             "containment_anchors": self.containment_anchors,
             "precision": self.precision,
-            "threads": self.threads,
         }
 
 
@@ -284,8 +287,7 @@ def _area(run: _Run) -> bool:
     radius = run.table.theta_(2) if radius is None else radius
     res = cfg.raster_resolution
     res = Fraction(radius, 4) if res is None else res
-    est = neighborhood_area(run.fams, float(radius), float(res),
-                            threads=cfg.threads)
+    est = neighborhood_area(run.fams, float(radius), float(res))
     run.write_json("area.json", {
         "stage_level": run.stage_level,
         "radius": str(radius),
@@ -313,13 +315,15 @@ def _dimension(run: _Run) -> bool:
 
 def _containment(run: _Run) -> bool:
     cfg = run.config
+    # Checking level n samples level n + 1, so the deepest level is skipped.
+    levels = [n for n in (1, run.stage_level) if n < run.table.depth]
     rng = random.Random(cfg.seed + 2)
     checks = []
     worst = {}
     shortfalls = []
     for _ in range(cfg.containment_thetas):
         th = Fraction(rng.random()).limit_denominator(10**12)
-        for n in (1, run.stage_level):
+        for n in levels:
             rep = run.rf.check_containment(
                 th, n, n_samples=cfg.containment_anchors,
                 rng=random.Random(cfg.seed + 3))

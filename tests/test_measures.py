@@ -237,18 +237,101 @@ def test_stage_family_count(strict_table):
     assert stage_family_count(strict_table, 2) == 257
 
 
-def test_raster_band_threading_identical(rf):
-    fams = [rf.tube_family(2, l, C=16) for l in (0, 64, 128)]
-    a = rasterize(fams, 1 / 512, threads=1)
-    b = rasterize(fams, 1 / 512, threads=2)
-    assert a.counts() == b.counts()
-    assert np.array_equal(a.center_in, b.center_in)
+# -- rasterizer against a per-box reference ----------------------------------
+
+def _reference_interval(a, b, w, big):
+    if abs(a) < 1e-300:
+        inside = np.abs(b) <= w
+        return np.where(inside, -big, big), np.where(inside, big, -big)
+    lo, hi = (-w - b) / a, (w - b) / a
+    return (hi, lo) if a < 0 else (lo, hi)
+
+
+def reference_masks(families, inflate, grid):
+    """(full_in, center_in, touched) painted on `grid`'s frame one box at a
+    time: each box's per-row x-interval scatters +-1 into a 2-D difference
+    grid, whose running sum along each row counts the boxes over a cell."""
+    cell, nx, ny = grid.cell, grid.nx, grid.ny
+    rc = cell * np.sqrt(2.0) / 2.0
+    big = (nx + 4) * cell
+    ys = grid.y0 + (np.arange(ny) + 0.5) * cell
+    rows = np.arange(ny)
+    dtype = np.int16 if sum(map(len, families)) <= 32_767 else np.int32
+    diffs = [np.zeros((ny, nx + 1), dtype=dtype) for _ in range(3)]
+    for fam in families:
+        hw, hh = fam.half_width + inflate, fam.half_height + inflate
+        ca, sa = float(np.cos(fam.rotation)), float(np.sin(fam.rotation))
+        for cx, cy in fam.centers:
+            dy = ys - cy
+            for diff, grow in zip(diffs, (-rc, 0.0, rc)):
+                w, h = hw + grow, hh + grow
+                if w <= 0 or h <= 0:
+                    continue
+                lo1, hi1 = _reference_interval(ca, sa * dy, w, big)
+                lo2, hi2 = _reference_interval(-sa, ca * dy, h, big)
+                lo = np.maximum(lo1, lo2) + (cx - grid.x0)
+                hi = np.minimum(hi1, hi2) + (cx - grid.x0)
+                il = np.clip(np.ceil(lo / cell - 0.5).astype(np.int64), 0, nx)
+                ih = np.clip(np.floor(hi / cell - 0.5).astype(np.int64) + 1,
+                             0, nx)
+                ok = ih > il
+                np.add.at(diff, (rows[ok], il[ok]), 1)
+                np.add.at(diff, (rows[ok], ih[ok]), -1)
+    return tuple(np.cumsum(d, axis=1, dtype=dtype)[:, :nx] > 0 for d in diffs)
+
+
+def stacked_family(n):
+    fam = box_family(0.5, 0.5, 1, 1)
+    fam.centers = np.repeat(fam.centers, n, axis=0)
+    return fam
+
+
+def tall_family(n):
+    # Thin near-vertical boxes on a fine grid: n boxes times the rows
+    # exceed one painter block of 2**20 entries.
+    rng = np.random.default_rng(5)
+    fam = box_family(0.5, 0.5, 0.001, 0.5, angle=0.002)
+    fam.centers = np.column_stack([0.5 + 0.001 * rng.random(n),
+                                   0.5 + 0.01 * rng.random(n)])
+    return fam
+
+
+@pytest.mark.parametrize("case", ["level2", "level2-inflated", "stacked",
+                                  "multi-block"])
+def test_raster_matches_per_box_reference(case, rf, strict_table):
+    if case.startswith("level2"):
+        # l = 0 is axis-aligned: the degenerate-slope branch of the solve.
+        fams = [rf.tube_family(2, l, C=16) for l in (0, 64, 128)]
+        res = 1 / 512
+        inflate = 0.0
+        if case == "level2-inflated":
+            inflate = float(strict_table.theta_(2))
+    elif case == "stacked":
+        fams, inflate, res = [stacked_family(32_768)], 0.0, 0.1
+    else:
+        fams, inflate, res = [tall_family(100)], 0.0, 2.0 ** -15
+    grid = rasterize(fams, res, inflate=inflate)
+    if case == "multi-block":
+        assert len(fams[0]) * grid.ny > 2 ** 20
+    ref = reference_masks(fams, inflate, grid)
+    for got, want in zip((grid.full_in, grid.center_in, grid.touched), ref):
+        assert np.array_equal(got, want)
+    assert grid.counts()[1] > 0
+
+
+def test_raster_like_paints_on_the_given_frame(rf):
+    a, b = rf.tube_family(2, 4, C=16), rf.tube_family(2, 5, C=16)
+    ga = rasterize([a], 1 / 512)
+    gb = rasterize([b], 1 / 512, like=ga)
+    assert (gb.x0, gb.y0, gb.cell, gb.nx, gb.ny) == \
+        (ga.x0, ga.y0, ga.cell, ga.nx, ga.ny)
+    ref = reference_masks([b], 0.0, ga)
+    assert np.array_equal(gb.center_in, ref[1])
+    with pytest.raises(ValueError):
+        rasterize([b], 1 / 256, like=ga)
 
 
 def test_raster_counts_survive_deep_stacking():
     # 32,768 boxes stacked on one cell exceed an int16 running count.
-    one = box_family(0.5, 0.5, 1, 1)
-    stacked = box_family(0.5, 0.5, 1, 1)
-    stacked.centers = np.repeat(one.centers, 32_768, axis=0)
-    assert rasterize([one], 0.1).counts() == (64, 100, 144)
-    assert rasterize([stacked], 0.1).counts() == (64, 100, 144)
+    assert rasterize([stacked_family(1)], 0.1).counts() == (64, 100, 144)
+    assert rasterize([stacked_family(32_768)], 0.1).counts() == (64, 100, 144)

@@ -103,6 +103,24 @@ def test_config_roundtrip():
     assert back == cfg
 
 
+def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
+    # Checking level n samples level n + 1, so depth 2 checks level 1 only.
+    run = run_pipeline(RunConfig(depth=2, **FAST), tmp_path)
+    assert run.ok
+    blob = json.loads((tmp_path / "containment.json").read_text())
+    assert {c["level"] for c in blob["checks"]} == {1}
+    assert list(blob["max_C_min_per_level"]) == ["1"]
+
+
+def test_config_rejects_no_containment_anchors(tmp_path):
+    with pytest.raises(ValueError, match="containment_anchors"):
+        RunConfig(containment_anchors=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"containment_anchors": 0}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "verify"]) == 2
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_seq(tmp_path, capsys):
