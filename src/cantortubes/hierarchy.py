@@ -111,10 +111,75 @@ def child_rect(a_k, a_k1, delta_next: Fraction, level: int, path: tuple) -> Rect
                     width=Fraction(delta_next), height=a_k1.imag - a_k.imag)
 
 
+def _exit_step(parent: RectNode, sol: ArcSolution, prec: int) -> int:
+    """Closed-form estimate of the child count: the number of whole angle
+    steps before the child orbit leaves the parent.
+
+    Anchor k+1 is c + R*exp(i(psi - k*phi)) with z = parent.anchor - c =
+    R*exp(i*psi); it climbs up and to the right, crossing the parent's right
+    edge at rotation psi - acos((x + w - c.x)/R) and its top edge (when the
+    circle reaches that high) at psi - (pi - asin((y + h - c.y)/R)).  A right
+    edge beyond the circle is taken at the orbit's rightmost point.  The
+    estimate only seeds the search; `count_children` certifies the result.
+    """
+    with workprec(prec):
+        c = sol.center_c
+        z = parent.anchor - c
+        R, psi = abs(z), mpmath.arg(z)
+        right = (parent.anchor.real + frac_to_mpf(parent.width) - c.real) / R
+        exits = [psi - mpmath.acos(min(right, 1))]
+        top = (parent.anchor.imag + parent.height - c.imag) / R
+        if top <= 1:
+            exits.append(psi - (mpmath.pi - mpmath.asin(top)))
+        return int(mpmath.floor(min(exits) / frac_to_mpf(sol.sub_angle)))
+
+
+def _certified_transition(pred, hint: int, hi: int) -> int:
+    """The k in [0, hi) with pred(k) and not pred(k+1), given pred(0) true and
+    pred(hi) false (neither is evaluated).
+
+    The search starts from the bracket [hint, hint+1] (hint clamped into
+    [0, hi-1]); when that bracket does not certify, it widens on the failing
+    side by steps of 1, 2, 4, ... from the hint and bisects inside the
+    widened bracket.
+    """
+    lo, k = 0, min(max(hint, 0), hi - 1)
+    step = 1
+    if k > lo and not pred(k):
+        hi = k
+        while k - step > lo:
+            if pred(k - step):
+                lo = k - step
+                break
+            hi = k - step
+            step *= 2
+    else:
+        lo = k
+        while k + step < hi:
+            if not pred(k + step):
+                hi = k + step
+                break
+            lo = k + step
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def count_children(parent: RectNode, sol: ArcSolution, hi: int,
                    prec: int | None = None) -> int:
-    """Largest m such that children 1..m stay inside the parent, via binary
-    search on the monotone criterion "anchor k+1 lies in the parent".
+    """Largest m such that children 1..m stay inside the parent, i.e. the
+    certified transition pred(m) and not pred(m+1) of the monotone criterion
+    pred(k) = "anchor k+1 lies in the parent" (pred(0) holds: anchor 1 is
+    the parent's own corner).
+
+    The search starts at the closed-form exit step of the child orbit
+    (`_exit_step`), which is exact in practice, so a count costs about three
+    predicate evaluations; the predicate alone decides the result.
 
     `hi` must be a known strict upper bound for the count; use
     `count_search_bound` (the sandwich bound, valid at every level, unlike
@@ -137,20 +202,11 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int,
             s = slack(k, prec * 2)
         return s >= 0
 
-    if not pred(1):
-        return 0
     if pred(hi):
         raise ConstructionError(
             f"containment did not terminate below the angle-ratio bound {hi}; "
             "monotone-exit assumption violated")
-    lo = 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _certified_transition(pred, _exit_step(parent, sol, prec), hi)
 
 
 def count_search_bound(table: SequenceTable, n: int) -> int:

@@ -316,7 +316,7 @@ def _dimension(run: _Run) -> bool:
 def _containment(run: _Run) -> bool:
     cfg = run.config
     # Checking level n samples level n + 1, so the deepest level is skipped.
-    levels = [n for n in (1, run.stage_level) if n < run.table.depth]
+    levels = [n for n in sorted({1, run.stage_level}) if n < run.table.depth]
     rng = random.Random(cfg.seed + 2)
     checks = []
     worst = {}

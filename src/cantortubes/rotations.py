@@ -428,8 +428,10 @@ def verify_translation_invariants(rf: RotationFamily,
     rng = rng or random.Random(0)
     cons = rf.cons
     table = cons.table
-    rep = VerificationReport(title="translation-vector limit behaviour")
     depth = rf.grid_depth()
+    if depth < 2:
+        raise ValueError("translation invariants need a grid depth >= 2")
+    rep = VerificationReport(title="translation-vector limit behaviour")
 
     worst_inc = None
     worst_honesty = None

@@ -4,10 +4,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cantortubes import hierarchy
 from cantortubes.arcs import arc_point
 from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
+    _certified_transition,
     child_anchor,
     child_rect,
     count_children,
@@ -17,7 +19,7 @@ from cantortubes.hierarchy import (
     verify_spacing,
 )
 from cantortubes.numerics import frac_to_mpf, workprec
-from cantortubes.sequences import SequenceTable
+from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,113 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
     hi = count_search_bound(strict_table, 1)
     assert count_children(parent, sol, hi, cons.prec) == kept
     assert cons.N(1) == kept
+
+
+def reference_count(parent, sol, hi, prec):
+    """The plain binary search over [1, hi] on the containment criterion,
+    with its own doubled-precision retry: the oracle for the closed-form
+    start of `count_children`."""
+    def pred(k):
+        def slack(p):
+            with workprec(p):
+                a = child_anchor(parent.anchor, sol, k + 1, prec=p)
+                return parent.contain_slack(a)
+        s = slack(prec)
+        if abs(s) < mpmath.mpf(2) ** (-(prec // 2)):
+            s = slack(prec * 2)
+        return s >= 0
+
+    if not pred(1):
+        return 0
+    assert not pred(hi)
+    lo = 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def assert_counts_match_reference(cons, parents, monkeypatch):
+    # Also counts the predicate's anchor evaluations at the construction's
+    # precision: the closed-form start keeps a search to a few of them.
+    evals = []
+
+    def counted(parent_anchor, sol, k, prec=None):
+        evals.append(prec == cons.prec)
+        return child_anchor(parent_anchor, sol, k, prec)
+
+    for parent in parents:
+        sol = cons.sol(parent.level)
+        hi = count_search_bound(cons.table, parent.level)
+        evals.clear()
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "child_anchor", counted)
+            got = count_children(parent, sol, hi, cons.prec)
+        assert sum(evals) <= 4, parent.path
+        assert got == reference_count(parent, sol, hi, cons.prec), parent.path
+
+
+def test_count_children_matches_reference_levels_1_and_2(cons, monkeypatch):
+    parents = cons.level(1).rects + cons.level(2).rects
+    assert len(parents) == 1 + 16
+    assert_counts_match_reference(cons, parents, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def strict4_cons():
+    return Construction(derive_sequences(build_schedule(1, 4), Fraction(1, 16)))
+
+
+@pytest.fixture(scope="module")
+def demo4_cons(demo_table, demo_arcs):
+    return Construction(demo_table, sols=demo_arcs)
+
+
+@pytest.mark.parametrize("name", ["strict4_cons", "demo4_cons"])
+def test_count_children_matches_reference_sampled_level3(request, name,
+                                                        monkeypatch):
+    # Level-3 parents are reachable only lazily (level 3 exceeds the cap).
+    cons = request.getfixturevalue(name)
+    paths = cons.sample_parent_paths(3, 40, random.Random(9))
+    assert_counts_match_reference(
+        cons, [cons.rect_by_path(p) for p in paths], monkeypatch)
+
+
+@pytest.mark.parametrize("count, hint, hi, max_calls", [
+    (37, 37, 100, 2),    # exact
+    (37, 36, 100, 3),    # one low
+    (37, 38, 100, 2),    # one high
+    (37, 0, 100, 13),    # far low
+    (37, 99, 100, 13),   # far high
+    (37, 500, 100, 13),  # clamped into [0, hi - 1]
+    (99, 99, 100, 1),    # the bracket's upper end is the known-false bound
+    (0, 0, 100, 1),      # no child fits
+    (0, 99, 100, 13),
+    (0, 0, 1, 0),
+])
+def test_certified_transition(count, hint, hi, max_calls):
+    calls = []
+
+    def pred(k):
+        calls.append(k)
+        return k <= count
+
+    assert _certified_transition(pred, hint, hi) == count
+    # pred(0) and pred(hi) are given, never evaluated; a close hint
+    # certifies at once, a far one costs a logarithmic search.
+    assert all(0 < k < hi for k in calls)
+    assert len(calls) <= max_calls
+
+
+def test_count_children_rejects_undersized_bound(cons):
+    # hi must be a strict upper bound; the true count (16) is not one.
+    parent = cons.level(1).rects[0]
+    with pytest.raises(ConstructionError,
+                       match="monotone-exit assumption violated"):
+        count_children(parent, cons.sol(1), cons.N(1), cons.prec)
 
 
 def test_count_sandwich_and_angle_bound(cons):

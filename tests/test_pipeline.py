@@ -112,6 +112,32 @@ def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
     assert list(blob["max_C_min_per_level"]) == ["1"]
 
 
+def test_pipeline_stage_level1_checks_each_level_once(tmp_path):
+    # A cap of 10 leaves level 1 materialized only, so the stage level is 1.
+    cfg = RunConfig(materialization_cap=10, **FAST)
+    run_pipeline(cfg, tmp_path)
+    blob = json.loads((tmp_path / "containment.json").read_text())
+    checks = blob["checks"]
+    assert len(checks) == cfg.containment_thetas
+    assert {c["level"] for c in checks} == {1}
+    assert len({json.dumps(c, sort_keys=True) for c in checks}) == len(checks)
+    assert blob["known_first_level_shortfalls"] == sum(
+        1 for c in checks if not c["contained"])
+
+
+def test_pipeline_strict_depth4(tmp_path):
+    run = run_pipeline(RunConfig(depth=4, **FAST), tmp_path)
+    assert run.ok
+    verify = json.loads((tmp_path / "verify.json").read_text())
+    assert verify["expected_failures"] == ["N_1 below the angle-step ratio"]
+    assert verify["unexpected_failures"] == []
+    spacing = [r for r in verify["reports"]
+               if r["title"].startswith("spacing of level-4 children")]
+    assert len(spacing) == 1
+    assert spacing[0]["ok"]
+    assert spacing[0]["stats"]["pairs"] == FAST["spacing_samples"]
+
+
 def test_config_rejects_no_containment_anchors(tmp_path):
     with pytest.raises(ValueError, match="containment_anchors"):
         RunConfig(containment_anchors=0)
@@ -130,6 +156,14 @@ def test_cli_seq(tmp_path, capsys):
     blob = json.loads((tmp_path / "sequences.json").read_text())
     assert blob["table"]["delta"][1] == {"num": 1, "log2_den": 10}
     assert blob["validation"]["ok"]
+
+
+def test_cli_depth1(tmp_path):
+    # Depth 1 has no grid refinement to verify: the pipeline refuses it as a
+    # configuration error, while deriving its sequences still works.
+    assert main(["--out", str(tmp_path / "p"), "pipeline", "--depth", "1"]) == 2
+    assert main(["--out", str(tmp_path / "s"), "seq", "derive",
+                 "--depth", "1"]) == 0
 
 
 def test_cli_seq_bad_config():
