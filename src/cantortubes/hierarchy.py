@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .arcs import ArcSolution, solve_table_arcs
 from .dyadic import ceil_frac
@@ -75,8 +76,6 @@ class LevelSet:
         return len(self.rects)
 
     def anchors_float(self):
-        import numpy as np
-
         return np.array([[float(r.anchor.real), float(r.anchor.imag)]
                          for r in self.rects])
 
@@ -320,18 +319,93 @@ class Construction:
 
     def anchor_by_path(self, path) -> object:
         """Anchor of the level-(len(path)+1) rectangle addressed by child
-        indices; composes the child-anchor map level by level."""
+        indices; composes the child-anchor map level by level, starting from
+        the deepest materialized level the path's leading indices address."""
         path = tuple(path)
         if len(path) > len(self.sols):
             raise ValueError(
                 f"path of length {len(path)} exceeds table depth {self.table.depth}")
         with workprec(self.prec):
-            p = mpmath.mpc(0, 0)
-            for i, k in enumerate(path):
+            start, p = self._materialized_prefix(path)
+            for i in range(start, len(path)):
+                k = path[i]
                 if k < 1:
                     raise ValueError(f"path index {k} out of range at level {i + 1}")
                 p = child_anchor(p, self.sols[i], k, prec=self.prec)
             return p
+
+    def _materialized_prefix(self, path: tuple) -> tuple:
+        """(i, anchor): the anchor of the level-(i+1) rectangle that
+        path[:i] addresses, for the largest i whose level is already
+        materialized and whose indices lie within its uniform counts.  Reads
+        only levels built so far (at mixed-radix rank); the walk from this
+        anchor repeats the materializing walk, so its values are the same."""
+        i, rank = 0, 0
+        while i < len(path) and i + 2 in self._levels:
+            N = self._levels[i + 2].N_prev
+            if not 1 <= path[i] <= N:
+                break
+            rank = rank * N + path[i] - 1
+            i += 1
+        return i, self._levels[i + 1].rects[rank].anchor
+
+    def anchors_float64(self, paths) -> tuple:
+        """Anchors addressed by `paths` (all of one length) as an (m, 2)
+        float64 array, and a bound e on the distance of every row from
+        float(anchor_by_path(path)).
+
+        One vectorized pass per level applies the child-anchor map in its
+        cancellation-free form a <- a - (c - a)*expm1(-i*t), with
+        expm1(-i*t) = -2*sin(t/2)**2 - i*sin(t) and t = float((k-1)*step)
+        rounded from the exact Fraction: the step moves a by |c - a|*t, the
+        orbit step, never by the difference of two terms of size |c|.  Path
+        indices stay Python ints (deep ones overflow int64).
+
+        e is derived from the rounding of every step, with unit u = 2**-53
+        and numpy's float64 sine within one ulp:
+          - t is within u*t of the exact angle, so the computed expm1 is
+            within mu = u*t*(3 + 3t) of the exact one (the map is 1-Lipschitz
+            in t; the sines add 2u relative, the square 3u);
+          - the float centre is within u*|c|, the difference c - a within
+            u*|c - a|, the complex product within 2*sqrt(2)*u of its size,
+            the update within u*|a|;
+          - an error E in a passes on as E*|1 + expm1| <= E*(1 + mu).
+        The mpmath walk's own rounding (8 operations per level at the
+        construction's precision) and the final float() rounding u*|a| are
+        added; a factor 1 + 2**-20 covers second-order terms and the
+        rounding of the bound's own arithmetic.
+        """
+        paths = [tuple(p) for p in paths]
+        depth = len(paths[0]) if paths else 0
+        if any(len(p) != depth for p in paths):
+            raise ValueError("paths must all have the same length")
+        if depth > len(self.sols):
+            raise ValueError(
+                f"path of length {depth} exceeds table depth {self.table.depth}")
+        u = 2.0 ** -53
+        a = np.zeros(len(paths), dtype=complex)
+        E = np.zeros(len(paths))
+        mp_err = 0.0
+        for i in range(depth):
+            sol = self.sols[i]
+            ks = [p[i] for p in paths]
+            if min(ks) < 1:
+                raise ValueError(
+                    f"path index {min(ks)} out of range at level {i + 1}")
+            t = np.array([float((k - 1) * sol.sub_angle) for k in ks])
+            s = np.sin(0.5 * t)
+            m = -2 * s * s - 1j * np.sin(t)
+            c = sol.center_c
+            c_abs = abs(complex(c))
+            mp_err += arith_error(self.prec, scale=2 * c_abs + np.abs(a).max(),
+                                  ops=8)
+            d = complex(c) - a
+            a = a - d * m
+            mu = u * t * (3 + 3 * t)
+            E = (E * (1 + mu) + np.abs(m) * u * (c_abs + 4 * np.abs(d))
+                 + np.abs(d) * mu + u * np.abs(a))
+        e = np.max(E + u * np.abs(a), initial=0.0) + mp_err
+        return np.stack([a.real, a.imag], axis=1), float(e) * (1 + 2.0 ** -20)
 
     def rect_by_path(self, path) -> RectNode:
         path = tuple(path)
@@ -349,12 +423,18 @@ class Construction:
     def count_children_by_path(self, path) -> int:
         """Per-parent child count for a lazily addressed parent."""
         path = tuple(path)
-        if path not in self._lazy_counts:
-            parent = self.rect_by_path(path)
+        if path in self._lazy_counts:
+            return self._lazy_counts[path]
+        return self.count_children_of(self.rect_by_path(path))
+
+    def count_children_of(self, parent: RectNode) -> int:
+        """Per-parent child count of a parent rectangle already built (by
+        `rect_by_path`), cached by its path like `count_children_by_path`."""
+        if parent.path not in self._lazy_counts:
             hi = count_search_bound(self.table, parent.level)
-            self._lazy_counts[path] = count_children(
+            self._lazy_counts[parent.path] = count_children(
                 parent, self.sol(parent.level), hi, self.prec)
-        return self._lazy_counts[path]
+        return self._lazy_counts[parent.path]
 
     def sample_parent_paths(self, parent_level: int, n_samples: int,
                             rng: random.Random) -> list:
@@ -419,13 +499,13 @@ def verify_spacing(cons: Construction, child_level: int,
             rng = rng or random.Random(0)
             parents = cons.sample_parent_paths(n, n_samples, rng)
             for ppath in parents:
-                cnt = cons.count_children_by_path(ppath)
+                parent = cons.rect_by_path(ppath)
+                cnt = cons.count_children_of(parent)
                 if cnt < 1:
                     continue
                 k = rng.randint(1, cnt)
-                pa = cons.anchor_by_path(ppath)
-                a = child_anchor(pa, sol, k, prec=cons.prec)
-                b = child_anchor(pa, sol, k + 1, prec=cons.prec)
+                a = child_anchor(parent.anchor, sol, k, prec=cons.prec)
+                b = child_anchor(parent.anchor, sol, k + 1, prec=cons.prec)
                 pairs.append(b - a)
 
         if not pairs:

@@ -335,14 +335,14 @@ def _containment(run: _Run) -> bool:
     # sufficient multiplier tops out near 29, so misses there within that
     # ceiling are a known property of the construction, not a defect of
     # the run.
-    unexpected = sum(1 for r in shortfalls
-                     if not (r.level == 1 and r.C_min <= FIRST_LEVEL_C_CEILING))
+    known = sum(1 for r in shortfalls
+                if r.level == 1 and r.C_min <= FIRST_LEVEL_C_CEILING)
+    unexpected = len(shortfalls) - known
     run.write_json("containment.json", {
         "C": str(run.table.C_tube),
         "max_C_min_per_level": {str(k): v for k, v in sorted(worst.items())},
         "first_level_known_ceiling": FIRST_LEVEL_C_CEILING,
-        "known_first_level_shortfalls": sum(
-            1 for r in shortfalls if r.level == 1),
+        "known_first_level_shortfalls": known,
         "unexpected_shortfalls": unexpected,
         "checks": checks,
     })

@@ -276,26 +276,29 @@ class RotationFamily:
         by v(theta): ((m, 2) float array, v point, v error bound, sampled?).
 
         Uses the materialized level when it fits the cap, sampled lazy paths
-        otherwise (`n_samples` required then).
+        otherwise (`n_samples` required then); sampled anchors come from the
+        float64 pass `Construction.anchors_float64`, within its bound of the
+        mpmath anchors.
         """
         theta = Fraction(theta)
         v, bound = self.v_any(theta)
+        anchors, paths, _ = self._level_anchors(level, n_samples, rng)
+        return _place(anchors, theta, v), v, bound, paths is not None
+
+    def _level_anchors(self, level: int, n_samples: int | None,
+                       rng: random.Random | None) -> tuple:
+        """(unrotated (m, 2) anchors, sampled paths or None, error bound):
+        the materialized level exactly, else float64 anchors of sampled
+        lazy paths."""
         try:
-            pts = self.cons.level(level).anchors_float()
-            sampled = False
+            return self.cons.level(level).anchors_float(), None, 0.0
         except PopulationCapError:
             if n_samples is None:
                 raise
-            rng = rng or random.Random(0)
-            paths = self.cons.sample_parent_paths(level, n_samples, rng)
-            with workprec(self.cons.prec):
-                pts = np.array([
-                    [float(a.real), float(a.imag)]
-                    for a in (self.cons.anchor_by_path(p) for p in paths)])
-            sampled = True
-        z = (pts[:, 0] + 1j * pts[:, 1]) * np.exp(-1j * float(theta)) \
-            + complex(float(v.real), float(v.imag))
-        return np.stack([z.real, z.imag], axis=1), v, bound, sampled
+            paths = self.cons.sample_parent_paths(
+                level, n_samples, rng or random.Random(0))
+            anchors, e = self.cons.anchors_float64(paths)
+            return anchors, paths, e
 
     # -- tube families -----------------------------------------------------------
 
@@ -349,50 +352,97 @@ class RotationFamily:
         union?  Reports the minimal sufficient C: each anchor is matched with
         the cheapest tube of the angle's own family, and the scan widens to
         every family only when that family cannot cover the anchor within C.
+
+        Sampled anchors are screened in float64 (`anchors_float64`, bound e)
+        and refined in mpmath only where they can decide a reported number.
+        The ratio is L-Lipschitz in the anchor, L = 1/min(theta_n, Delta_n),
+        so a screened ratio lies within delta = L*(e + 2*e_map) of the one
+        built from the mpmath anchor, where e_map = 16*u*M (u = 2**-53, M
+        bounds |anchor| + |v| + |tube centre|) bounds the rounding of one
+        float evaluation of the rotation, the translation and the tube frame
+        (cos and sin within one ulp).  Every anchor whose screened ratio lies
+        within 2*delta of the maximum, for its own family or over every
+        family, is recomputed through `anchor_by_path`; every family is
+        screened unless the screened maximum lies more than delta below C.
+        The maxima, the argmax anchor and every reported number then come
+        from mpmath anchors alone.
         """
         table = self.cons.table
         C = Fraction(C if C is not None else table.C_tube)
         theta = Fraction(theta)
-        pts, _v, v_bound, sampled = self.gamma_anchors(
-            theta, n + 1, n_samples=n_samples, rng=rng)
-        theta_n = table.theta_(n)
-        i0 = min(floor_frac(theta / theta_n), floor_frac(1 / theta_n))
+        v, v_bound = self.v_any(theta)
+        anchors, paths, e = self._level_anchors(n + 1, n_samples, rng)
+        theta_n, Delta_n = float(table.theta_(n)), float(table.Delta_(n))
+        n_fam = floor_frac(1 / table.theta_(n)) + 1
+        i0 = min(floor_frac(theta / table.theta_(n)), n_fam - 1)
+        own = self.tube_family(n, i0, C, "T")
+        others = []
 
-        def needed_C(family: TubeFamily) -> np.ndarray:
+        def every_family() -> list:
+            if not others:
+                others.extend(self.tube_family(n, l, C, "T")
+                              for l in range(n_fam) if l != i0)
+            return others
+
+        def ratios(family: TubeFamily, pts: np.ndarray) -> tuple:
             local = family.local_coords(pts)  # (k, m, 2)
-            ratios = np.maximum(np.abs(local[..., 0]) / float(theta_n),
-                                np.abs(local[..., 1]) / float(table.Delta_(n)))
-            return ratios.min(axis=1)  # best tube per anchor
+            return local, np.maximum(np.abs(local[..., 0]) / theta_n,
+                                     np.abs(local[..., 1]) / Delta_n)
 
-        fam = self.tube_family(n, i0, C, "T")
-        local = fam.local_coords(pts)
-        per_anchor_single = needed_C(fam)
-        best = per_anchor_single.copy()
-        scanned_all = False
-        if best.max() > float(C):
-            scanned_all = True
-            for l in range(floor_frac(1 / theta_n) + 1):
-                if l == i0:
-                    continue
-                best = np.minimum(best, needed_C(self.tube_family(n, l, C, "T")))
+        def widest(pts: np.ndarray, single: np.ndarray) -> np.ndarray:
+            best = single
+            for family in every_family():
+                best = np.minimum(best, ratios(family, pts)[1].min(axis=1))
+            return best
 
-        worst = int(np.argmax(per_anchor_single))
-        j_best = int(np.argmin(np.maximum(
-            np.abs(local[worst, :, 0]) / float(theta_n),
-            np.abs(local[worst, :, 1]) / float(table.Delta_(n)))))
+        pts = _place(anchors, theta, v)
+        if paths is not None:
+            u, L = 2.0 ** -53, 1 / min(theta_n, Delta_n)
+            reach = np.hypot(anchors[:, 0], anchors[:, 1]).max() + abs(complex(v))
+
+            def delta(families) -> float:
+                M = reach + max(np.hypot(f.centers[:, 0], f.centers[:, 1]).max()
+                                for f in families)
+                return L * (e + 2 * 16 * u * M)
+
+            single = ratios(own, pts)[1].min(axis=1)
+            d_own = delta([own])
+            refine = single >= single.max() - 2 * d_own
+            if single.max() > float(C) - d_own:
+                best = widest(pts, single)
+                refine |= best >= best.max() - 2 * delta([own] + others)
+            with workprec(self.cons.prec):
+                for j in np.flatnonzero(refine):
+                    a = self.cons.anchor_by_path(paths[j])
+                    anchors[j] = (float(a.real), float(a.imag))
+            pts = _place(anchors, theta, v)
+
+        local, own_ratios = ratios(own, pts)
+        single = own_ratios.min(axis=1)  # best tube of the own family
+        scanned_all = bool(single.max() > float(C))
+        best = widest(pts, single) if scanned_all else single
+        worst = int(np.argmax(single))
+        j_best = int(np.argmin(own_ratios[worst]))
         return ContainmentReport(
             theta=float(theta), level=n, C=float(C),
             C_min=float(best.max()),
-            C_min_single_family=float(per_anchor_single.max()),
+            C_min_single_family=float(single.max()),
             contained=bool(best.max() <= float(C)),
             family_index=i0,
             n_anchors=len(pts),
-            sampled=sampled,
-            worst_x_ratio=float(np.abs(local[worst, j_best, 0]) / float(theta_n)),
-            worst_y_ratio=float(np.abs(local[worst, j_best, 1]) / float(table.Delta_(n))),
+            sampled=paths is not None,
+            worst_x_ratio=float(np.abs(local[worst, j_best, 0]) / theta_n),
+            worst_y_ratio=float(np.abs(local[worst, j_best, 1]) / Delta_n),
             v_error_bound=float(v_bound),
             scanned_all_families=scanned_all,
         )
+
+
+def _place(anchors: np.ndarray, theta: Fraction, v) -> np.ndarray:
+    """(m, 2) anchors rotated by -theta and translated by v."""
+    z = (anchors[:, 0] + 1j * anchors[:, 1]) * np.exp(-1j * float(theta)) \
+        + complex(float(v.real), float(v.imag))
+    return np.stack([z.real, z.imag], axis=1)
 
 
 def empirical_v_bounds(rf: RotationFamily, n: int, n_samples: int = 400,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from cantortubes import hierarchy
@@ -167,6 +168,63 @@ def test_count_children_matches_reference_sampled_level3(request, name,
     paths = cons.sample_parent_paths(3, 40, random.Random(9))
     assert_counts_match_reference(
         cons, [cons.rect_by_path(p) for p in paths], monkeypatch)
+
+
+def walk_from_origin(cons, path):
+    """The reference walk: every child-anchor step from the origin."""
+    with workprec(cons.prec):
+        p = mpmath.mpc(0, 0)
+        for i, k in enumerate(path):
+            p = child_anchor(p, cons.sol(i + 1), k, prec=cons.prec)
+        return p
+
+
+@pytest.mark.parametrize("name", ["cons", "strict4_cons", "demo4_cons"])
+def test_anchor_by_path_from_materialized_prefix(request, name):
+    # Walks that start at the materialized level 2 give the origin walk's
+    # values exactly; indices beyond a level's count fall back to the walk.
+    cons = request.getfixturevalue(name)
+    cons.level(2)
+    built = set(cons._levels)
+    N1 = cons.N(1)
+    paths = cons.sample_parent_paths(3, 30, random.Random(17))
+    paths += [(), (1,), (N1,), (N1, 1), (N1 + 1, 5), (3, 10**30)]
+    for p in paths:
+        assert cons.anchor_by_path(p) == walk_from_origin(cons, p), p
+    assert set(cons._levels) == built
+
+
+def test_anchor_by_path_never_materializes(strict_table, strict_arcs):
+    fresh = Construction(strict_table, sols=strict_arcs)
+    assert fresh.anchor_by_path((5, 7)) == walk_from_origin(fresh, (5, 7))
+    assert set(fresh._levels) == {1}
+
+
+@pytest.mark.parametrize("name", ["strict4_cons", "demo4_cons"])
+@pytest.mark.parametrize("level", [3, 4])
+def test_anchors_float64_within_derived_bound(request, name, level):
+    cons = request.getfixturevalue(name)
+    paths = cons.sample_parent_paths(level, 60, random.Random(level))
+    if name == "strict4_cons" and level == 4:
+        assert max(p[-1] for p in paths) > 2**63  # beyond int64
+    got, e = cons.anchors_float64(paths)
+    with workprec(cons.prec):
+        ref = np.array([[float(a.real), float(a.imag)]
+                        for a in map(cons.anchor_by_path, paths)])
+    assert np.hypot(*(got - ref).T).max() <= e
+    # Tight enough to screen with: about ten times the observed error.
+    assert e < 1e-14
+
+
+def test_anchors_float64_rejects_bad_paths(cons):
+    with pytest.raises(ValueError):
+        cons.anchors_float64([(1, 0)])
+    with pytest.raises(ValueError):
+        cons.anchors_float64([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        cons.anchors_float64([(1, 1, 1)])
+    pts, e = cons.anchors_float64([])
+    assert pts.shape == (0, 2) and e == 0
 
 
 @pytest.mark.parametrize("count, hint, hi, max_calls", [

@@ -8,9 +8,11 @@ import pytest
 from cantortubes.cli import main
 from cantortubes.errors import GridTooLargeError
 from cantortubes.pipeline import (
+    FIRST_LEVEL_C_CEILING,
     PipelineError,
     RunConfig,
     run_pipeline,
+    run_stage,
     verify_manifest,
 )
 
@@ -123,6 +125,19 @@ def test_pipeline_stage_level1_checks_each_level_once(tmp_path):
     assert len({json.dumps(c, sort_keys=True) for c in checks}) == len(checks)
     assert blob["known_first_level_shortfalls"] == sum(
         1 for c in checks if not c["contained"])
+
+
+def test_containment_counts_each_shortfall_once(tmp_path):
+    # At c = 2^-5 the first level needs C beyond the known ceiling: of its
+    # twelve misses six stay within the ceiling (known) and six do not.
+    run_stage(RunConfig(c=Fraction(1, 32)), "containment", tmp_path)
+    blob = json.loads((tmp_path / "containment.json").read_text())
+    misses = [c for c in blob["checks"] if not c["contained"]]
+    assert len(misses) == 12
+    assert blob["known_first_level_shortfalls"] == sum(
+        1 for c in misses if c["C_min"] <= FIRST_LEVEL_C_CEILING) == 6
+    assert (blob["known_first_level_shortfalls"]
+            + blob["unexpected_shortfalls"]) == len(misses)
 
 
 def test_pipeline_strict_depth4(tmp_path):

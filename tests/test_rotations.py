@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cantortubes.arcs import arc_point
+from cantortubes.dyadic import floor_frac
 from cantortubes.errors import OffGridError, PopulationCapError
 from cantortubes.hierarchy import Construction, child_anchor
 from cantortubes.numerics import frac_to_mpf, workprec
@@ -13,6 +14,7 @@ from cantortubes.rotations import (
     CASE_ANCHOR,
     CASE_COMPOSED,
     CASE_ROTATION_ONLY,
+    ContainmentReport,
     RotationFamily,
     empirical_v_bounds,
     verify_translation_invariants,
@@ -27,6 +29,11 @@ def cons(strict_table, strict_arcs):
 @pytest.fixture(scope="module")
 def rf(cons):
     return RotationFamily(cons)
+
+
+@pytest.fixture(scope="module")
+def demo_rf(demo_table, demo_arcs):
+    return RotationFamily(Construction(demo_table, sols=demo_arcs))
 
 
 def test_grid_depth(rf):
@@ -311,3 +318,167 @@ def test_stage_nesting_under_inflation(rf, strict_table):
         assert t.rotation == tp.rotation
         assert t.half_width + t2 <= tp.half_width
         assert t.half_height + t2 <= tp.half_height
+
+
+# -- containment against the all-mpmath anchors ----------------------------------
+
+def reference_gamma_anchors(rf, theta, level, n_samples=None, rng=None):
+    """Rotated anchors with every sampled anchor built by `anchor_by_path`
+    in mpmath and rounded to float64."""
+    theta = Fraction(theta)
+    v, bound = rf.v_any(theta)
+    try:
+        pts = rf.cons.level(level).anchors_float()
+        sampled = False
+    except PopulationCapError:
+        rng = rng or random.Random(0)
+        paths = rf.cons.sample_parent_paths(level, n_samples, rng)
+        with workprec(rf.cons.prec):
+            pts = np.array([
+                [float(a.real), float(a.imag)]
+                for a in (rf.cons.anchor_by_path(p) for p in paths)])
+        sampled = True
+    z = (pts[:, 0] + 1j * pts[:, 1]) * np.exp(-1j * float(theta)) \
+        + complex(float(v.real), float(v.imag))
+    return np.stack([z.real, z.imag], axis=1), v, bound, sampled
+
+
+def reference_containment(rf, theta, n, C=None, n_samples=1000, rng=None):
+    """The containment check over the all-mpmath anchors, without a screen."""
+    table = rf.cons.table
+    C = Fraction(C if C is not None else table.C_tube)
+    theta = Fraction(theta)
+    pts, _v, v_bound, sampled = reference_gamma_anchors(
+        rf, theta, n + 1, n_samples=n_samples, rng=rng)
+    theta_n = table.theta_(n)
+    i0 = min(floor_frac(theta / theta_n), floor_frac(1 / theta_n))
+
+    def needed_C(family):
+        local = family.local_coords(pts)
+        ratios = np.maximum(np.abs(local[..., 0]) / float(theta_n),
+                            np.abs(local[..., 1]) / float(table.Delta_(n)))
+        return ratios.min(axis=1)
+
+    fam = rf.tube_family(n, i0, C, "T")
+    local = fam.local_coords(pts)
+    per_anchor_single = needed_C(fam)
+    best = per_anchor_single.copy()
+    scanned_all = False
+    if best.max() > float(C):
+        scanned_all = True
+        for l in range(floor_frac(1 / theta_n) + 1):
+            if l != i0:
+                best = np.minimum(best, needed_C(rf.tube_family(n, l, C, "T")))
+    worst = int(np.argmax(per_anchor_single))
+    j_best = int(np.argmin(np.maximum(
+        np.abs(local[worst, :, 0]) / float(theta_n),
+        np.abs(local[worst, :, 1]) / float(table.Delta_(n)))))
+    return ContainmentReport(
+        theta=float(theta), level=n, C=float(C),
+        C_min=float(best.max()),
+        C_min_single_family=float(per_anchor_single.max()),
+        contained=bool(best.max() <= float(C)),
+        family_index=i0, n_anchors=len(pts), sampled=sampled,
+        worst_x_ratio=float(np.abs(local[worst, j_best, 0]) / float(theta_n)),
+        worst_y_ratio=float(np.abs(local[worst, j_best, 1])
+                            / float(table.Delta_(n))),
+        v_error_bound=float(v_bound), scanned_all_families=scanned_all)
+
+
+def assert_matches_reference(rf, monkeypatch, theta, n, C=None, seed=5):
+    """The screened report equals the reference; returns it and the number
+    of anchors the screen refined in mpmath."""
+    cons = rf.cons
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return Construction.anchor_by_path(cons, path)
+
+    with monkeypatch.context() as m:
+        m.setattr(cons, "anchor_by_path", counted)
+        got = rf.check_containment(theta, n, C=C, n_samples=400,
+                                   rng=random.Random(seed))
+    ref = reference_containment(rf, theta, n, C=C, n_samples=400,
+                                rng=random.Random(seed))
+    assert got == ref, (got.to_json(), ref.to_json())
+    return got, len(calls)
+
+
+def seeded_angles(k, seed):
+    rng = random.Random(seed)
+    return [Fraction(rng.random()).limit_denominator(10**12) for _ in range(k)]
+
+
+@pytest.mark.parametrize("name", ["rf", "demo_rf"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_containment_matches_mpmath_reference(request, monkeypatch, name, n):
+    rf = request.getfixturevalue(name)
+    for theta in seeded_angles(4, 31 + n):
+        rep, refined = assert_matches_reference(rf, monkeypatch, theta, n)
+        assert rep.sampled == (n == 2)
+        # The screen leaves only the anchors at the maximum to mpmath.
+        assert refined <= 3 if rep.sampled else refined == 0
+
+
+def test_containment_reference_off_grid_scan(rf, monkeypatch):
+    rep, _ = assert_matches_reference(rf, monkeypatch, 0.21, 1, C=16)
+    assert rep.scanned_all_families
+
+
+@pytest.mark.parametrize("name", ["rf", "demo_rf"])
+def test_containment_reference_maximum_at_C(request, monkeypatch, name):
+    # With C set to the single-family maximum itself (and one float below
+    # it), the screened maximum lies within 2*L*e of C: the screen scans
+    # every family and the mpmath anchors decide whether the report does.
+    rf = request.getfixturevalue(name)
+    theta = seeded_angles(1, 8)[0]
+    top = reference_containment(rf, theta, 2, n_samples=400,
+                                rng=random.Random(5)).C_min_single_family
+    at, _ = assert_matches_reference(rf, monkeypatch, theta, 2, C=Fraction(top))
+    assert not at.scanned_all_families and at.contained
+    below, _ = assert_matches_reference(
+        rf, monkeypatch, theta, 2, C=Fraction(np.nextafter(top, 0)))
+    assert below.scanned_all_families
+
+
+@pytest.fixture(scope="module")
+def lazy_rf(strict_table, strict_arcs):
+    # A cap below level 2's 16 rectangles: level-1 checks sample lazy paths.
+    return RotationFamily(Construction(strict_table, sols=strict_arcs, cap=10))
+
+
+@pytest.mark.parametrize("name, n, thetas", [
+    ("rf", 2, seeded_angles(2, 12)),
+    ("lazy_rf", 1, seeded_angles(3, 12) + [Fraction(21, 100)]),
+])
+def test_containment_screen_holds_at_its_bound(request, monkeypatch, name, n,
+                                               thetas):
+    # Screened anchors as far from the mpmath ones as a deliberately wide
+    # bound allows: the refinement margins alone must still find every row
+    # that decides the report, with and without the scan of every family.
+    rf = request.getfixturevalue(name)
+    cons = rf.cons
+    wide = 1e-3
+    noise = np.random.default_rng(7)
+
+    def displaced(paths):
+        with workprec(cons.prec):
+            exact = np.array([[float(a.real), float(a.imag)]
+                              for a in map(cons.anchor_by_path, paths)])
+        r = wide * noise.uniform(0, 1, len(paths))
+        phi = noise.uniform(0, 2 * np.pi, len(paths))
+        return exact + np.stack([r * np.cos(phi), r * np.sin(phi)], 1), wide
+
+    def report(check, theta, C):
+        return check(rf, theta, n, C=C, n_samples=400, rng=random.Random(5))
+
+    cases = []
+    for theta in thetas:
+        top = report(reference_containment, theta, None).C_min_single_family
+        cases += [(theta, C) for C in (None, Fraction(1), Fraction(top),
+                                       Fraction(np.nextafter(top, 0)))]
+    monkeypatch.setattr(cons, "anchors_float64", displaced)
+    for theta, C in cases:
+        got = report(RotationFamily.check_containment, theta, C)
+        assert got == report(reference_containment, theta, C), (theta, C)
