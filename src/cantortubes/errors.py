@@ -47,7 +47,8 @@ class PopulationCapError(CantorTubesError):
 
 
 class GridTooLargeError(CantorTubesError):
-    """Raster grid would not fit in memory; advise coarser resolution."""
+    """Raster frame has more cells than the cap on raster work; advise a
+    coarser resolution."""
 
 
 class RenderCapError(CantorTubesError):

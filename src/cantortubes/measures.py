@@ -112,19 +112,10 @@ def neighborhood_area(families, radius, resolution,
 def pairwise_overlap_loss(fam_a, fam_b, resolution,
                           max_cells: int = DEFAULT_MAX_CELLS) -> AreaEstimate:
     """Rasterized area of the set difference (union A) minus (union B) for
-    two families of the same level at nearby angles."""
-    resolution = float(resolution)
-    ga = rasterize([fam_a], resolution, max_cells=max_cells)
-    # Rasterize B on the identical grid so masks align cell for cell.
-    gb = rasterize([fam_b], resolution, like=ga)
-    a = ga.cell_area
-    cells_on = int((ga.center_in & ~gb.center_in).sum())
-    value = cells_on * a
-    lower = int((ga.full_in & ~gb.touched).sum()) * a
-    upper = int((ga.touched & ~gb.full_in).sum()) * a
-    return AreaEstimate(value=value, lower=lower, upper=upper,
-                        resolution=ga.cell, cells_on=cells_on,
-                        error_bound=max(value - lower, upper - value))
+    two families of the same level at nearby angles, on A's frame."""
+    return AreaEstimate.from_raster(
+        rasterize([fam_a], resolution, max_cells=max_cells,
+                  minus=[fam_b]))
 
 
 # -- dimension bookkeeping -------------------------------------------------------

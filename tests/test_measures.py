@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantortubes.hierarchy import Construction
 from cantortubes.measures import (
@@ -19,6 +20,7 @@ from cantortubes.measures import (
     projection_lengths_lazy,
     stage_family_count,
 )
+from cantortubes import raster
 from cantortubes.raster import rasterize
 from cantortubes.rotations import RotationFamily, TubeFamily
 from cantortubes.sequences import build_schedule, derive_sequences
@@ -280,6 +282,22 @@ def reference_masks(families, inflate, grid):
     return tuple(np.cumsum(d, axis=1, dtype=dtype)[:, :nx] > 0 for d in diffs)
 
 
+def painted_masks(families, inflate, grid):
+    """(full_in, center_in, touched) painted from the [il, ih) ranges the
+    band painter solves on `grid`'s frame, band by band, and the bands."""
+    boxes = raster._Boxes(families, inflate, grid.x0, grid.y0, grid.cell,
+                          grid.nx, grid.ny)
+    bands = list(raster._bands([boxes], grid.ny, grid.nx))
+    diffs = np.zeros((3, grid.ny, grid.nx + 1), dtype=np.int32)
+    for r0, r1 in bands:
+        rows, il_rows, ih_rows = boxes.ranges(r0, r1)
+        for diff, il, ih in zip(diffs, il_rows, ih_rows):
+            ok = ih > il
+            np.add.at(diff, (rows[ok] + r0, il[ok]), 1)
+            np.add.at(diff, (rows[ok] + r0, ih[ok]), -1)
+    return tuple(np.cumsum(d, axis=1)[:, :grid.nx] > 0 for d in diffs), bands
+
+
 def stacked_family(n):
     fam = box_family(0.5, 0.5, 1, 1)
     fam.centers = np.repeat(fam.centers, n, axis=0)
@@ -287,8 +305,8 @@ def stacked_family(n):
 
 
 def tall_family(n):
-    # Thin near-vertical boxes on a fine grid: n boxes times the rows
-    # exceed one painter block of 2**20 entries.
+    # Thin near-vertical boxes on a fine grid: each box's ranges run
+    # through many row bands of the painter.
     rng = np.random.default_rng(5)
     fam = box_family(0.5, 0.5, 0.001, 0.5, angle=0.002)
     fam.centers = np.column_stack([0.5 + 0.001 * rng.random(n),
@@ -296,8 +314,29 @@ def tall_family(n):
     return fam
 
 
+def exact_edge_families():
+    # At cell 1/8 the unit box far below puts the frame's origin at
+    # (-1/4, -2.8125): the thin box then has its center on a cell center,
+    # a shrunk half-width of exactly 0, and its top and bottom edges on row
+    # centers, where the degenerate slope divides 0 by 0.
+    rc = 0.125 * np.sqrt(2.0) / 2.0
+    return [box_family(0.4375, 0.5, 2 * rc, 0.5),
+            box_family(0.5, -2.0625, 1, 1)]
+
+
+def quadrant_families():
+    # Rotations in all four quadrants: both slab slopes take both signs.
+    rng = np.random.default_rng(7)
+    fams = []
+    for angle in (0.3, 1.9, 3.0, -1.2, -2.8, math.pi):
+        fam = box_family(0, 0, 0.3, 0.1, angle=angle)
+        fam.centers = rng.random((3, 2))
+        fams.append(fam)
+    return fams
+
+
 @pytest.mark.parametrize("case", ["level2", "level2-inflated", "stacked",
-                                  "multi-block"])
+                                  "multi-band", "exact-edges", "quadrants"])
 def test_raster_matches_per_box_reference(case, rf, strict_table):
     if case.startswith("level2"):
         # l = 0 is axis-aligned: the degenerate-slope branch of the solve.
@@ -308,30 +347,173 @@ def test_raster_matches_per_box_reference(case, rf, strict_table):
             inflate = float(strict_table.theta_(2))
     elif case == "stacked":
         fams, inflate, res = [stacked_family(32_768)], 0.0, 0.1
+    elif case == "exact-edges":
+        fams, inflate, res = exact_edge_families(), 0.0, 0.125
+    elif case == "quadrants":
+        fams, inflate, res = quadrant_families(), 0.01, 1 / 256
     else:
         fams, inflate, res = [tall_family(100)], 0.0, 2.0 ** -15
     grid = rasterize(fams, res, inflate=inflate)
-    if case == "multi-block":
-        assert len(fams[0]) * grid.ny > 2 ** 20
+    painted, bands = painted_masks(fams, inflate, grid)
+    if case == "multi-band":
+        # Every box spans more rows than any band holds.
+        assert len(bands) > 2
+        assert grid.ny // 2 > max(r1 - r0 for r0, r1 in bands)
     ref = reference_masks(fams, inflate, grid)
-    for got, want in zip((grid.full_in, grid.center_in, grid.touched), ref):
+    for got, want in zip(painted, ref):
         assert np.array_equal(got, want)
+    assert grid.counts() == tuple(int(m.sum()) for m in ref)
     assert grid.counts()[1] > 0
 
 
-def test_raster_like_paints_on_the_given_frame(rf):
-    a, b = rf.tube_family(2, 4, C=16), rf.tube_family(2, 5, C=16)
-    ga = rasterize([a], 1 / 512)
-    gb = rasterize([b], 1 / 512, like=ga)
-    assert (gb.x0, gb.y0, gb.cell, gb.nx, gb.ny) == \
-        (ga.x0, ga.y0, ga.cell, ga.nx, ga.ny)
-    ref = reference_masks([b], 0.0, ga)
-    assert np.array_equal(gb.center_in, ref[1])
-    with pytest.raises(ValueError):
-        rasterize([b], 1 / 256, like=ga)
+@pytest.mark.parametrize("l, res", [(0, 1 / 512), (64, 1 / 512),
+                                    (64, 1 / 1024)],
+                         ids=["l0-l1", "l64-l65", "l64-l65-fine"])
+def test_overlap_loss_matches_reference_masks(l, res, rf):
+    a, b = rf.tube_family(2, l, C=16), rf.tube_family(2, l + 1, C=16)
+    est = pairwise_overlap_loss(a, b, res)
+    frame = rasterize([a], res)
+    diff = rasterize([a], res, minus=[b])
+    assert (diff.x0, diff.y0, diff.cell, diff.nx, diff.ny) == \
+        (frame.x0, frame.y0, frame.cell, frame.nx, frame.ny)
+    # Both families' rows run through several bands.
+    tables = [raster._Boxes([f], 0.0, frame.x0, frame.y0, frame.cell,
+                            frame.nx, frame.ny) for f in (a, b)]
+    assert len(list(raster._bands(tables, frame.ny, frame.nx))) > 2
+    full_a, center_a, touched_a = reference_masks([a], 0.0, frame)
+    full_b, center_b, touched_b = reference_masks([b], 0.0, frame)
+    area = frame.cell_area
+    cells_on = int((center_a & ~center_b).sum())
+    value = cells_on * area
+    lower = int((full_a & ~touched_b).sum()) * area
+    upper = int((touched_a & ~full_b).sum()) * area
+    assert est == AreaEstimate(value=value, lower=lower, upper=upper,
+                               resolution=frame.cell, cells_on=cells_on,
+                               error_bound=max(value - lower, upper - value))
+    assert est.value > 0
 
 
 def test_raster_counts_survive_deep_stacking():
     # 32,768 boxes stacked on one cell exceed an int16 running count.
     assert rasterize([stacked_family(1)], 0.1).counts() == (64, 100, 144)
     assert rasterize([stacked_family(32_768)], 0.1).counts() == (64, 100, 144)
+
+
+@pytest.mark.parametrize("angle", [1e-20, math.pi / 2, -math.pi / 2])
+def test_raster_near_axis_rotation_counts_like_axis_aligned(angle):
+    # A slope of 1e-20 solves to bounds near 1e20 cells, beyond int64: they
+    # must land on the frame's edge, not wrap around to column 0.
+    want = rasterize([box_family(0.5, 0.5, 1, 1)], 1 / 64).counts()
+    assert want == (3844, 4096, 4356)
+    assert rasterize([box_family(0.5, 0.5, 1, 1, angle)], 1 / 64).counts() \
+        == want
+
+
+# -- the union count of row ranges --------------------------------------------
+
+row_ranges = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12),
+                                st.integers(0, 12)), max_size=25)
+
+
+@given(st.integers(1, 12), row_ranges)
+@example(12, [(0, 2, 9), (0, 3, 5), (0, 4, 4)])      # nested, empty
+@example(12, [(1, 0, 4), (1, 4, 7), (1, 4, 7)])      # touching, duplicate
+@example(12, [(0, 9, 3), (2, 6, 6)])                 # inverted, empty
+@example(12, [(0, 6, 12), (1, 0, 3), (1, 0, 12)])    # row end, next row 0
+@example(1, [(0, 0, 1), (1, 0, 1), (3, 1, 0)])
+@settings(max_examples=300)
+def test_union_cells_matches_painted_rows(nx, ranges):
+    ranges = [(r, min(a, nx), min(b, nx)) for r, a, b in ranges]
+    painted = np.zeros((4, nx), dtype=bool)
+    for r, a, b in ranges:
+        painted[r, a:b] = True
+    rows, il, ih = np.array(ranges, dtype=np.int32).reshape(-1, 3).T
+    starts, ends = raster._keys(rows, il[None], ih[None], nx)
+    assert raster._union_cells(starts, ends)[0] == painted.sum()
+
+
+# -- exact areas of small box sets --------------------------------------------
+
+def _clip(poly, a, b):
+    """Sutherland-Hodgman: the part of `poly` left of the directed line a->b."""
+    def side(p):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        sp, sq = side(p), side(q)
+        if sp >= 0:
+            out.append(p)
+        if (sp < 0) != (sq < 0):
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _polygon_area(poly):
+    return abs(sum(p[0] * q[1] - q[0] * p[1]
+                   for p, q in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def exact_union_area(boxes):
+    """Exact area of a union of convex counter-clockwise polygons with
+    Fraction corners: intersections by clipping, summed by inclusion-
+    exclusion."""
+    total = Fraction(0)
+    for k in range(1, len(boxes) + 1):
+        for subset in itertools.combinations(boxes, k):
+            piece = subset[0]
+            for other in subset[1:]:
+                for a, b in zip(other, other[1:] + other[:1]):
+                    piece = _clip(piece, a, b)
+            if len(piece) >= 3:
+                total += (-1) ** (k + 1) * _polygon_area(piece)
+    return total
+
+
+def exact_boxes(fam, inflate=0.0):
+    """The family's boxes as exact Fraction polygons with float corners,
+    counter-clockwise."""
+    hw, hh = fam.half_width + inflate, fam.half_height + inflate
+    ca, sa = math.cos(fam.rotation), math.sin(fam.rotation)
+    return [[(Fraction(cx + (x * ca - y * sa)),
+              Fraction(cy + (x * sa + y * ca)))
+             for x, y in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))]
+            for cx, cy in fam.centers]
+
+
+def random_family(rng, n):
+    fam = box_family(0, 0, rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.6),
+                     angle=rng.uniform(-math.pi, math.pi))
+    fam.centers = np.array([[rng.uniform(0, 0.5), rng.uniform(0, 0.5)]
+                            for _ in range(n)])
+    return fam
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_area_bracket_holds_exact_union_area(seed):
+    rng = random.Random(seed)
+    fams = [random_family(rng, rng.choice((1, 2)))
+            for _ in range(rng.choice((1, 2)))]
+    for radius, res in ((0.0, 1 / 128), (0.03, 1 / 256)):
+        est = neighborhood_area(fams, radius, res)
+        exact = exact_union_area(
+            [box for fam in fams for box in exact_boxes(fam, radius)])
+        assert est.lower <= exact <= est.upper
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overlap_bracket_holds_exact_difference_area(seed):
+    rng = random.Random(100 + seed)
+    a = random_family(rng, 2)
+    b = random_family(rng, 2)
+    if seed % 2:
+        # A nearby angle and shared centers, as consecutive families have.
+        b.centers = a.centers + 0.01
+        b.rotation = a.rotation + 0.05
+    est = pairwise_overlap_loss(a, b, 1 / 256)
+    boxes_b = exact_boxes(b)
+    exact = exact_union_area(exact_boxes(a) + boxes_b) \
+        - exact_union_area(boxes_b)
+    assert est.lower <= exact <= est.upper
+    assert exact > 0
