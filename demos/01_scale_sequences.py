@@ -3,8 +3,9 @@
 Three sequences drive everything downstream: per-level heights (powers of
 two), widths (powers of two times the base constant c), and rotation steps.
 The width schedule targets a chosen box dimension s of the horizontal
-projection.  Everything here is exact rational arithmetic, so the printed
-constraint slacks are exact too.
+projection.  Everything here is exact rational arithmetic: every constraint
+is decided by an exact comparison, and its printed margin is the exact slack
+as a float.
 """
 
 from fractions import Fraction
@@ -21,10 +22,9 @@ for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
               f"height {short_repr(table.Delta_(n)):>8}   "
               f"angle step {short_repr(table.theta_(n)):>8}")
     report = validate_sequences(table)
-    worst = min((e.slack for e in report.entries if e.slack is not None),
-                default=None)
+    worst = min(e.margin for e in report.entries if e.margin is not None)
     print(f"  validation: {'all pass' if report.ok else 'FAILURES'}; "
-          f"{len(report.entries)} checks, smallest slack {worst}")
+          f"{len(report.entries)} checks, smallest margin {worst:g}")
 
 print("\n=== depth limits ===")
 from cantortubes import DepthUnreachableError  # noqa: E402

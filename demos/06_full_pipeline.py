@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from cantortubes import RunConfig, run_pipeline, verify_manifest
+from cantortubes.reports import EXPECTED_FAILURES, FIRST_LEVEL_C_CEILING
 
 OUT = Path(__file__).parent / "out" / "pipeline"
 
@@ -32,11 +33,16 @@ for entry in manifest["files"]:
 print(f"\nverification state: {'ok' if manifest['ok'] else 'FAILURES'}")
 
 verify = json.loads((OUT / "verify.json").read_text())
-print(f"expected limitation(s) on record: {verify['expected_failures']}")
+print(f"known failures in the ledger: {sorted(EXPECTED_FAILURES)}")
+print(f"  on record in this bundle: {verify['expected_failures']}; "
+      f"unexpected: {verify['unexpected_failures']}")
 
 cont = json.loads((OUT / "containment.json").read_text())
 print(f"containment: minimal sufficient C per level "
       f"{cont['max_C_min_per_level']} at configured C = {cont['C']}")
+print(f"  first-level misses within the known ceiling "
+      f"{FIRST_LEVEL_C_CEILING}: {cont['known_first_level_shortfalls']}; "
+      f"unexpected: {cont['unexpected_shortfalls']}")
 
 bad = verify_manifest(OUT)
 print(f"manifest re-hash: {'clean' if not bad else bad}")

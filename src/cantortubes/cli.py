@@ -11,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-from .dyadic import parse_rational
 from .errors import (
     CantorTubesError,
     GridTooLargeError,
@@ -47,20 +46,16 @@ STAGE_COMMANDS = (
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    """The --config blob with the given flags laid over it, parsed once."""
+    blob = {}
+    if args.config:
         blob = json.loads(Path(args.config).read_text())
-        cfg = RunConfig.from_json(blob)
-    else:
-        cfg = RunConfig()
-    for key in ("s", "c"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, parse_rational(val))
-    for key in ("depth", "profile", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+        if not isinstance(blob, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object")
+    for key in ("s", "c", "depth", "profile", "seed"):  # flags named as keys
+        if getattr(args, key) is not None:
+            blob[key] = getattr(args, key)
+    return RunConfig.from_json(blob)
 
 
 def _emit(args, name: str, text: str):

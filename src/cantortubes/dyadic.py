@@ -46,11 +46,6 @@ def pow2(e: int) -> Fraction:
     return Fraction(1, 1 << (-e))
 
 
-def largest_pow2_leq(x: Fraction) -> Fraction:
-    """Largest power of two <= x (x > 0)."""
-    return pow2(floor_log2(x))
-
-
 def ceil_frac(x: Fraction) -> int:
     """Exact ceiling of a rational."""
     x = Fraction(x)

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import floor_frac
 from .hierarchy import Construction, LevelSet
 from .numerics import workprec
 from .raster import DEFAULT_MAX_CELLS, RasterResult, rasterize
@@ -203,7 +202,3 @@ def dimension_bound_report(cons: Construction, n: int,
             out["bracket"] = [measured.lower, measured.upper]
     return out
 
-
-def stage_family_count(table, level: int) -> int:
-    """Number of tube families in one stage: angle indices 0..floor(1/step)."""
-    return floor_frac(1 / table.theta_(level)) + 1

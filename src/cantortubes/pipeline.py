@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -36,17 +36,13 @@ from .measures import (
 )
 from .render import render_arc_diagram, render_gamma_theta, render_level_set, \
     render_tube_stage
+from .reports import EXPECTED_FAILURES, FIRST_LEVEL_C_CEILING, known_shortfall
 from .rotations import RotationFamily, verify_translation_invariants
 from .sequences import build_schedule, derive_sequences, validate_sequences
 
 DEMO_BANNER = ("demo profile: shallow height recursion for deeper levels; "
                "structural and spacing checks only, the dimension theorem's "
                "constant constraints are not in force")
-
-#: Measured ceiling of the minimal sufficient tube multiplier at the first
-#: level (worst over a dense angle sweep was 28.1; the first level's unit
-#: width inflates every constant by 1/c).
-FIRST_LEVEL_C_CEILING = 32.0
 
 
 class PipelineError(CantorTubesError):
@@ -56,9 +52,10 @@ class PipelineError(CantorTubesError):
         super().__init__(f"pipeline stage {stage!r} failed: {cause}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; seeded sampling keeps reruns identical."""
+    """Everything a run depends on; seeded sampling keeps reruns identical.
+    The JSON form has one key per field, in field order."""
 
     s: Fraction = Fraction(1)
     c: Fraction = Fraction(1, 16)
@@ -66,8 +63,8 @@ class RunConfig:
     profile: str = "strict"
     C_tube: Fraction = Fraction(16)
     raster_resolution: Fraction | None = None   # default: theta_2 / 4
-    neighborhood_radius: Fraction | None = None  # default: theta_2
     angle_tol_log2: int = -60
+    neighborhood_radius: Fraction | None = None  # default: theta_2
     materialization_cap: int = 2_000_000
     seed: int = 0
     spacing_samples: int = 2000
@@ -76,44 +73,40 @@ class RunConfig:
     precision: int | None = None
 
     def __post_init__(self):
-        if self.containment_anchors < 1:
-            raise ValueError(f"containment_anchors must be >= 1, got "
-                             f"{self.containment_anchors}")
+        for key in ("spacing_samples", "containment_anchors"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @classmethod
     def from_json(cls, blob: dict) -> "RunConfig":
+        """Parse the JSON form: a missing or null key keeps its default, an
+        unknown key is a ValueError."""
+        parsers = {f.name: _PARSERS[f.type.split(" |")[0]] for f in fields(cls)}
+        unknown = sorted(set(blob) - set(parsers))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         kw = {}
-        for key in ("s", "c", "C_tube", "raster_resolution", "neighborhood_radius"):
-            if key in blob and blob[key] is not None:
-                kw[key] = parse_rational(blob[key])
-        for key in ("depth", "angle_tol_log2", "materialization_cap", "seed",
-                    "spacing_samples", "containment_thetas",
-                    "containment_anchors", "precision"):
-            if key in blob and blob[key] is not None:
-                kw[key] = int(blob[key])
-        if "profile" in blob:
-            kw["profile"] = str(blob["profile"])
+        for key, value in blob.items():
+            if value is not None:
+                try:
+                    kw[key] = parsers[key](value)
+                except TypeError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from exc
         return cls(**kw)
 
     def to_json(self) -> dict:
-        return {
-            "s": str(self.s),
-            "c": str(self.c),
-            "depth": self.depth,
-            "profile": self.profile,
-            "C_tube": str(self.C_tube),
-            "raster_resolution": None if self.raster_resolution is None
-            else str(self.raster_resolution),
-            "angle_tol_log2": self.angle_tol_log2,
-            "neighborhood_radius": None if self.neighborhood_radius is None
-            else str(self.neighborhood_radius),
-            "materialization_cap": self.materialization_cap,
-            "seed": self.seed,
-            "spacing_samples": self.spacing_samples,
-            "containment_thetas": self.containment_thetas,
-            "containment_anchors": self.containment_anchors,
-            "precision": self.precision,
-        }
+        return {f.name: _dump(f, getattr(self, f.name)) for f in fields(self)}
+
+
+#: How `RunConfig.from_json` parses a value, by its field's type.
+_PARSERS = {"Fraction": parse_rational, "int": int, "str": str}
+
+
+def _dump(f, value):
+    """JSON form of one `RunConfig` value: rationals as strings."""
+    if value is None or not f.type.startswith("Fraction"):
+        return value
+    return str(value)
 
 
 @dataclass
@@ -226,14 +219,13 @@ def _verify(run: _Run) -> bool:
     reports.append(verify_counts(cons, min(mat_depth, depth - 1)))
     reports.append(verify_translation_invariants(
         run.rf, rng=random.Random(cfg.seed + 1), n_thetas=40))
-    known = {"N_1 below the angle-step ratio"}
     failures = [e.name for r in reports for e in r.failures]
     blob = {
         "profile": cfg.profile,
         "reports": [r.to_json() for r in reports],
         "failures": failures,
-        "expected_failures": sorted(known & set(failures)),
-        "unexpected_failures": sorted(set(failures) - known),
+        "expected_failures": sorted(EXPECTED_FAILURES & set(failures)),
+        "unexpected_failures": sorted(set(failures) - EXPECTED_FAILURES),
     }
     if cfg.profile == "demo":
         blob["banner"] = DEMO_BANNER
@@ -331,12 +323,7 @@ def _containment(run: _Run) -> bool:
             worst[n] = max(worst.get(n, 0.0), rep.C_min)
             if not rep.contained:
                 shortfalls.append(rep)
-    # The first level carries 1/c factors in its constants: its minimal
-    # sufficient multiplier tops out near 29, so misses there within that
-    # ceiling are a known property of the construction, not a defect of
-    # the run.
-    known = sum(1 for r in shortfalls
-                if r.level == 1 and r.C_min <= FIRST_LEVEL_C_CEILING)
+    known = sum(1 for r in shortfalls if known_shortfall(r.level, r.C_min))
     unexpected = len(shortfalls) - known
     run.write_json("containment.json", {
         "C": str(run.table.C_tube),

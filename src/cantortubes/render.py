@@ -194,10 +194,7 @@ def render_tube_stage(rf: RotationFamily, level: int, C=None,
                       family_stride: int = 16,
                       render_cap: int = DEFAULT_RENDER_CAP) -> str:
     """Rotated-box families of one stage, one color per drawn family."""
-    from .dyadic import floor_frac
-
-    step = rf.cons.table.theta_(level)
-    n_fam = floor_frac(1 / step) + 1
+    n_fam = rf.cons.table.family_count(level)
     indices = list(range(0, n_fam, max(1, family_stride)))
     fams = [rf.tube_family(level, l, C) for l in indices]
     total = sum(len(f) for f in fams)

@@ -1,4 +1,5 @@
-"""Verification report containers with a three-way verdict.
+"""Verification report containers with a three-way verdict, and the ledger
+of the construction's known first-level failures.
 
 A numerical inequality is only declared to hold when its margin clears ten
 times the accumulated arithmetic error; narrower margins are reported as
@@ -13,6 +14,24 @@ PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
 #: Margin must exceed this multiple of the error bound to count as decided.
 MARGIN_FACTOR = 10.0
+
+# -- ledger: checks that fail by the construction's own geometry ---------------
+
+#: Check names that fail faithfully at the first level (acceptance criterion
+#: 3): the unit-width first level's child count equals the angle-step ratio.
+EXPECTED_FAILURES = frozenset({"N_1 below the angle-step ratio"})
+
+#: Measured ceiling of the minimal sufficient tube multiplier at the first
+#: level (worst over a dense angle sweep was 28.1; the first level's unit
+#: width inflates every constant by 1/c).
+FIRST_LEVEL_C_CEILING = 32.0
+
+
+def known_shortfall(level: int, C_min: float) -> bool:
+    """Is a containment miss a known property of the construction rather
+    than a defect of the run (acceptance criterion 6)?  Only first-level
+    misses within `FIRST_LEVEL_C_CEILING` are."""
+    return level == 1 and C_min <= FIRST_LEVEL_C_CEILING
 
 
 def classify(margin: float, err_bound: float) -> str:

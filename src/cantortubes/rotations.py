@@ -42,10 +42,6 @@ class VLimitResult:
     converged: bool
     evaluations: tuple       # ((m, point), ...) partial values per grid level
 
-    @property
-    def xy(self) -> tuple:
-        return (float(self.point.real), float(self.point.imag))
-
 
 @dataclass(frozen=True)
 class TranslationEntry:
@@ -256,7 +252,7 @@ class RotationFamily:
     def translation_table(self, level: int, cap: int = 200_000) -> TranslationTable:
         """Materialized v table on a level's full angle grid."""
         step = self.cons.table.theta_(level)
-        count = floor_frac(1 / step) + 1
+        count = self.cons.table.family_count(level)
         if count > cap:
             raise PopulationCapError(level=level, population=count, cap=cap)
         entries = []
@@ -313,8 +309,9 @@ class RotationFamily:
             raise ValueError(f"unknown variant {variant!r}")
         mult = 1 if variant == "T" else 2
         step = table.theta_(level)
-        if l < 0 or l > floor_frac(1 / step):
-            raise ValueError(f"angle index {l} outside 0..{floor_frac(1 / step)}")
+        n_fam = table.family_count(level)
+        if not 0 <= l < n_fam:
+            raise ValueError(f"angle index {l} outside 0..{n_fam - 1}")
         angle = l * step
         v, _ = self.v_any(angle)
         pts = self.cons.level(level).anchors_float()
@@ -335,9 +332,7 @@ class RotationFamily:
         """All tube families of one level: angle indices 0..floor(1/theta).
         The intersection of these unions over successive levels is the
         covering set; one level is one finite stage."""
-        table = self.cons.table
-        step = table.theta_(level)
-        n_fam = floor_frac(1 / step) + 1
+        n_fam = self.cons.table.family_count(level)
         pop = n_fam * len(self.cons.level(level).rects)
         if pop > cap:
             raise PopulationCapError(level=level, population=pop, cap=cap)
@@ -373,7 +368,7 @@ class RotationFamily:
         v, v_bound = self.v_any(theta)
         anchors, paths, e = self._level_anchors(n + 1, n_samples, rng)
         theta_n, Delta_n = float(table.theta_(n)), float(table.Delta_(n))
-        n_fam = floor_frac(1 / table.theta_(n)) + 1
+        n_fam = table.family_count(n)
         i0 = min(floor_frac(theta / table.theta_(n)), n_fam - 1)
         own = self.tube_family(n, i0, C, "T")
         others = []

@@ -13,12 +13,13 @@ onto the dyadic grid, which preserves every one-sided constraint exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
     ceil_frac,
     dyadic_to_json,
+    floor_frac,
     floor_log2,
     is_dyadic,
     is_pow2_reciprocal,
@@ -26,6 +27,7 @@ from .dyadic import (
     short_repr,
 )
 from .errors import DepthUnreachableError
+from .reports import FAIL, PASS, VerificationReport
 
 #: Exponents larger than this make downstream extended-precision work
 #: impractically slow; the derivation refuses to cross it.
@@ -101,6 +103,11 @@ class SequenceTable:
 
     def theta_(self, n: int) -> Fraction:
         return self.theta[n - 1]
+
+    def family_count(self, n: int) -> int:
+        """Tube families in the level-n stage: angle indices
+        0..floor(1/theta_n)."""
+        return floor_frac(1 / self.theta_(n)) + 1
 
     def p2_exponent(self, n: int) -> int:
         """Exponent in the height recursion Delta_{n+1} <= c*delta_n**e."""
@@ -210,93 +217,64 @@ def derive_sequences(
     return table
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    name: str
-    passed: bool
-    slack: Fraction | None = None
-    detail: str = ""
+def validate_sequences(table: SequenceTable) -> VerificationReport:
+    """Check every table constraint exactly.
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "slack": None if self.slack is None else str(self.slack),
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class ConstraintReport:
-    entries: list[ConstraintCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    @property
-    def failures(self) -> list[ConstraintCheck]:
-        return [e for e in self.entries if not e.passed]
-
-    def add(self, name: str, passed: bool, slack=None, detail: str = ""):
-        self.entries.append(ConstraintCheck(name, bool(passed), slack, detail))
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "checks": [e.to_json() for e in self.entries]}
-
-
-def validate_sequences(table: SequenceTable) -> ConstraintReport:
-    """Check every table constraint exactly, recording rational slacks.
-
-    The report never raises; failed constraints are entries with
-    ``passed=False`` and the exact (negative) slack.
+    Each verdict is an exact rational comparison, so none is inconclusive;
+    an inequality's margin is its exact slack cast to float (negative when
+    the constraint fails), recomputable exactly from the table.  The report
+    never raises.
     """
-    r = ConstraintReport()
+    r = VerificationReport("sequence constraints")
+
+    def add(name: str, passed: bool, slack=None, detail: str = ""):
+        r.add(name, PASS if passed else FAIL, slack, detail=detail)
+
     c, c1, c2 = table.c, table.c1, table.c2
     d, D, t = table.delta, table.Delta, table.theta
     N = table.depth
 
-    r.add("base: delta_1 == Delta_1 == 1", d[0] == 1 and D[0] == 1)
-    r.add("base: theta_1 == c", t[0] == c, slack=t[0] - c)
-    r.add("constant: c < 1/10", c < Fraction(1, 10), slack=Fraction(1, 10) - c)
-    r.add("constant: c*(1+4c(c1+1)) < 1", c * (1 + c2) < 1, slack=1 - c * (1 + c2))
-    r.add("constant: 3*c*c1 < 1/2", 3 * c * c1 < Fraction(1, 2),
-          slack=Fraction(1, 2) - 3 * c * c1)
-    r.add("constant: c1 >= sqrt(2)", c1 * c1 >= 2, slack=c1 * c1 - 2,
-          detail="compared as c1^2 >= 2")
+    add("base: delta_1 == Delta_1 == 1", d[0] == 1 and D[0] == 1)
+    add("base: theta_1 == c", t[0] == c, slack=t[0] - c)
+    add("constant: c < 1/10", c < Fraction(1, 10), slack=Fraction(1, 10) - c)
+    add("constant: c*(1+4c(c1+1)) < 1", c * (1 + c2) < 1, slack=1 - c * (1 + c2))
+    add("constant: 3*c*c1 < 1/2", 3 * c * c1 < Fraction(1, 2),
+        slack=Fraction(1, 2) - 3 * c * c1)
+    add("constant: c1 >= sqrt(2)", c1 * c1 >= 2, slack=c1 * c1 - 2,
+        detail="compared as c1^2 >= 2")
 
     for x, name in ((d, "delta"), (D, "Delta"), (t, "theta")):
-        r.add(f"dyadic closure: all {name} entries dyadic",
-              all(is_dyadic(v) for v in x))
-        r.add(f"monotone: {name} strictly decreasing",
-              all(x[i] > x[i + 1] for i in range(len(x) - 1)) or len(x) == 1)
+        add(f"dyadic closure: all {name} entries dyadic",
+            all(is_dyadic(v) for v in x))
+        add(f"monotone: {name} strictly decreasing",
+            all(x[i] > x[i + 1] for i in range(len(x) - 1)) or len(x) == 1)
 
     for n in range(1, N):  # constraints linking level n to n+1 (1-based n)
         e = table.p2_exponent(n)
         tag = "" if table.profile == "strict" else " [demo exponent 2]"
-        r.add(f"height bound{tag}: Delta_{n+1} <= c*delta_{n}^{e}",
-              D[n] <= c * d[n - 1] ** e, slack=c * d[n - 1] ** e - D[n])
-        r.add(f"width bound: delta_{n+1} <= c*Delta_{n+1}*delta_{n}",
-              d[n] <= c * D[n] * d[n - 1], slack=c * D[n] * d[n - 1] - d[n])
-        r.add(f"angle def: theta_{n+1} == c*Delta_{n+1}*delta_{n}",
-              t[n] == c * D[n] * d[n - 1], slack=t[n] - c * D[n] * d[n - 1])
+        add(f"height bound{tag}: Delta_{n+1} <= c*delta_{n}^{e}",
+            D[n] <= c * d[n - 1] ** e, slack=c * d[n - 1] ** e - D[n])
+        add(f"width bound: delta_{n+1} <= c*Delta_{n+1}*delta_{n}",
+            d[n] <= c * D[n] * d[n - 1], slack=c * D[n] * d[n - 1] - d[n])
+        add(f"angle def: theta_{n+1} == c*Delta_{n+1}*delta_{n}",
+            t[n] == c * D[n] * d[n - 1], slack=t[n] - c * D[n] * d[n - 1])
         ratio = t[n - 1] / t[n]
-        r.add(f"angle integrality: theta_{n}/theta_{n+1} in N",
-              ratio.denominator == 1, detail=f"ratio = {short_repr(ratio)}")
+        add(f"angle integrality: theta_{n}/theta_{n+1} in N",
+            ratio.denominator == 1, detail=f"ratio = {short_repr(ratio)}")
         if ratio.denominator == 1:
-            r.add(f"angle integrality: theta_{n}/theta_{n+1} power of two",
-                  is_pow2_reciprocal(1 / ratio), detail=f"ratio = {short_repr(ratio)}")
+            add(f"angle integrality: theta_{n}/theta_{n+1} power of two",
+                is_pow2_reciprocal(1 / ratio), detail=f"ratio = {short_repr(ratio)}")
 
     if N >= 2:
-        r.add("grid integrality: 1/Delta_2 in N", (1 / D[1]).denominator == 1,
-              detail=f"1/Delta_2 = {short_repr(1 / D[1])}")
+        add("grid integrality: 1/Delta_2 in N", (1 / D[1]).denominator == 1,
+            detail=f"1/Delta_2 = {short_repr(1 / D[1])}")
     for n in range(2, N):  # 1-based n >= 2: ratio at level n+1
         ratio = (D[n - 1] * d[n - 2]) / (D[n] * d[n - 1])
-        r.add(f"grid integrality: Delta_{n}*delta_{n-1}/(Delta_{n+1}*delta_{n}) in N",
-              ratio.denominator == 1, detail=f"ratio = {short_repr(ratio)}")
+        add(f"grid integrality: Delta_{n}*delta_{n-1}/(Delta_{n+1}*delta_{n}) in N",
+            ratio.denominator == 1, detail=f"ratio = {short_repr(ratio)}")
 
     narrow = [d[i] / D[i] for i in range(N)]
-    r.add("narrowing: delta_n/Delta_n strictly decreasing",
-          all(narrow[i] > narrow[i + 1] for i in range(N - 1)) or N == 1)
+    add("narrowing: delta_n/Delta_n strictly decreasing",
+        all(narrow[i] > narrow[i + 1] for i in range(N - 1)) or N == 1)
 
     return r

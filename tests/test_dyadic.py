@@ -11,7 +11,6 @@ from cantortubes.dyadic import (
     floor_log2,
     is_dyadic,
     is_pow2_reciprocal,
-    largest_pow2_leq,
     parse_rational,
     pow2,
 )
@@ -23,13 +22,6 @@ rationals = st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**9)
 def test_floor_log2_defining_property(x):
     e = floor_log2(x)
     assert pow2(e) <= x < pow2(e + 1)
-
-
-@given(rationals)
-def test_largest_pow2_leq(x):
-    p = largest_pow2_leq(x)
-    assert p <= x < 2 * p
-    assert is_pow2_reciprocal(p) or p.denominator == 1
 
 
 def test_floor_log2_exact_powers():

@@ -18,7 +18,6 @@ from cantortubes.measures import (
     pairwise_overlap_loss,
     projection_lengths,
     projection_lengths_lazy,
-    stage_family_count,
 )
 from cantortubes import raster
 from cantortubes.raster import rasterize
@@ -232,11 +231,6 @@ def test_dimension_bound_exponents(cons):
     table9 = derive_sequences(build_schedule(1, 2), Fraction(1, 16))
     cons9 = Construction(table9)
     assert abs(dimension_bound_report(cons9, 9)["exponent_bound"] - 1.2) < 1e-12
-
-
-def test_stage_family_count(strict_table):
-    assert stage_family_count(strict_table, 1) == 17
-    assert stage_family_count(strict_table, 2) == 257
 
 
 # -- rasterizer against a per-box reference ----------------------------------

@@ -1,20 +1,23 @@
 import csv
+import dataclasses
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantortubes.cli import main
 from cantortubes.errors import GridTooLargeError
 from cantortubes.pipeline import (
-    FIRST_LEVEL_C_CEILING,
     PipelineError,
     RunConfig,
     run_pipeline,
     run_stage,
     verify_manifest,
 )
+from cantortubes.reports import EXPECTED_FAILURES, known_shortfall
 
 FAST = dict(
     # Coarse raster and small samples keep the full pipeline quick; the
@@ -69,7 +72,7 @@ def test_pipeline_verify_contents(bundle):
     _, out = bundle
     verify = json.loads((out / "verify.json").read_text())
     assert verify["unexpected_failures"] == []
-    assert verify["expected_failures"] == ["N_1 below the angle-step ratio"]
+    assert verify["expected_failures"] == sorted(EXPECTED_FAILURES)
     assert "banner" not in verify
 
 
@@ -101,8 +104,26 @@ def test_config_roundtrip():
     cfg = RunConfig(s=Fraction(1, 2), c=Fraction(1, 32), depth=2, seed=7,
                     **FAST)
     blob = cfg.to_json()
+    # The manifest's config block: one key per field, in this order.
+    assert list(blob) == [
+        "s", "c", "depth", "profile", "C_tube", "raster_resolution",
+        "angle_tol_log2", "neighborhood_radius", "materialization_cap", "seed",
+        "spacing_samples", "containment_thetas", "containment_anchors",
+        "precision"]
     back = RunConfig.from_json(json.loads(json.dumps(blob)))
     assert back == cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        back.seed = 8
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValueError, match="spacing_sample"):
+        RunConfig.from_json({"spacing_sample": 5})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 2, "spacing_sample": 5}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "seq", "derive"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
@@ -135,7 +156,7 @@ def test_containment_counts_each_shortfall_once(tmp_path):
     misses = [c for c in blob["checks"] if not c["contained"]]
     assert len(misses) == 12
     assert blob["known_first_level_shortfalls"] == sum(
-        1 for c in misses if c["C_min"] <= FIRST_LEVEL_C_CEILING) == 6
+        1 for c in misses if known_shortfall(c["level"], c["C_min"])) == 6
     assert (blob["known_first_level_shortfalls"]
             + blob["unexpected_shortfalls"]) == len(misses)
 
@@ -144,7 +165,7 @@ def test_pipeline_strict_depth4(tmp_path):
     run = run_pipeline(RunConfig(depth=4, **FAST), tmp_path)
     assert run.ok
     verify = json.loads((tmp_path / "verify.json").read_text())
-    assert verify["expected_failures"] == ["N_1 below the angle-step ratio"]
+    assert verify["expected_failures"] == sorted(EXPECTED_FAILURES)
     assert verify["unexpected_failures"] == []
     spacing = [r for r in verify["reports"]
                if r["title"].startswith("spacing of level-4 children")]
@@ -162,6 +183,17 @@ def test_config_rejects_no_containment_anchors(tmp_path):
                  "verify"]) == 2
 
 
+def test_config_rejects_no_spacing_samples(tmp_path):
+    # Refused before any stage runs: the pipeline exits 2 and writes nothing.
+    with pytest.raises(ValueError, match="spacing_samples"):
+        RunConfig(spacing_samples=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spacing_samples": 0}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "pipeline"]) == 2
+    assert not out.exists()
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_seq(tmp_path, capsys):
@@ -171,6 +203,16 @@ def test_cli_seq(tmp_path, capsys):
     blob = json.loads((tmp_path / "sequences.json").read_text())
     assert blob["table"]["delta"][1] == {"num": 1, "log2_den": 10}
     assert blob["validation"]["ok"]
+
+
+def test_cli_flags_override_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 2, "c": "2^-5"}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "seq", "derive",
+                 "--depth", "3"]) == 0
+    table = json.loads((tmp_path / "sequences.json").read_text())["table"]
+    assert table["depth"] == 3
+    assert table["c"] == {"num": 1, "log2_den": 5}
 
 
 def test_cli_depth1(tmp_path):
@@ -268,3 +310,30 @@ def test_pipeline_error_names_stage(tmp_path):
         run_pipeline(RunConfig(c=Fraction(1, 32)), tmp_path)
     assert info.value.stage == "area"
     assert isinstance(info.value.cause, GridTooLargeError)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(s=st.sampled_from(["0", "1/2", "1"]),
+       c=st.sampled_from(["2^-4", "2^-5"]),
+       depth=st.integers(1, 3),
+       profile=st.sampled_from(["strict", "demo"]),
+       spacing_samples=st.sampled_from([0, 1, FAST["spacing_samples"]]),
+       containment_thetas=st.sampled_from([0, FAST["containment_thetas"]]),
+       containment_anchors=st.sampled_from([0, 1, FAST["containment_anchors"]]))
+def test_cli_config_sweep(s, c, depth, profile, **samples):
+    # Every config either runs or exits with its documented code: 2 before
+    # any stage writes a manifest, 0 or 1 with a manifest whose ok matches.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(RunConfig(**FAST).to_json() | samples))
+        rc = main(["--config", str(cfg), "--out", str(out), "pipeline",
+                   "--s", s, "--c", c, "--depth", str(depth),
+                   "--profile", profile])
+        assert rc in (0, 1, 2, 3)
+        if rc == 2:
+            assert not (out / "manifest.json").exists()
+        if rc in (0, 1):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["ok"] == (rc == 0)
+            verify = json.loads((out / "verify.json").read_text())
+            assert set(verify["expected_failures"]) <= EXPECTED_FAILURES

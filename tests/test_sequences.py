@@ -4,6 +4,7 @@ import pytest
 
 from cantortubes.dyadic import is_pow2_reciprocal, pow2
 from cantortubes.errors import DepthUnreachableError
+from cantortubes.reports import FAIL, PASS
 from cantortubes.sequences import (
     SequenceTable,
     build_schedule,
@@ -82,10 +83,10 @@ def test_roundtrip_validation(s, c):
     table = derive_sequences(build_schedule(s, 3), c)
     report = validate_sequences(table)
     assert report.ok, [e.name for e in report.failures]
-    # All recorded slacks on inequality checks are nonnegative rationals.
+    # Every recorded slack of a passing check is nonnegative.
     for entry in report.entries:
-        if entry.slack is not None and entry.passed:
-            assert entry.slack >= 0
+        if entry.margin is not None and entry.status == PASS:
+            assert entry.margin >= 0
 
 
 def test_demo_profile_depth4():
@@ -115,8 +116,8 @@ def test_corrupt_height_bound_detected():
     )
     report = validate_sequences(bad)
     assert not report.ok
-    names = [e.name for e in report.failures]
-    assert any("height bound" in n for n in names)
+    [height] = [e for e in report.failures if "height bound" in e.name]
+    assert height.margin == float(Fraction(1, 16) - pow2(-3))
 
 
 def test_non_dyadic_entry_flagged():
@@ -131,11 +132,11 @@ def test_non_dyadic_entry_flagged():
     report = validate_sequences(bad)
     # 1/Delta_2 = 3 is an integer, so grid integrality itself passes...
     grid = [e for e in report.entries if e.name == "grid integrality: 1/Delta_2 in N"]
-    assert grid and grid[0].passed
+    assert grid and grid[0].status == PASS
     # ...but the dyadic-closure check flags the non-dyadic entry.
     dyadic = [e for e in report.entries
               if e.name == "dyadic closure: all Delta entries dyadic"]
-    assert dyadic and not dyadic[0].passed
+    assert dyadic and dyadic[0].status == FAIL
 
 
 def test_c_preconditions():
@@ -154,6 +155,27 @@ def test_depth_unreachable_reports_max():
     assert exc.value.max_depth < 12
     # The reported depth is actually achievable.
     derive_sequences(build_schedule(1, exc.value.max_depth), C4)
+
+
+def test_validation_json_is_a_verification_report():
+    table = derive_sequences(build_schedule(1, 3), C4)
+    blob = validate_sequences(table).to_json()
+    assert list(blob) == ["title", "ok", "stats", "checks"]
+    assert blob["title"] == "sequence constraints" and blob["ok"]
+    for check in blob["checks"]:
+        assert list(check) == ["name", "status", "margin", "bound", "detail"]
+        assert check["status"] == PASS and check["bound"] is None
+    # Margins are the exact slacks as floats, recomputable from the table.
+    margins = {e["name"]: e["margin"] for e in blob["checks"]}
+    assert margins["constant: c < 1/10"] == float(Fraction(1, 10) - C4)
+    assert margins["height bound: Delta_3 <= c*delta_2^3"] == float(
+        C4 * table.delta_(2) ** 3 - table.Delta_(3))
+    assert margins["base: delta_1 == Delta_1 == 1"] is None
+
+
+def test_family_count(strict_table):
+    assert strict_table.family_count(1) == 17
+    assert strict_table.family_count(2) == 257
 
 
 def test_table_json_shape():
