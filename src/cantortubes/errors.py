@@ -34,7 +34,7 @@ class ConstructionError(CantorTubesError):
 
 class PopulationCapError(CantorTubesError):
     """Materializing a level would exceed the configured rectangle cap;
-    callers should fall back to lazy path evaluation."""
+    levels past `Construction.materializable_depth()` are reached lazily."""
 
     def __init__(self, level: int, population: int, cap: int):
         self.level = level

@@ -64,13 +64,10 @@ class RectNode:
 @dataclass
 class LevelSet:
     """One full generation: rectangles in anchor-x order (which equals the
-    distance-from-origin order here), plus the child-count bookkeeping used
-    to build it."""
+    distance-from-origin order here)."""
 
     level: int
     rects: list
-    N_prev: int | None = None
-    counts_prev: tuple | None = None
 
     def __len__(self):
         return len(self.rects)
@@ -217,22 +214,12 @@ def count_search_bound(table: SequenceTable, n: int) -> int:
 
 
 def build_level(prev: LevelSet, sol: ArcSolution, table: SequenceTable,
-                cap: int = DEFAULT_MATERIALIZATION_CAP,
-                prec: int | None = None, counts: tuple | None = None) -> LevelSet:
-    """Materialize the next generation: uniform child count N = min over
-    parents, exactly N children per parent, globally ordered by anchor x."""
+                N: int, prec: int | None = None) -> LevelSet:
+    """Materialize the next generation: exactly N (the uniform count)
+    children per parent, globally ordered by anchor x.  Checking the cap is
+    left to `Construction.level`."""
     prec = prec or sol.prec
     n = prev.level
-    if counts is None:
-        hi = count_search_bound(table, n)
-        counts = tuple(count_children(r, sol, hi, prec) for r in prev.rects)
-    N = min(counts)
-    if N == 0:
-        raise ConstructionError(f"a level-{n} parent admits no children")
-    population = len(prev.rects) * N
-    if population > cap:
-        raise PopulationCapError(level=n + 1, population=population, cap=cap)
-
     delta_next = table.delta_(n + 1)
     rects = []
     with workprec(prec):
@@ -244,11 +231,10 @@ def build_level(prev: LevelSet, sol: ArcSolution, table: SequenceTable,
                     anchors[k - 1], anchors[k], delta_next,
                     level=n + 1, path=parent.path + (k,),
                 ))
-    out = LevelSet(level=n + 1, rects=rects, N_prev=N, counts_prev=counts)
     xs = [float(r.anchor.real) for r in rects]
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise ConstructionError("materialized level is not in anchor-x order")
-    return out
+    return LevelSet(level=n + 1, rects=rects)
 
 
 class Construction:
@@ -264,6 +250,7 @@ class Construction:
             table, self.prec, rel_tol_log2=angle_tol_log2)
         self.cap = cap
         self._levels = {1: unit_level(self.prec)}
+        self._depth: int | None = None
         self._counts: dict[int, tuple] = {}
         self._lazy_counts: dict[tuple, int] = {}
 
@@ -272,25 +259,32 @@ class Construction:
         return self.sols[n - 1]
 
     def level(self, n: int) -> LevelSet:
+        """Level n, materialized on first use; past `materializable_depth()`
+        its population exceeds the cap and `PopulationCapError` is raised."""
         if not 1 <= n <= self.table.depth:
             raise ValueError(f"level {n} outside table depth {self.table.depth}")
         if n not in self._levels:
-            prev = self.level(n - 1)
-            self._levels[n] = build_level(prev, self.sol(n - 1), self.table,
-                                          cap=self.cap, prec=self.prec,
-                                          counts=self.counts(n - 1))
+            population = self.population(n)
+            if population > self.cap:
+                raise PopulationCapError(level=n, population=population,
+                                         cap=self.cap)
+            self._levels[n] = build_level(self.level(n - 1), self.sol(n - 1),
+                                          self.table, self.N(n - 1),
+                                          prec=self.prec)
         return self._levels[n]
 
     def materializable_depth(self) -> int:
-        """Deepest level that fits the materialization cap."""
-        n = max(self._levels)
-        while n < self.table.depth:
-            try:
-                self.level(n + 1)
-            except PopulationCapError:
-                return n
-            n += 1
-        return n
+        """Deepest level whose population fits the cap: levels up to it are
+        exact, deeper ones are reached lazily by path.  Populations never
+        shrink, and deciding that level n fits needs only level n - 1 and its
+        counts, so deciding builds no level past the answer (nor the answer
+        itself when it is the table depth)."""
+        if self._depth is None:
+            n = 1
+            while n < self.table.depth and self.population(n + 1) <= self.cap:
+                n += 1
+            self._depth = n
+        return self._depth
 
     def counts(self, n: int) -> tuple:
         """Per-parent child counts at level n; needs only level n itself."""
@@ -305,7 +299,10 @@ class Construction:
     def N(self, n: int) -> int:
         """Uniform child count at level n (min over the level's parents).
         Exact while level n itself is materializable."""
-        return min(self.counts(n))
+        N = min(self.counts(n))
+        if N == 0:
+            raise ConstructionError(f"a level-{n} parent admits no children")
+        return N
 
     def population(self, n: int) -> int:
         """Exact rectangle count of level n (a product of uniform counts,
@@ -342,7 +339,7 @@ class Construction:
         anchor repeats the materializing walk, so its values are the same."""
         i, rank = 0, 0
         while i < len(path) and i + 2 in self._levels:
-            N = self._levels[i + 2].N_prev
+            N = self.N(i + 1)
             if not 1 <= path[i] <= N:
                 break
             rank = rank * N + path[i] - 1
@@ -439,15 +436,13 @@ class Construction:
     def sample_parent_paths(self, parent_level: int, n_samples: int,
                             rng: random.Random) -> list:
         """Uniformly sampled paths addressing level-`parent_level` parents.
-        Uses exact uniform counts while available, per-parent counts beyond."""
-        exact = []
-        lvl = 1
-        while lvl < parent_level:
-            try:
-                exact.append(self.N(lvl))
-            except PopulationCapError:
-                break
-            lvl += 1
+        Uses the exact uniform counts of the materializable levels,
+        per-parent counts beyond."""
+        if not 1 <= parent_level <= self.table.depth:
+            raise ValueError(
+                f"level {parent_level} outside table depth {self.table.depth}")
+        exact = [self.N(lvl) for lvl in
+                 range(1, min(parent_level, self.materializable_depth() + 1))]
         paths = []
         for _ in range(n_samples):
             path = []

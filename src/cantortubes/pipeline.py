@@ -90,7 +90,7 @@ class RunConfig:
             if value is not None:
                 try:
                     kw[key] = parsers[key](value)
-                except TypeError as exc:
+                except (TypeError, ValueError) as exc:
                     raise ValueError(f"config key {key!r}: {exc}") from exc
         return cls(**kw)
 
@@ -98,8 +98,15 @@ class RunConfig:
         return {f.name: _dump(f, getattr(self, f.name)) for f in fields(self)}
 
 
+def _parse_int(value) -> int:
+    """An integer key's value; a JSON float or bool is refused, not cast."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 #: How `RunConfig.from_json` parses a value, by its field's type.
-_PARSERS = {"Fraction": parse_rational, "int": int, "str": str}
+_PARSERS = {"Fraction": parse_rational, "int": _parse_int, "str": str}
 
 
 def _dump(f, value):
@@ -368,7 +375,11 @@ def _execute(run: _Run, stages) -> bool:
 
 
 def run_pipeline(config: RunConfig, out_dir) -> RunBundle:
-    """Run every stage and write the bundle with its hashed manifest."""
+    """Run every stage and write the bundle with its hashed manifest.  A
+    depth below 2 has no grid refinement to verify: it is refused before any
+    stage writes a file."""
+    if config.depth < 2:
+        raise ValueError(f"the pipeline needs depth >= 2, got {config.depth}")
     out_dir = Path(out_dir)
     run = _Run(config, out_dir)
     ok = _execute(run, _STAGES)

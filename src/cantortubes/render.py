@@ -17,7 +17,7 @@ from .errors import RenderCapError
 from .hierarchy import Construction
 from .rotations import RotationFamily
 
-DEFAULT_RENDER_CAP = 50_000
+RENDER_CAP = 50_000   # primitives drawn directly; beyond it, sample
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -154,31 +154,28 @@ def render_arc_diagram(cons: Construction, level: int = 1) -> str:
 
 
 def render_level_set(cons: Construction, level: int,
-                     render_cap: int = DEFAULT_RENDER_CAP,
                      sample: int | None = None, seed: int = 0) -> str:
-    """The level's rectangles; beyond the cap a sampled subset of lazily
-    evaluated rectangles must be requested explicitly."""
+    """The level's rectangles; past the materializable depth a sampled
+    subset of lazily evaluated rectangles must be requested explicitly."""
     import random
-
-    from .errors import PopulationCapError
 
     canvas = SvgCanvas(_unit_viewbox())
     canvas.rect("frame", 0, 0, 1, 1, stroke="#bbb", stroke_width=0.0015)
-    try:
+    # A level outside the table gets `Construction.level`'s ValueError.
+    if level <= cons.materializable_depth() or level > cons.table.depth:
         rects = cons.level(level).rects
-        if len(rects) > render_cap:
+        if len(rects) > RENDER_CAP:
             raise RenderCapError(
-                f"{len(rects)} rectangles exceed the render cap {render_cap}; "
+                f"{len(rects)} rectangles exceed the render cap {RENDER_CAP}; "
                 "pass sample=<count> to draw a sampled subset")
         chosen = rects
         note = f"level {level}: all {len(rects)} rectangles"
-    except PopulationCapError:
-        if sample is None:
-            raise RenderCapError(
-                f"level {level} is not materializable; pass sample=<count> "
-                "to draw a sampled subset of lazy rectangles")
-        rng = random.Random(seed)
-        paths = cons.sample_parent_paths(level, sample, rng)
+    elif sample is None:
+        raise RenderCapError(
+            f"level {level} is not materializable; pass sample=<count> "
+            "to draw a sampled subset of lazy rectangles")
+    else:
+        paths = cons.sample_parent_paths(level, sample, random.Random(seed))
         chosen = [cons.rect_by_path(p) for p in sorted(set(paths))]
         note = f"level {level}: {len(chosen)} sampled of {cons.population(level)}"
     for r in chosen:
@@ -191,16 +188,15 @@ def render_level_set(cons: Construction, level: int,
 
 
 def render_tube_stage(rf: RotationFamily, level: int, C=None,
-                      family_stride: int = 16,
-                      render_cap: int = DEFAULT_RENDER_CAP) -> str:
+                      family_stride: int = 16) -> str:
     """Rotated-box families of one stage, one color per drawn family."""
     n_fam = rf.cons.table.family_count(level)
     indices = list(range(0, n_fam, max(1, family_stride)))
     fams = [rf.tube_family(level, l, C) for l in indices]
     total = sum(len(f) for f in fams)
-    if total > render_cap:
+    if total > RENDER_CAP:
         raise RenderCapError(
-            f"{total} tubes exceed the render cap {render_cap}; "
+            f"{total} tubes exceed the render cap {RENDER_CAP}; "
             "raise family_stride to sample fewer families")
     corners = [f.corners() for f in fams]
     xs = [c[..., 0].min() for c in corners] + [c[..., 0].max() for c in corners]

@@ -30,6 +30,9 @@ CASE_ANCHOR = "anchor"                    # v = first-parent child anchor
 CASE_ROTATED_ANCHOR = "rotated-anchor"    # anchor rotated by a block angle
 CASE_COMPOSED = "composed"                # coarse part + rotated remainder
 
+TRANSLATION_TABLE_CAP = 200_000   # entries of one materialized v table
+STAGE_TUBE_CAP = 5_000_000        # tubes of one Besicovitch stage
+
 
 @dataclass(frozen=True)
 class VLimitResult:
@@ -124,23 +127,15 @@ class RotationFamily:
     def __init__(self, cons: Construction):
         self.cons = cons
         self._memo: dict[Fraction, tuple] = {}
-        self._grid_depth: int | None = None
 
     # -- angle grid ----------------------------------------------------------
 
     def grid_depth(self) -> int:
-        """Finest grid level usable by the recursion: needs exact uniform
-        counts at every coarser level."""
-        if self._grid_depth is None:
-            n = 1
-            while n < self.cons.table.depth:
-                try:
-                    self.cons.N(n)
-                except PopulationCapError:
-                    break
-                n += 1
-            self._grid_depth = n
-        return self._grid_depth
+        """Finest grid level usable by the recursion.  Grid level m needs the
+        exact uniform counts of every coarser level, which the materialized
+        levels provide: one past `materializable_depth()`, within the table."""
+        return min(self.cons.table.depth,
+                   self.cons.materializable_depth() + 1)
 
     def grid_level_of(self, theta: Fraction) -> int:
         """Coarsest level whose step divides theta."""
@@ -249,12 +244,14 @@ class RotationFamily:
             res = self.v_limit(theta)
             return res.point, res.error_bound
 
-    def translation_table(self, level: int, cap: int = 200_000) -> TranslationTable:
-        """Materialized v table on a level's full angle grid."""
+    def translation_table(self, level: int) -> TranslationTable:
+        """Materialized v table on a level's full angle grid, refused past
+        `TRANSLATION_TABLE_CAP` entries."""
         step = self.cons.table.theta_(level)
         count = self.cons.table.family_count(level)
-        if count > cap:
-            raise PopulationCapError(level=level, population=count, cap=cap)
+        if count > TRANSLATION_TABLE_CAP:
+            raise PopulationCapError(level=level, population=count,
+                                     cap=TRANSLATION_TABLE_CAP)
         entries = []
         for idx in range(count):
             th = idx * step
@@ -286,15 +283,12 @@ class RotationFamily:
         """(unrotated (m, 2) anchors, sampled paths or None, error bound):
         the materialized level exactly, else float64 anchors of sampled
         lazy paths."""
-        try:
+        if n_samples is None or level <= self.cons.materializable_depth():
             return self.cons.level(level).anchors_float(), None, 0.0
-        except PopulationCapError:
-            if n_samples is None:
-                raise
-            paths = self.cons.sample_parent_paths(
-                level, n_samples, rng or random.Random(0))
-            anchors, e = self.cons.anchors_float64(paths)
-            return anchors, paths, e
+        paths = self.cons.sample_parent_paths(
+            level, n_samples, rng or random.Random(0))
+        anchors, e = self.cons.anchors_float64(paths)
+        return anchors, paths, e
 
     # -- tube families -----------------------------------------------------------
 
@@ -327,15 +321,16 @@ class RotationFamily:
             v=(float(v.real), float(v.imag)),
         )
 
-    def besicovitch_stage(self, level: int, C=None, variant: str = "T",
-                          cap: int = 5_000_000) -> list:
+    def besicovitch_stage(self, level: int, C=None, variant: str = "T") -> list:
         """All tube families of one level: angle indices 0..floor(1/theta).
         The intersection of these unions over successive levels is the
-        covering set; one level is one finite stage."""
+        covering set; one level is one finite stage.  Refused past
+        `STAGE_TUBE_CAP` tubes."""
         n_fam = self.cons.table.family_count(level)
         pop = n_fam * len(self.cons.level(level).rects)
-        if pop > cap:
-            raise PopulationCapError(level=level, population=pop, cap=cap)
+        if pop > STAGE_TUBE_CAP:
+            raise PopulationCapError(level=level, population=pop,
+                                     cap=STAGE_TUBE_CAP)
         return [self.tube_family(level, l, C, variant) for l in range(n_fam)]
 
     # -- containment -----------------------------------------------------------

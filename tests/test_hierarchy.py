@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cantortubes import hierarchy
-from cantortubes.arcs import arc_point
+from cantortubes.arcs import arc_point, solve_table_arcs
 from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
@@ -21,6 +21,7 @@ from cantortubes.hierarchy import (
 )
 from cantortubes.numerics import frac_to_mpf, workprec
 from cantortubes.reports import EXPECTED_FAILURES
+from cantortubes.rotations import RotationFamily
 from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
 
 
@@ -291,6 +292,66 @@ def test_population_identity_and_cap(cons):
     assert cons.materializable_depth() == 2
 
 
+# -- the materialization boundary against the exception-catching loops --------
+
+def reference_materializable_depth(cons):
+    """The former loop: build level after level until one is refused."""
+    n = max(cons._levels)
+    while n < cons.table.depth:
+        try:
+            cons.level(n + 1)
+        except PopulationCapError:
+            return n
+        n += 1
+    return n
+
+
+def reference_grid_depth(cons):
+    """The former `RotationFamily.grid_depth` loop: ask for uniform counts
+    level after level until one is refused."""
+    n = 1
+    while n < cons.table.depth:
+        try:
+            cons.N(n)
+        except PopulationCapError:
+            break
+        n += 1
+    return n
+
+
+@pytest.fixture(scope="module")
+def boundary_tables():
+    """(table, arcs) per (profile, depth) of the boundary oracle."""
+    out = {}
+    for profile, depth in (("strict", 2), ("strict", 3), ("strict", 4),
+                           ("demo", 3), ("demo", 4)):
+        table = derive_sequences(build_schedule(1, depth), Fraction(1, 16),
+                                 profile=profile)
+        out[profile, depth] = table, solve_table_arcs(table)
+    return out
+
+
+@pytest.mark.parametrize("cap", [10, 16, 17, 2_000_000])
+@pytest.mark.parametrize("profile, depth", [
+    ("strict", 2), ("strict", 3), ("strict", 4), ("demo", 3), ("demo", 4)])
+def test_materialization_boundary_matches_reference(boundary_tables, profile,
+                                                    depth, cap):
+    # Level 2 holds 16 rectangles, so the caps 10, 16 and 17 sit around it.
+    table, sols = boundary_tables[profile, depth]
+
+    def fresh():
+        return Construction(table, sols=sols, cap=cap)
+
+    for new, old in ((Construction.materializable_depth,
+                      reference_materializable_depth),
+                     (lambda c: RotationFamily(c).grid_depth(),
+                      reference_grid_depth)):
+        ref_cons, new_cons = fresh(), fresh()
+        assert new(new_cons) == old(ref_cons)
+        # Deciding builds no level the reference did not.
+        assert set(new_cons._levels) <= set(ref_cons._levels)
+
+
 def test_product_lower_bound(cons, strict_table):
     # population(n+1) * Delta_{n+1} >= prod_{l=1}^{n-1} (1 - c2*delta_l), exact.
     c2 = strict_table.c2
@@ -380,6 +441,8 @@ def test_sample_parent_paths_reproducible(cons):
     b = cons.sample_parent_paths(2, 10, random.Random(5))
     assert a == b
     assert all(len(p) == 1 and 1 <= p[0] <= cons.N(1) for p in a)
+    with pytest.raises(ValueError, match="outside table depth"):
+        cons.sample_parent_paths(4, 10, random.Random(5))
 
 
 def test_demo_construction_depth4(demo_table, demo_arcs):

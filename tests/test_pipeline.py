@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import tempfile
 from fractions import Fraction
@@ -116,6 +117,24 @@ def test_config_roundtrip():
         back.seed = 8
 
 
+@pytest.mark.parametrize("blob", [
+    {"depth": 3.7, "spacing_samples": 2.5},
+    {"depth": True},
+    {"seed": 2.0},
+])
+def test_config_rejects_non_integer_ints(tmp_path, blob):
+    # A JSON float or bool in an integer key is refused, not truncated.
+    with pytest.raises(ValueError, match=repr(next(iter(blob)))):
+        RunConfig.from_json(blob)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "pipeline"]) == 2
+    assert not out.exists()
+    assert RunConfig.from_json({"depth": 2, "seed": 5}) == RunConfig(depth=2,
+                                                                    seed=5)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="spacing_sample"):
         RunConfig.from_json({"spacing_sample": 5})
@@ -133,6 +152,30 @@ def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
     blob = json.loads((tmp_path / "containment.json").read_text())
     assert {c["level"] for c in blob["checks"]} == {1}
     assert list(blob["max_C_min_per_level"]) == ["1"]
+
+
+#: sha256 of `manifest.json` per config.  The manifest hashes every other
+#: bundle file, so one constant pins a whole bundle byte for byte.  Recorded
+#: with numpy 2.4.6 and mpmath 1.3.0 (pure-Python backend); another numpy or
+#: mpmath may round differently.
+MANIFEST_SHA256 = {
+    "default": ("0214effdd99d47af9d97348b0871dcf4b6385807f6fe68499af74a7fcd719d15",
+                {}),
+    # A cap of 10 leaves level 1 materialized only: the lazy side of the
+    # materialization boundary.
+    "cap10-fast": ("0c2018ec1ebc6d1b3836c0a08890d94e9ed84a32b43326a30d2b79b72ff13517",
+                   dict(materialization_cap=10, **FAST)),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFEST_SHA256))
+def test_bundle_behaviour_contract(tmp_path, name):
+    """The hashed bundle is the behaviour contract: a refactor must leave
+    these manifests byte-identical (numpy 2.4.6, mpmath 1.3.0)."""
+    digest, config = MANIFEST_SHA256[name]
+    run_pipeline(RunConfig(**config), tmp_path)
+    data = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_pipeline_stage_level1_checks_each_level_once(tmp_path):
@@ -217,8 +260,10 @@ def test_cli_flags_override_config(tmp_path):
 
 def test_cli_depth1(tmp_path):
     # Depth 1 has no grid refinement to verify: the pipeline refuses it as a
-    # configuration error, while deriving its sequences still works.
+    # configuration error before any stage writes, while deriving its
+    # sequences still works.
     assert main(["--out", str(tmp_path / "p"), "pipeline", "--depth", "1"]) == 2
+    assert not (tmp_path / "p").exists()
     assert main(["--out", str(tmp_path / "s"), "seq", "derive",
                  "--depth", "1"]) == 0
 

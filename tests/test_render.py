@@ -50,6 +50,9 @@ def test_level_set_corners_match_level(cons):
 def test_level_set_cap_and_sampling(cons):
     with pytest.raises(RenderCapError):
         render_level_set(cons, 3)
+    # Past the table depth the level is a configuration error, not a cap.
+    with pytest.raises(ValueError, match="outside table depth"):
+        render_level_set(cons, 4)
     svg = render_level_set(cons, 3, sample=40, seed=1)
     assert "sampled" in svg
     again = render_level_set(cons, 3, sample=40, seed=1)
