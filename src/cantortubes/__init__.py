@@ -22,7 +22,6 @@ from .hierarchy import (
     Construction,
     LevelSet,
     RectNode,
-    build_level,
     child_anchor,
     child_rect,
     count_children,

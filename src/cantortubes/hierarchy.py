@@ -37,14 +37,6 @@ class RectNode:
     width: Fraction
     height: object  # mpf
 
-    @property
-    def x(self):
-        return self.anchor.real
-
-    @property
-    def y(self):
-        return self.anchor.imag
-
     def contain_slack(self, z):
         """Smallest signed distance of z to the four sides; >= 0 iff z lies
         in the closed rectangle.  Evaluate under a working precision."""
@@ -213,30 +205,6 @@ def count_search_bound(table: SequenceTable, n: int) -> int:
     return ceil_frac(ratio * (1 + table.c2 * table.delta_(n - 1))) + 1
 
 
-def build_level(prev: LevelSet, sol: ArcSolution, table: SequenceTable,
-                N: int, prec: int | None = None) -> LevelSet:
-    """Materialize the next generation: exactly N (the uniform count)
-    children per parent, globally ordered by anchor x.  Checking the cap is
-    left to `Construction.level`."""
-    prec = prec or sol.prec
-    n = prev.level
-    delta_next = table.delta_(n + 1)
-    rects = []
-    with workprec(prec):
-        for parent in prev.rects:
-            anchors = [child_anchor(parent.anchor, sol, k, prec=prec)
-                       for k in range(1, N + 2)]
-            for k in range(1, N + 1):
-                rects.append(child_rect(
-                    anchors[k - 1], anchors[k], delta_next,
-                    level=n + 1, path=parent.path + (k,),
-                ))
-    xs = [float(r.anchor.real) for r in rects]
-    if any(a >= b for a, b in zip(xs, xs[1:])):
-        raise ConstructionError("materialized level is not in anchor-x order")
-    return LevelSet(level=n + 1, rects=rects)
-
-
 class Construction:
     """A sequence table, its solved arcs, and cached access to materialized
     levels, exact child counts, and lazy path-indexed anchors."""
@@ -251,8 +219,7 @@ class Construction:
         self.cap = cap
         self._levels = {1: unit_level(self.prec)}
         self._depth: int | None = None
-        self._counts: dict[int, tuple] = {}
-        self._lazy_counts: dict[tuple, int] = {}
+        self._counts: dict[tuple, int] = {}
 
     def sol(self, n: int) -> ArcSolution:
         """Arc solution used to subdivide level n (1-based)."""
@@ -260,7 +227,10 @@ class Construction:
 
     def level(self, n: int) -> LevelSet:
         """Level n, materialized on first use; past `materializable_depth()`
-        its population exceeds the cap and `PopulationCapError` is raised."""
+        its population exceeds the cap and `PopulationCapError` is raised.
+        Its rectangles are the first N(n - 1) children (the uniform count)
+        of every level-(n - 1) rectangle, each built by `rect_by_path`, in
+        path order, which must be anchor-x order."""
         if not 1 <= n <= self.table.depth:
             raise ValueError(f"level {n} outside table depth {self.table.depth}")
         if n not in self._levels:
@@ -268,9 +238,14 @@ class Construction:
             if population > self.cap:
                 raise PopulationCapError(level=n, population=population,
                                          cap=self.cap)
-            self._levels[n] = build_level(self.level(n - 1), self.sol(n - 1),
-                                          self.table, self.N(n - 1),
-                                          prec=self.prec)
+            ks = range(1, self.N(n - 1) + 1)
+            rects = [self.rect_by_path(parent.path + (k,))
+                     for parent in self.level(n - 1).rects for k in ks]
+            xs = [float(r.anchor.real) for r in rects]
+            if any(a >= b for a, b in zip(xs, xs[1:])):
+                raise ConstructionError(
+                    "materialized level is not in anchor-x order")
+            self._levels[n] = LevelSet(level=n, rects=rects)
         return self._levels[n]
 
     def materializable_depth(self) -> int:
@@ -288,13 +263,7 @@ class Construction:
 
     def counts(self, n: int) -> tuple:
         """Per-parent child counts at level n; needs only level n itself."""
-        if n not in self._counts:
-            level = self.level(n)
-            hi = count_search_bound(self.table, n)
-            self._counts[n] = tuple(
-                count_children(r, self.sol(n), hi, self.prec)
-                for r in level.rects)
-        return self._counts[n]
+        return tuple(map(self.count_children_of, self.level(n).rects))
 
     def N(self, n: int) -> int:
         """Uniform child count at level n (min over the level's parents).
@@ -318,25 +287,24 @@ class Construction:
         """Anchor of the level-(len(path)+1) rectangle addressed by child
         indices; composes the child-anchor map level by level, starting from
         the deepest materialized level the path's leading indices address."""
+        path = self._checked(path)
+        with workprec(self.prec):
+            i, node = self._materialized_prefix(path)
+            return self._walk(path, i, node.anchor)
+
+    def _checked(self, path) -> tuple:
+        """`path` as a tuple, refused when it reaches past the table."""
         path = tuple(path)
         if len(path) > len(self.sols):
             raise ValueError(
                 f"path of length {len(path)} exceeds table depth {self.table.depth}")
-        with workprec(self.prec):
-            start, p = self._materialized_prefix(path)
-            for i in range(start, len(path)):
-                k = path[i]
-                if k < 1:
-                    raise ValueError(f"path index {k} out of range at level {i + 1}")
-                p = child_anchor(p, self.sols[i], k, prec=self.prec)
-            return p
+        return path
 
     def _materialized_prefix(self, path: tuple) -> tuple:
-        """(i, anchor): the anchor of the level-(i+1) rectangle that
-        path[:i] addresses, for the largest i whose level is already
-        materialized and whose indices lie within its uniform counts.  Reads
-        only levels built so far (at mixed-radix rank); the walk from this
-        anchor repeats the materializing walk, so its values are the same."""
+        """(i, node): the built level-(i+1) rectangle that path[:i]
+        addresses, for the largest i whose level is already materialized and
+        whose indices lie within its uniform counts.  Reads only levels built
+        so far (at mixed-radix rank)."""
         i, rank = 0, 0
         while i < len(path) and i + 2 in self._levels:
             N = self.N(i + 1)
@@ -344,7 +312,17 @@ class Construction:
                 break
             rank = rank * N + path[i] - 1
             i += 1
-        return i, self._levels[i + 1].rects[rank].anchor
+        return i, self._levels[i + 1].rects[rank]
+
+    def _walk(self, path: tuple, i: int, anchor) -> object:
+        """Compose the child-anchor maps of path[i:] onto `anchor`, the
+        anchor path[:i] addresses.  Evaluate under the working precision."""
+        for j in range(i, len(path)):
+            k = path[j]
+            if k < 1:
+                raise ValueError(f"path index {k} out of range at level {j + 1}")
+            anchor = child_anchor(anchor, self.sols[j], k, prec=self.prec)
+        return anchor
 
     def anchors_float64(self, paths) -> tuple:
         """Anchors addressed by `paths` (all of one length) as an (m, 2)
@@ -405,33 +383,38 @@ class Construction:
         return np.stack([a.real, a.imag], axis=1), float(e) * (1 + 2.0 ** -20)
 
     def rect_by_path(self, path) -> RectNode:
-        path = tuple(path)
-        if not path:
-            return self.level(1).rects[0]
-        parent = self.anchor_by_path(path[:-1])
-        sol = self.sols[len(path) - 1]
-        k = path[-1]
+        """The level-(len(path)+1) rectangle addressed by child indices: the
+        built one when its level is materialized, else the last child step
+        from its parent's anchor, which the walk reaches as `anchor_by_path`
+        does.  This is the one place rectangles past level 1 are built."""
+        path = self._checked(path)
+        i, node = self._materialized_prefix(path)
+        if i == len(path):
+            return node
+        sol, k = self.sols[len(path) - 1], path[-1]
         with workprec(self.prec):
+            parent = self._walk(path[:-1], i, node.anchor)
             a = child_anchor(parent, sol, k, prec=self.prec)
             a2 = child_anchor(parent, sol, k + 1, prec=self.prec)
             return child_rect(a, a2, self.table.delta_(len(path) + 1),
                               level=len(path) + 1, path=path)
 
     def count_children_by_path(self, path) -> int:
-        """Per-parent child count for a lazily addressed parent."""
+        """Per-parent child count of the parent `path` addresses."""
         path = tuple(path)
-        if path in self._lazy_counts:
-            return self._lazy_counts[path]
+        if path in self._counts:
+            return self._counts[path]
         return self.count_children_of(self.rect_by_path(path))
 
     def count_children_of(self, parent: RectNode) -> int:
         """Per-parent child count of a parent rectangle already built (by
-        `rect_by_path`), cached by its path like `count_children_by_path`."""
-        if parent.path not in self._lazy_counts:
+        `rect_by_path`), cached by its path: the one count cache, shared by
+        `counts`, `count_children_by_path` and sampled spacing checks."""
+        if parent.path not in self._counts:
             hi = count_search_bound(self.table, parent.level)
-            self._lazy_counts[parent.path] = count_children(
+            self._counts[parent.path] = count_children(
                 parent, self.sol(parent.level), hi, self.prec)
-        return self._lazy_counts[parent.path]
+        return self._counts[parent.path]
 
     def sample_parent_paths(self, parent_level: int, n_samples: int,
                             rng: random.Random) -> list:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .hierarchy import Construction, LevelSet
 from .numerics import workprec
-from .raster import DEFAULT_MAX_CELLS, RasterResult, rasterize
+from .raster import RasterResult, rasterize
 
 
 # -- interval unions -----------------------------------------------------------
@@ -91,8 +91,7 @@ class AreaEstimate:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def neighborhood_area(families, radius, resolution,
-                      max_cells: int = DEFAULT_MAX_CELLS) -> AreaEstimate:
+def neighborhood_area(families, radius, resolution) -> AreaEstimate:
     """Rasterized area of the radius-neighborhood of a tube-family union
     (each rotated box inflated by the radius in its own frame)."""
     radius = float(radius)
@@ -103,18 +102,15 @@ def neighborhood_area(families, radius, resolution,
         raise ValueError(
             f"resolution {resolution} too coarse for radius {radius}; "
             "need resolution <= radius/4")
-    grid = rasterize(families, resolution, inflate=radius,
-                     max_cells=max_cells)
-    return AreaEstimate.from_raster(grid)
+    return AreaEstimate.from_raster(
+        rasterize(families, resolution, inflate=radius))
 
 
-def pairwise_overlap_loss(fam_a, fam_b, resolution,
-                          max_cells: int = DEFAULT_MAX_CELLS) -> AreaEstimate:
+def pairwise_overlap_loss(fam_a, fam_b, resolution) -> AreaEstimate:
     """Rasterized area of the set difference (union A) minus (union B) for
     two families of the same level at nearby angles, on A's frame."""
     return AreaEstimate.from_raster(
-        rasterize([fam_a], resolution, max_cells=max_cells,
-                  minus=[fam_b]))
+        rasterize([fam_a], resolution, minus=[fam_b]))
 
 
 # -- dimension bookkeeping -------------------------------------------------------

@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import GridTooLargeError
 
-DEFAULT_MAX_CELLS = 80_000_000
+# Cap on a raster frame's cells, which bounds the work: it grows with the
+# (box, row) ranges, while memory stays at one band of rows whatever the frame.
+MAX_CELLS = 80_000_000
 
 # (box, row) ranges solved per band of rows, counted after culling the boxes
 # that miss the band.  A band's temporaries take about 170 bytes a range, so
@@ -229,7 +231,6 @@ def _union_cells(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def rasterize(families, resolution: float, inflate: float = 0.0,
-              max_cells: int = DEFAULT_MAX_CELLS,
               minus=()) -> RasterResult:
     """Count the cells of the union of rotated-box families at the given
     cell size, each box inflated by `inflate` in its own frame, on a frame
@@ -237,10 +238,7 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
     cells of the families' union outside the union of the `minus` families
     (inflated alike, on the same frame), with the bracket kept rigorous by
     removing touched cells from full ones and full cells from touched ones.
-
-    `max_cells` caps the frame's cell count, which bounds the work: it
-    grows with the (box, row) ranges, while memory stays at one band of
-    rows whatever the frame."""
+    A frame of more than `MAX_CELLS` cells raises `GridTooLargeError`."""
     resolution = float(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -249,11 +247,11 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
         raise ValueError("cannot rasterize empty families")
     nx = int(np.ceil((x1 - x0) / resolution))
     ny = int(np.ceil((y1 - y0) / resolution))
-    if nx * ny > max_cells or nx >= np.iinfo(np.int32).max:
+    if nx * ny > MAX_CELLS or nx >= np.iinfo(np.int32).max:
         raise GridTooLargeError(
-            f"{nx} x {ny} = {nx * ny} cells exceeds {max_cells} or a row "
-            "reaches 2**31 cells; use a coarser resolution or raise "
-            "max_cells, the cap on raster work")
+            f"{nx} x {ny} = {nx * ny} cells exceeds raster.MAX_CELLS = "
+            f"{MAX_CELLS}, the cap on raster work, or a row reaches 2**31 "
+            "cells; use a coarser resolution")
     frame = (x0, y0, resolution, nx, ny)
     plus = _Boxes(families, inflate, *frame)
     sub = _Boxes(minus, inflate, *frame)

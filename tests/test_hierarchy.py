@@ -390,22 +390,77 @@ def test_anchor_by_path_matches_stepwise_composition(cons):
             assert abs(direct - acc) < 1e-14
 
 
-def test_lazy_rect_matches_materialized(cons):
+def reference_level(cons, n):
+    """The former `build_level` loop: the first N(n - 1) children of every
+    level-(n - 1) rectangle from one shared list of child anchors."""
+    sol, N = cons.sol(n - 1), cons.N(n - 1)
+    rects = []
+    with workprec(cons.prec):
+        for parent in cons.level(n - 1).rects:
+            anchors = [child_anchor(parent.anchor, sol, k, prec=cons.prec)
+                       for k in range(1, N + 2)]
+            for k in range(1, N + 1):
+                rects.append(child_rect(anchors[k - 1], anchors[k],
+                                        cons.table.delta_(n), level=n,
+                                        path=parent.path + (k,)))
+    return rects
+
+
+def rect_fields(r):
+    return r.level, r.path, r.anchor, r.height, r.width
+
+
+@pytest.mark.parametrize("name", ["cons", "strict4_cons", "demo4_cons"])
+def test_level_matches_reference_loop(request, name):
+    cons = request.getfixturevalue(name)
+    ref = reference_level(cons, 2)
+    assert len(ref) == 16
+    assert list(map(rect_fields, cons.level(2).rects)) == \
+        list(map(rect_fields, ref))
+
+
+def test_by_path_reads_return_the_built_rect(strict_table, strict_arcs,
+                                             monkeypatch):
+    cons = Construction(strict_table, sols=strict_arcs)
+    parents = cons.level(2).rects
+    assert all(cons.rect_by_path(r.path) is r for r in parents)
+    cons.counts(2)
+    counted = []
+
+    def recording(parent, *args, **kwargs):
+        counted.append(parent.path)
+        return count_children(parent, *args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "count_children", recording)
+    report = verify_spacing(cons, 3, n_samples=300, rng=random.Random(11))
+    assert report.stats["pairs"] == 300
+    # Every sampled parent is a level-2 rectangle counts(2) counted.
+    assert counted == []
+
+
+def test_rect_by_path_rejects_paths_past_the_table(cons):
+    with pytest.raises(ValueError, match="exceeds table depth"):
+        cons.rect_by_path((1, 1, 1))
+    with pytest.raises(ValueError, match="exceeds table depth"):
+        cons.anchor_by_path((1, 1, 1))
+
+
+def test_lazy_rect_matches_materialized(cons, strict_table, strict_arcs):
+    fresh = Construction(strict_table, sols=strict_arcs)
     level = cons.level(2)
     for idx in (0, 5, len(level) - 1):
         r = level.rects[idx]
-        lazy = cons.rect_by_path(r.path)
-        with workprec(cons.prec):
-            assert abs(lazy.anchor - r.anchor) < 1e-40
-            assert abs(float(lazy.height - r.height)) < 1e-40
-        assert lazy.width == r.width
+        assert rect_fields(fresh.rect_by_path(r.path)) == rect_fields(r)
+    assert set(fresh._levels) == {1}
 
 
-def test_lazy_counts_match_materialized(cons):
+def test_lazy_counts_match_materialized(cons, strict_table, strict_arcs):
+    fresh = Construction(strict_table, sols=strict_arcs)
     counts = cons.counts(2)
     for idx in (0, 3, 15):
         path = cons.level(2).rects[idx].path
-        assert cons.count_children_by_path(path) == counts[idx]
+        assert fresh.count_children_by_path(path) == counts[idx]
+    assert set(fresh._levels) == {1}
 
 
 def test_spacing_level2_full(cons):
