@@ -3,8 +3,9 @@
 Each level needs the circle through (0,0) and (width, height) whose center
 lies on the perpendicular bisector, below the x-axis, such that the sub-arc
 down to the next height line subtends exactly the next angle step.  Pushing
-the center outward shrinks that angle monotonically, so a bracketed
-bisection in extended precision nails it to ~2^-60 relative residual.
+the center outward shrinks that angle monotonically, so one center fits;
+it has a closed form, and the angle recomputed from it in extended
+precision matches the target to a few units in the last place.
 """
 
 from fractions import Fraction
@@ -26,12 +27,12 @@ for sol in sols:
     checks = sol.check()
     print(f"    invariants: {'all pass' if checks.ok else 'FAILURES'}")
 
-print("\n=== why bisection works: the angle profile is monotone ===")
+print("\n=== why the center is unique: the angle profile is monotone ===")
 d, D = table.delta_(1), table.Delta_(1)
 print(f"  bisector crosses the x-axis at {perp_bisector_axis_crossing(d, D)}")
 ts = np.linspace(0.0, 2000.0, 9)
 angles = angle_profile(d, D, table.Delta_(2), ts)
 for t, a in zip(ts, angles):
     print(f"  center offset {t:8.1f}  ->  sub-arc angle {a:.6e}")
-print("  (strictly decreasing toward zero; the solver verifies this on the "
-      "bracket before trusting the bisection)")
+print("  (strictly decreasing toward zero, so exactly one offset meets the "
+      "target angle)")

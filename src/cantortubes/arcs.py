@@ -1,11 +1,11 @@
-"""Per-level circular-arc solving.
+"""Per-level circular arcs, solved in closed form.
 
 Each level n needs the circle through (0, 0) and (delta_n, Delta_n) whose
 center sits on the perpendicular bisector of those points, below the x-axis,
 such that the sub-arc from the origin to the intersection with the line
-y = Delta_{n+1} subtends exactly theta_{n+1}.  Moving the center outward
-along the bisector shrinks that angle monotonically to zero, so the solve is
-a bracketed bisection in the signed center offset.
+y = Delta_{n+1} subtends exactly theta_{n+1}.  The center has a closed form
+(see `solve_arc`); each solution re-derives its achieved angle from the
+center and verifies it against the target.
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .dyadic import pow2
 from .errors import BracketError, FeasibilityError
 from .numerics import arith_error, frac_to_mpf, workprec
 from .reports import VerificationReport
-
-#: Default solve tolerance, relative to the target sub-arc angle.
-REL_ANGLE_TOL = Fraction(1, 2**60)
-
-_MONOTONE_GRID = 33
-_MAX_DOUBLINGS = 600
 
 
 @dataclass(frozen=True)
@@ -71,10 +64,9 @@ class ArcSolution:
                     "pass" if qy == frac_to_mpf(self.line_height) else "fail",
                     detail="exact by construction")
             rep.add_inequality("q in the first quadrant", float(qx), err)
-            tol = float(self.sub_angle * REL_ANGLE_TOL)
-            rep.add_inequality("achieved angle within tolerance",
-                               tol - float(self.residual),
-                               arith_error(self.prec, scale=float(self.sub_angle)))
+            rep.add_equality("achieved angle equals the target",
+                             float(self.residual),
+                             arith_error(self.prec, scale=float(self.sub_angle)))
         return rep
 
     def to_json(self, dps: int = 40) -> dict:
@@ -118,8 +110,9 @@ def _angle_at_center(ax, ay, h):
 def angle_profile(delta_n, Delta_n, Delta_next, ts: np.ndarray) -> np.ndarray:
     """Float64 sweep of the achieved angle over center offsets `ts`.
 
-    Independent, vectorized view of the same geometry used to confirm the
-    bracketing behaviour of the solver; `ts` are offsets along the bisector
+    Independent, vectorized view of the same geometry: the angle shrinks
+    monotonically to zero as the center moves outward, so the target angle
+    is met by exactly one center; `ts` are offsets along the bisector
     measured from its x-axis crossing.
     """
     d = float(delta_n)
@@ -143,17 +136,19 @@ def solve_arc(
     Delta_n,
     Delta_next,
     theta_next,
-    angle_tol: Fraction | None = None,
     prec: int = 160,
     level: int = 0,
 ) -> ArcSolution:
-    """Bisection solve for the arc center achieving the target sub-arc angle.
+    """Closed-form circle center achieving the target sub-arc angle.
 
-    Feasibility (exact, rational): 0 < theta_next <= Delta_next*delta_n/Delta_n^2,
-    the achieved angle when the center sits on the x-axis.  The far bracket end
-    is found by doubling the offset until the angle drops below the target;
-    monotonicity of angle vs offset is spot-verified on the bracket before the
-    bisection is trusted.
+    Feasibility (exact, rational): 0 < theta_next < Delta_next*delta_n/Delta_n^2,
+    a lower bound for the angle attained with the center on the x-axis.
+    With k = cot(theta/2) and h = Delta_next, the chord from the origin to
+    q = (x_q, h) subtends theta at the center (x_q/2 + k*h/2, h/2 - k*x_q/2),
+    and that center lies on the bisector of the origin and (delta, Delta)
+    exactly when x_q = (delta^2 + Delta^2 - h*Delta - k*h*delta)/(delta - k*Delta);
+    the denominator is below -0.8*Delta.  The achieved angle and q are then
+    recomputed from the center.
     """
     d = Fraction(delta_n)
     D = Fraction(Delta_n)
@@ -163,69 +158,17 @@ def solve_arc(
         raise FeasibilityError(f"need 0 < delta <= Delta <= 1, got {d}, {D}")
     if not 0 < h < D:
         raise FeasibilityError(f"need 0 < Delta_next < Delta_n, got {h}, {D}")
-    if not 0 < target <= h * d / (D * D):
+    if not 0 < target < h * d / (D * D):
         raise FeasibilityError(
-            f"target angle {target} exceeds the feasibility bound "
-            f"{h * d / (D * D)} attained with the center on the x-axis")
-    if angle_tol is None:
-        angle_tol = target * REL_ANGLE_TOL
+            f"target angle {target} must lie below {h * d / (D * D)}, a lower "
+            "bound for the angle with the center on the x-axis")
 
     with workprec(prec):
-        dm, Dm, hm = frac_to_mpf(d), frac_to_mpf(D), frac_to_mpf(h)
-        tm = frac_to_mpf(target)
-        tol = frac_to_mpf(Fraction(angle_tol))
-        L = mpmath.hypot(dm, Dm)
-        mx, my = dm / 2, Dm / 2
-        ux, uy = Dm / L, -dm / L
-        t_axis = Dm * L / (2 * dm)
-
-        def angle(t):
-            return _angle_at_center(mx + t * ux, my + t * uy, hm)[0]
-
-        lo = t_axis
-        f_lo = angle(lo)
-        if not f_lo > tm:
-            raise BracketError(
-                f"angle at the x-axis crossing ({f_lo}) does not exceed the "
-                f"target ({tm}); degenerate input")
-        step = L
-        hi = lo + step
-        for _ in range(_MAX_DOUBLINGS):
-            f_hi = angle(hi)
-            if f_hi < tm:
-                break
-            step *= 2
-            hi = lo + step
-        else:
-            raise BracketError(
-                f"no far bracket end within {_MAX_DOUBLINGS} doublings; "
-                f"last angle {f_hi} vs target {tm}")
-
-        probe = [lo + (hi - lo) * k / (_MONOTONE_GRID - 1)
-                 for k in range(_MONOTONE_GRID)]
-        vals = [angle(t) for t in probe]
-        if any(a <= b for a, b in zip(vals, vals[1:])):
-            raise BracketError(
-                "angle vs center offset is not strictly decreasing on the "
-                f"bracket [{lo}, {hi}]; refusing to bisect")
-
-        max_iter = prec + 256
-        for _ in range(max_iter):
-            if f_lo - f_hi <= tol:
-                break
-            mid = (lo + hi) / 2
-            f_mid = angle(mid)
-            if f_mid >= tm:
-                lo, f_lo = mid, f_mid
-            else:
-                hi, f_hi = mid, f_mid
-        else:
-            raise BracketError(
-                f"bisection failed to reach tolerance {tol} in {max_iter} "
-                f"iterations; spread {f_lo - f_hi}")
-
-        t = (lo + hi) / 2
-        ax, ay = mx + t * ux, my + t * uy
+        hm, tm = frac_to_mpf(h), frac_to_mpf(target)
+        k = mpmath.cot(tm / 2)
+        xq = ((frac_to_mpf(d * d + D * D - h * D) - k * hm * frac_to_mpf(d))
+              / (frac_to_mpf(d) - k * frac_to_mpf(D)))
+        ax, ay = (xq + k * hm) / 2, (hm - k * xq) / 2
         achieved, q, r = _angle_at_center(ax, ay, hm)
         return ArcSolution(
             level=level,
@@ -241,24 +184,16 @@ def solve_arc(
         )
 
 
-def solve_table_arcs(table, prec: int | None = None,
-                     rel_tol_log2: int = -60) -> tuple[ArcSolution, ...]:
-    """Solve the arc for every level of a sequence table (levels 1..depth-1);
-    each solve targets a residual of 2**rel_tol_log2 times its angle."""
+def solve_table_arcs(table, prec: int | None = None) -> tuple[ArcSolution, ...]:
+    """Solve the arc for every level of a sequence table (levels 1..depth-1)."""
     from .numerics import default_precision
 
     if prec is None:
         prec = default_precision(table)
-    sols = []
-    for n in range(1, table.depth):
-        theta_next = table.theta_(n + 1)
-        sols.append(solve_arc(
-            table.delta_(n), table.Delta_(n),
-            table.Delta_(n + 1), theta_next,
-            angle_tol=theta_next * pow2(rel_tol_log2),
-            prec=prec, level=n,
-        ))
-    return tuple(sols)
+    return tuple(
+        solve_arc(table.delta_(n), table.Delta_(n), table.Delta_(n + 1),
+                  table.theta_(n + 1), prec=prec, level=n)
+        for n in range(1, table.depth))
 
 
 def arc_point(sol: ArcSolution, k: int):

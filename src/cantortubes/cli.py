@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failures present, 2 configuration
-error, 3 resource cap exceeded.
+error (a construction that cannot be built included), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    BracketError,
     CantorTubesError,
+    DepthUnreachableError,
+    FeasibilityError,
     GridTooLargeError,
     OffGridError,
     PopulationCapError,
@@ -178,7 +182,9 @@ def main(argv=None) -> int:
                               RenderCapError)):
             print(f"resource cap: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
-        if isinstance(cause, (ValueError, OffGridError, OSError)):
+        if isinstance(cause, (ValueError, OSError, OffGridError,
+                              DepthUnreachableError, FeasibilityError,
+                              BracketError)):
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ class FeasibilityError(CantorTubesError):
 
 
 class BracketError(CantorTubesError):
-    """Bisection could not establish or keep a valid bracket."""
+    """A solved circle does not reach the next height line."""
 
 
 class ConstructionError(CantorTubesError):

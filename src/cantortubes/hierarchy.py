@@ -211,11 +211,11 @@ class Construction:
 
     def __init__(self, table: SequenceTable, prec: int | None = None,
                  cap: int = DEFAULT_MATERIALIZATION_CAP,
-                 sols: tuple | None = None, angle_tol_log2: int = -60):
+                 sols: tuple | None = None):
         self.table = table
         self.prec = prec or default_precision(table)
         self.sols = sols if sols is not None else solve_table_arcs(
-            table, self.prec, rel_tol_log2=angle_tol_log2)
+            table, self.prec)
         self.cap = cap
         self._levels = {1: unit_level(self.prec)}
         self._depth: int | None = None

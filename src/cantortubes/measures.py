@@ -146,8 +146,8 @@ def covering_sum(table, p: int, count: int) -> float:
     return math.exp(float(s_p) * log_delta + math.log(count))
 
 
-def box_dimension_x_projection(cons: Construction, max_level: int,
-                               fit_from: int = 2) -> DimensionEstimate:
+def box_dimension_x_projection(cons: Construction,
+                               max_level: int) -> DimensionEstimate:
     """Box-counting view of the horizontal projection: level p covers it
     with count_p intervals of length delta_p, so the fitted log-log slope
     estimates the projection dimension (per-level exponents converge to the
@@ -158,7 +158,7 @@ def box_dimension_x_projection(cons: Construction, max_level: int,
     scales = tuple((table.delta_(p), cons.population(p)) for p in levels)
     sums = tuple(covering_sum(table, p, c) for p, (_, c) in zip(levels, scales))
 
-    pts = [(p, d, c) for p, (d, c) in zip(levels, scales) if p >= fit_from]
+    pts = [(p, d, c) for p, (d, c) in zip(levels, scales) if p >= 2]
     slope = residual = None
     if len(pts) >= 2:
         xs = np.array([math.log(d.denominator) - math.log(d.numerator)

@@ -63,7 +63,6 @@ class RunConfig:
     profile: str = "strict"
     C_tube: Fraction = Fraction(16)
     raster_resolution: Fraction | None = None   # default: theta_2 / 4
-    angle_tol_log2: int = -60
     neighborhood_radius: Fraction | None = None  # default: theta_2
     materialization_cap: int = 2_000_000
     seed: int = 0
@@ -147,8 +146,7 @@ class _Run:
     def cons(self) -> Construction:
         cfg = self.config
         return Construction(self.table, prec=cfg.precision,
-                            cap=cfg.materialization_cap,
-                            angle_tol_log2=cfg.angle_tol_log2)
+                            cap=cfg.materialization_cap)
 
     @cached_property
     def rf(self) -> RotationFamily:

@@ -42,7 +42,6 @@ class VLimitResult:
     point: object            # mpc
     error_bound: float
     grid_level: int
-    converged: bool
     evaluations: tuple       # ((m, point), ...) partial values per grid level
 
 
@@ -206,34 +205,22 @@ class RotationFamily:
         beyond = table.c * table.delta_(D) ** table.p2_exponent(D)
         return tail + 4 * beyond
 
-    def v_limit(self, theta, tol: float | None = None) -> VLimitResult:
+    def v_limit(self, theta) -> VLimitResult:
         """Left-limit evaluation at an arbitrary angle in [0, 1]: evaluate at
-        the grid points below theta on finer and finer grids until the
-        remaining tail bound drops under tol (or the grid is exhausted, in
-        which case the best value ships with its certified bound)."""
+        the grid points below theta on every grid level; the finest value
+        ships with its certified bound."""
         theta = Fraction(theta)
         if not 0 <= theta <= 1:
             raise ValueError(f"angle must lie in [0, 1], got {theta}")
-        if tol is not None and tol <= 0:
-            raise ValueError("tol must be positive")
         table = self.cons.table
-        evals = []
-        converged = False
-        level = 0
-        for m in range(1, self.grid_depth() + 1):
-            gm = floor_frac(theta / table.theta_(m)) * table.theta_(m)
-            point = self.v(gm)
-            evals.append((m, point))
-            level = m
-            if tol is not None and float(self.tail_bound(m)) < tol:
-                converged = True
-                break
-        bound = float(self.tail_bound(level))
-        if tol is not None and bound < tol:
-            converged = True
+        level = self.grid_depth()
+        evals = tuple(
+            (m, self.v(floor_frac(theta / table.theta_(m)) * table.theta_(m)))
+            for m in range(1, level + 1))
         return VLimitResult(
-            theta=theta, point=evals[-1][1], error_bound=bound,
-            grid_level=level, converged=converged, evaluations=tuple(evals))
+            theta=theta, point=evals[-1][1],
+            error_bound=float(self.tail_bound(level)),
+            grid_level=level, evaluations=evals)
 
     def v_any(self, theta) -> tuple:
         """(point, error_bound) for exact-grid or arbitrary angles alike."""
@@ -308,16 +295,12 @@ class RotationFamily:
             raise ValueError(f"angle index {l} outside 0..{n_fam - 1}")
         angle = l * step
         v, _ = self.v_any(angle)
-        pts = self.cons.level(level).anchors_float()
-        rot = -float(angle)
-        z = (pts[:, 0] + 1j * pts[:, 1]) * np.exp(1j * rot) \
-            + complex(float(v.real), float(v.imag))
         return TubeFamily(
             level=level, angle_index=l, angle=angle, variant=variant, C=C,
             half_width=mult * float(C * step),
             half_height=mult * float(C * table.Delta_(level)),
-            rotation=rot,
-            centers=np.stack([z.real, z.imag], axis=1),
+            rotation=-float(angle),
+            centers=_place(self.cons.level(level).anchors_float(), angle, v),
             v=(float(v.real), float(v.imag)),
         )
 

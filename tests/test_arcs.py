@@ -6,14 +6,17 @@ import pytest
 
 from cantortubes.arcs import (
     ArcSolution,
+    _angle_at_center,
     angle_profile,
     arc_point,
     perp_bisector_axis_crossing,
     solve_arc,
+    solve_table_arcs,
 )
 from cantortubes.dyadic import pow2
 from cantortubes.errors import FeasibilityError
-from cantortubes.numerics import frac_to_mpf, workprec
+from cantortubes.numerics import default_precision, frac_to_mpf, workprec
+from cantortubes.sequences import build_schedule, derive_sequences
 
 
 def test_axis_crossing_unit_level():
@@ -123,6 +126,10 @@ def test_infeasible_angle_rejected(strict_table):
         solve_arc(1, 1, D2, bound * 2, prec=128)
     with pytest.raises(FeasibilityError):
         solve_arc(1, Fraction(1, 2), D2, strict_table.theta_(2), prec=128)
+    # The bound itself is refused: the feasibility check is strict.
+    d, D, h = Fraction(1, 2), Fraction(3, 4), Fraction(1, 8)
+    with pytest.raises(FeasibilityError):
+        solve_arc(d, D, h, h * d / (D * D), prec=128)
 
 
 def test_arc_point_range_errors(strict_arcs):
@@ -138,3 +145,81 @@ def test_solution_json_roundtrippable(strict_arcs):
     assert blob["level"] == 1
     assert blob["decimal_digits"] == 40
     assert float(blob["residual"]) < 1e-14
+
+
+def bisection_bracket(delta_n, Delta_n, Delta_next, theta_next, prec):
+    """Reference oracle, independent of the closed form: bisect the center
+    offset t along the bisector (measured from the midpoint of the origin
+    and the corner) until the angles at the bracket ends differ by at most
+    2**-60 times the target.  The angle falls as t grows, so the
+    exact center lies in the returned bracket.  Returns (lo, hi, midpoint,
+    unit direction) at `prec` bits."""
+    with workprec(prec):
+        d, D = frac_to_mpf(delta_n), frac_to_mpf(Delta_n)
+        h, target = frac_to_mpf(Delta_next), frac_to_mpf(theta_next)
+        L = mpmath.hypot(d, D)
+        mid, u = (d / 2, D / 2), (D / L, -d / L)
+
+        def angle(t):
+            return _angle_at_center(mid[0] + t * u[0], mid[1] + t * u[1], h)[0]
+
+        lo = D * L / (2 * d)  # the x-axis crossing
+        step = L
+        while angle(lo + step) >= target:
+            step *= 2
+        hi = lo + step
+        tol = target * mpmath.ldexp(1, -60)
+        while angle(lo) - angle(hi) > tol:
+            t = (lo + hi) / 2
+            if angle(t) >= target:
+                lo = t
+            else:
+                hi = t
+        return lo, hi, mid, u
+
+
+ORACLE_TABLES = {
+    "strict-3": (1, Fraction(1, 16), 3, "strict"),
+    "strict-4": (1, Fraction(1, 16), 4, "strict"),
+    "strict-5": (1, Fraction(1, 16), 5, "strict"),
+    "demo-4": (1, Fraction(1, 16), 4, "demo"),
+    "demo-5": (1, Fraction(1, 16), 5, "demo"),
+    "s-half-c-2^-5": (Fraction(1, 2), Fraction(1, 32), 3, "strict"),
+    "s-zero": (0, Fraction(1, 16), 3, "strict"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_TABLES))
+def test_closed_form_center_inside_bisection_bracket(name):
+    s, c, depth, profile = ORACLE_TABLES[name]
+    table = derive_sequences(build_schedule(s, depth), c, profile=profile)
+    prec = default_precision(table)
+    for sol in solve_table_arcs(table, prec):
+        n = sol.level
+        lo, hi, mid, u = bisection_bracket(
+            table.delta_(n), table.Delta_(n), table.Delta_(n + 1),
+            table.theta_(n + 1), prec)
+        with workprec(prec):
+            ax, ay = sol.center
+            # The closed-form center's offset along the bisector, and its
+            # distance off the bisector.
+            t = (ax - mid[0]) * u[0] + (ay - mid[1]) * u[1]
+            off = (ax - mid[0]) * u[1] - (ay - mid[1]) * u[0]
+            slack = sol.radius * mpmath.ldexp(1, 16 - prec)
+            assert lo - slack <= t <= hi + slack, (name, n)
+            assert abs(off) <= slack, (name, n)
+            # The bracket holds the center to the oracle's own tolerance.
+            assert (hi - lo) / sol.radius < mpmath.ldexp(1, -58), (name, n)
+        assert sol.check().ok, (name, n)
+
+
+def test_demo_depth6_arcs_solve_and_check():
+    # The deepest demo table: a bracket search by doubling gave up here.
+    table = derive_sequences(build_schedule(1, 6), Fraction(1, 16),
+                             profile="demo")
+    sols = solve_table_arcs(table)
+    assert [sol.level for sol in sols] == [1, 2, 3, 4, 5]
+    for sol in sols:
+        report = sol.check()
+        assert report.ok, (sol.level, [e.to_json() for e in report.entries
+                                       if e.status != "pass"])

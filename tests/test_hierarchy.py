@@ -509,3 +509,28 @@ def test_demo_construction_depth4(demo_table, demo_arcs):
     report = verify_spacing(cons, child_level=4, n_samples=50,
                             rng=random.Random(2))
     assert report.ok, [e.to_json() for e in report.entries if e.status != "pass"]
+
+
+@pytest.mark.parametrize("profile", ["strict", "demo"])
+def test_level5_spacing_margins_in_mpmath(profile):
+    # The level-5 spacing margins over 30 sampled pairs, as fractions of
+    # their bounds, recomputed in mpmath so that no float cast can round a
+    # margin or its bound away: each must keep at least half its bound.
+    table = derive_sequences(build_schedule(1, 5), Fraction(1, 16),
+                             profile=profile)
+    cons = Construction(table)
+    sol = cons.sol(4)
+    rng = random.Random(0)
+    worst_y = worst_x = mpmath.inf
+    with workprec(cons.prec):
+        bound_y = frac_to_mpf(table.c1 * table.theta_(5))
+        Delta = frac_to_mpf(table.Delta_(5))
+        stride = frac_to_mpf(table.delta_(4) / table.Delta_(4) * table.Delta_(5))
+        for ppath in cons.sample_parent_paths(4, 30, rng):
+            parent = cons.rect_by_path(ppath)
+            k = rng.randint(1, cons.count_children_of(parent))
+            d = (child_anchor(parent.anchor, sol, k + 1)
+                 - child_anchor(parent.anchor, sol, k))
+            worst_y = min(worst_y, 1 - abs(Delta - d.imag) / bound_y)
+            worst_x = min(worst_x, 1 - abs(stride - d.real) / (3 * bound_y))
+    assert worst_y >= 0.5 and worst_x >= 0.5, (float(worst_y), float(worst_x))

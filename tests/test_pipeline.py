@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantortubes import hierarchy
 from cantortubes.cli import main
-from cantortubes.errors import GridTooLargeError
+from cantortubes.errors import BracketError, FeasibilityError, GridTooLargeError
 from cantortubes.pipeline import (
     PipelineError,
     RunConfig,
@@ -108,13 +110,23 @@ def test_config_roundtrip():
     # The manifest's config block: one key per field, in this order.
     assert list(blob) == [
         "s", "c", "depth", "profile", "C_tube", "raster_resolution",
-        "angle_tol_log2", "neighborhood_radius", "materialization_cap", "seed",
+        "neighborhood_radius", "materialization_cap", "seed",
         "spacing_samples", "containment_thetas", "containment_anchors",
         "precision"]
     back = RunConfig.from_json(json.loads(json.dumps(blob)))
     assert back == cfg
     with pytest.raises(dataclasses.FrozenInstanceError):
         back.seed = 8
+
+
+def test_readme_config_schema_lists_the_fields():
+    # The README's schema block names every RunConfig field once, in field
+    # order, so a removed knob cannot linger in the docs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema (JSON)")[1]
+    block = block.split("```jsonc\n")[1].split("```")[0]
+    keys = re.findall(r'^\s*"(\w+)":', block, flags=re.MULTILINE)
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 @pytest.mark.parametrize("blob", [
@@ -159,11 +171,11 @@ def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
 #: with numpy 2.4.6 and mpmath 1.3.0 (pure-Python backend); another numpy or
 #: mpmath may round differently.
 MANIFEST_SHA256 = {
-    "default": ("0214effdd99d47af9d97348b0871dcf4b6385807f6fe68499af74a7fcd719d15",
+    "default": ("f767ac9166686af7b7c769e920668be55d89b37420d91d2979d26308a2f42abd",
                 {}),
     # A cap of 10 leaves level 1 materialized only: the lazy side of the
     # materialization boundary.
-    "cap10-fast": ("0c2018ec1ebc6d1b3836c0a08890d94e9ed84a32b43326a30d2b79b72ff13517",
+    "cap10-fast": ("e4df0cd035fadb157e5fa0c620995c387d3753a347a5775a6e7457e39cb7d1ab",
                    dict(materialization_cap=10, **FAST)),
 }
 
@@ -273,6 +285,23 @@ def test_cli_seq_bad_config():
     assert main(["seq", "derive", "--s", "7", "--depth", "2"]) == 2
 
 
+@pytest.mark.parametrize("command", [["seq", "derive"], ["pipeline"]])
+def test_cli_unreachable_depth_is_a_config_error(tmp_path, command, capsys):
+    # Depth 8 is past the deepest level the sequences reach.
+    assert main(["--out", str(tmp_path), *command, "--depth", "8"]) == 2
+    assert "depth unreachable" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("error", [FeasibilityError, BracketError])
+def test_cli_unsolvable_arc_is_a_config_error(tmp_path, monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error("no circle for this table")
+
+    monkeypatch.setattr(hierarchy, "solve_table_arcs", refuse)
+    assert main(["--out", str(tmp_path), "arc"]) == 2
+
+
 def test_cli_build_and_render(tmp_path):
     assert main(["--out", str(tmp_path), "build", "--depth", "2"]) == 0
     assert (tmp_path / "levels/level_2.csv").exists()
@@ -323,9 +352,9 @@ STAGE_FILES = {
 
 @pytest.fixture(scope="module")
 def tight_bundle(tmp_path_factory):
-    """A full run whose arcs are solved tighter than the default, so a stage
-    that ignored part of the config would show."""
-    cfg = RunConfig(angle_tol_log2=-80, **FAST)
+    """A full run at a non-default working precision, so a stage that
+    ignored part of the config would show."""
+    cfg = RunConfig(precision=200, **FAST)
     out = tmp_path_factory.mktemp("tight")
     run_pipeline(cfg, out)
     config = out.parent / "tight_config.json"
