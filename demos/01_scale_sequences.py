@@ -4,8 +4,8 @@ Three sequences drive everything downstream: per-level heights (powers of
 two), widths (powers of two times the base constant c), and rotation steps.
 The width schedule targets a chosen box dimension s of the horizontal
 projection.  Everything here is exact rational arithmetic: every constraint
-is decided by an exact comparison, and its printed margin is the exact slack
-as a float.
+is decided by an exact comparison, and its margin is the exact slack (printed
+here as a float).
 """
 
 from fractions import Fraction
@@ -24,7 +24,7 @@ for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
     report = validate_sequences(table)
     worst = min(e.margin for e in report.entries if e.margin is not None)
     print(f"  validation: {'all pass' if report.ok else 'FAILURES'}; "
-          f"{len(report.entries)} checks, smallest margin {worst:g}")
+          f"{len(report.entries)} checks, smallest margin {float(worst):g}")
 
 print("\n=== depth limits ===")
 from cantortubes import DepthUnreachableError  # noqa: E402

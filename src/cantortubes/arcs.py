@@ -46,27 +46,23 @@ class ArcSolution:
         rep = VerificationReport(title=f"arc solution, level {self.level}")
         with workprec(self.prec):
             ax, ay = self.center
-            err = arith_error(self.prec, scale=max(1.0, abs(float(self.radius))))
+            err = arith_error(self.prec, scale=max(1, abs(self.radius)))
             d_origin = mpmath.hypot(ax, ay)
             cx, cy = frac_to_mpf(self.corner[0]), frac_to_mpf(self.corner[1])
             d_corner = mpmath.hypot(ax - cx, ay - cy)
             rep.add_equality(
                 "center equidistant from both arc endpoints",
-                float(d_origin - d_corner), err,
-                detail="bisector membership")
-            rep.add_inequality("center strictly below the x-axis",
-                               float(-ay), err)
+                d_origin - d_corner, err, detail="bisector membership")
+            rep.add_inequality("center strictly below the x-axis", -ay, err)
             qx, qy = self.q
-            rep.add_equality(
-                "q lies on the circle",
-                float(mpmath.hypot(qx - ax, qy - ay) - self.radius), err)
+            rep.add_equality("q lies on the circle",
+                             mpmath.hypot(qx - ax, qy - ay) - self.radius, err)
             rep.add("q on the height line",
-                    "pass" if qy == frac_to_mpf(self.line_height) else "fail",
+                    qy == frac_to_mpf(self.line_height),
                     detail="exact by construction")
-            rep.add_inequality("q in the first quadrant", float(qx), err)
-            rep.add_equality("achieved angle equals the target",
-                             float(self.residual),
-                             arith_error(self.prec, scale=float(self.sub_angle)))
+            rep.add_inequality("q in the first quadrant", qx, err)
+            rep.add_equality("achieved angle equals the target", self.residual,
+                             arith_error(self.prec, frac_to_mpf(self.sub_angle)))
         return rep
 
     def to_json(self, dps: int = 40) -> dict:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failures present, 2 configuration
 error (a construction that cannot be built included), 3 resource cap
-exceeded.
+exceeded.  A package error carries its own code (`exit_code`); a
+`ValueError` or `OSError` is a configuration error.
 """
 
 from __future__ import annotations
@@ -12,16 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    BracketError,
-    CantorTubesError,
-    DepthUnreachableError,
-    FeasibilityError,
-    GridTooLargeError,
-    OffGridError,
-    PopulationCapError,
-    RenderCapError,
-)
+from .errors import CantorTubesError
 from .pipeline import (
     PipelineError,
     RunConfig,
@@ -178,18 +170,11 @@ def main(argv=None) -> int:
     except (CantorTubesError, ValueError, OSError) as exc:
         # A pipeline stage wraps the error it hit; its cause sets the code.
         cause = exc.cause if isinstance(exc, PipelineError) else exc
-        if isinstance(cause, (PopulationCapError, GridTooLargeError,
-                              RenderCapError)):
-            print(f"resource cap: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-        if isinstance(cause, (ValueError, OSError, OffGridError,
-                              DepthUnreachableError, FeasibilityError,
-                              BracketError)):
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-
+        code = getattr(cause, "exit_code", EXIT_CONFIG)
+        label = {EXIT_CONFIG: "configuration error",
+                 EXIT_RESOURCE: "resource cap"}.get(code, "error")
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -372,8 +372,8 @@ class Construction:
             m = -2 * s * s - 1j * np.sin(t)
             c = sol.center_c
             c_abs = abs(complex(c))
-            mp_err += arith_error(self.prec, scale=2 * c_abs + np.abs(a).max(),
-                                  ops=8)
+            mp_err += float(arith_error(
+                self.prec, scale=2 * c_abs + np.abs(a).max(), ops=8))
             d = complex(c) - a
             a = a - d * m
             mu = u * t * (3 + 3 * t)
@@ -464,10 +464,11 @@ def verify_spacing(cons: Construction, child_level: int,
     rep = VerificationReport(
         title=f"spacing of level-{child_level} children "
               f"({'all pairs' if n_samples is None else f'{n_samples} sampled pairs'})")
-    err = arith_error(cons.prec, scale=1.0, ops=64)
-
     pairs = []
     with workprec(cons.prec):
+        # The arc residual moves the solved centre, and with it every
+        # increment, by about residual*radius.
+        err = arith_error(cons.prec) + 4 * sol.residual * sol.radius
         if n_samples is None:
             level = cons.level(child_level)
             for a, b in zip(level.rects, level.rects[1:]):
@@ -488,18 +489,12 @@ def verify_spacing(cons: Construction, child_level: int,
 
         if not pairs:
             raise ConstructionError("no consecutive child pairs to verify")
-        bound_y = float(c1 * theta)
-        bound_x = float(3 * c1 * theta)
-        gap = float(3 * delta)
-        worst_y = worst_x = worst_gap = None
+        bound_y, bound_x, gap = c1 * theta, 3 * c1 * theta, 3 * delta
+        by, bx, g = frac_to_mpf(bound_y), frac_to_mpf(bound_x), frac_to_mpf(gap)
         Dm, Sm = frac_to_mpf(Delta), frac_to_mpf(stride)
-        for d in pairs:
-            my = bound_y - abs(float(Dm - d.imag))
-            mx = bound_x - abs(float(Sm - d.real))
-            mg = float(d.real) - gap
-            worst_y = my if worst_y is None else min(worst_y, my)
-            worst_x = mx if worst_x is None else min(worst_x, mx)
-            worst_gap = mg if worst_gap is None else min(worst_gap, mg)
+        worst_y = min(by - abs(Dm - d.imag) for d in pairs)
+        worst_x = min(bx - abs(Sm - d.real) for d in pairs)
+        worst_gap = min(d.real - g for d in pairs)
 
     rep.stats = {
         "pairs": len(pairs),
@@ -524,65 +519,64 @@ def verify_level_invariants(cons: Construction, n: int) -> VerificationReport:
     """Structural invariants of a materialized level: ordering, projection
     disjointness, height control, and the exact first rectangle."""
     table = cons.table
-    level = cons.level(n)
-    rep = VerificationReport(title=f"level-{n} structure ({len(level)} rects)")
-    err = arith_error(cons.prec, scale=1.0, ops=64)
+    rects = cons.level(n).rects
+    rep = VerificationReport(title=f"level-{n} structure ({len(rects)} rects)")
 
     with workprec(cons.prec):
-        first = level.rects[0]
-        rep.add("first rectangle anchored at the origin",
-                "pass" if first.anchor == 0 else "fail")
+        err = arith_error(cons.prec)
+        if n >= 2:  # the arc residual's effect, as in `verify_spacing`
+            err += 4 * cons.sol(n - 1).residual * cons.sol(n - 1).radius
+        first = rects[0]
+        rep.add("first rectangle anchored at the origin", first.anchor == 0)
         rep.add("widths equal the level width scale exactly",
-                "pass" if all(r.width == table.delta_(n) for r in level.rects)
-                else "fail")
+                all(r.width == table.delta_(n) for r in rects))
         if n >= 2:
-            sol_res = float(cons.sol(n - 1).residual) * float(cons.sol(n - 1).radius)
             rep.add_equality("first rectangle height equals the height scale",
-                             float(first.height - frac_to_mpf(table.Delta_(n))),
-                             err + 4 * sol_res)
+                             first.height - frac_to_mpf(table.Delta_(n)), err)
 
-        xs = [r.anchor.real for r in level.rects]
-        ys = [r.anchor.imag for r in level.rects]
-        mono = all(a < b for a, b in zip(xs, xs[1:])) and \
-            all(a < b for a, b in zip(ys, ys[1:]))
+        pairs = list(zip(rects, rects[1:]))
         rep.add("anchors strictly increasing in x and y",
-                "pass" if mono else "fail")
+                all(a.anchor.real < b.anchor.real and a.anchor.imag < b.anchor.imag
+                    for a, b in pairs))
 
         w = frac_to_mpf(table.delta_(n))
-        min_gap = None
-        for a, b in zip(level.rects, level.rects[1:]):
-            g = float(b.anchor.real - (a.anchor.real + w))
-            min_gap = g if min_gap is None else min(min_gap, g)
-        if min_gap is not None:
+        if pairs:
             rep.add_inequality(
                 "x-projections disjoint with gaps of 2x the width",
-                min_gap - 2 * float(table.delta_(n)), err)
-
-        min_y_gap = None
-        for a, b in zip(level.rects, level.rects[1:]):
-            g = float(b.anchor.imag - (a.anchor.imag + a.height))
-            min_y_gap = g if min_y_gap is None else min(min_y_gap, g)
-        if min_y_gap is not None:
-            rep.add_inequality("y-projections non-overlapping",
-                               min_y_gap + 10 * err, err,
-                               detail="shared endpoints allowed")
+                min(b.anchor.real - (a.anchor.real + w) for a, b in pairs)
+                - 2 * w, err)
+        # A child's top is its next sibling's anchor height, so siblings'
+        # y-projections share an endpoint; other neighbours must not overlap.
+        y_gaps = [(a.path[:-1] == b.path[:-1],
+                   b.anchor.imag - (a.anchor.imag + a.height)) for a, b in pairs]
+        siblings = [abs(g) for same, g in y_gaps if same]
+        cousins = [g for same, g in y_gaps if not same]
+        if siblings:
+            rep.add_equality("y-projections of siblings share an endpoint",
+                             max(siblings), err)
+        if cousins:
+            rep.add_inequality(
+                "y-projections of different parents' children disjoint",
+                min(cousins), err)
 
         if n >= 2:
-            hb = float(table.c1 * table.theta_(n))
-            worst = min(hb - abs(float(r.height - frac_to_mpf(table.Delta_(n))))
-                        for r in level.rects)
-            rep.add_inequality(
-                "heights within c1*theta of the height scale", worst, err)
+            hb = frac_to_mpf(table.c1 * table.theta_(n))
+            Dm = frac_to_mpf(table.Delta_(n))
+            rep.add_inequality("heights within c1*theta of the height scale",
+                               min(hb - abs(r.height - Dm) for r in rects), err)
 
-        inside = all(
-            float(r.anchor.real) >= 0 and float(r.anchor.imag) >= 0
-            and float(r.anchor.real + frac_to_mpf(r.width)) <= 1 + 10 * err
-            and float(r.anchor.imag + r.height) <= 1 + 10 * err
-            for r in level.rects)
-        rep.add("rectangles contained in the unit square",
-                "pass" if inside else "fail")
+        # The lower sides follow from the origin anchor and the increasing
+        # anchors; level 1 is the unit square itself, built exactly.
+        top = max(max(r.anchor.real + w, r.anchor.imag + r.height)
+                  for r in rects)
+        if n == 1:
+            rep.add("rectangles contained in the unit square", top <= 1,
+                    margin=1 - top)
+        else:
+            rep.add_inequality("rectangles contained in the unit square",
+                               1 - top, err)
 
-    rep.stats = {"level": n, "rects": len(level)}
+    rep.stats = {"level": n, "rects": len(rects)}
     return rep
 
 
@@ -599,20 +593,19 @@ def verify_counts(cons: Construction, max_parent_level: int) -> VerificationRepo
         ratio = table.Delta_(n) / table.Delta_(n + 1)
         lo = ratio * (1 - table.c2 * table.delta_(n - 1))
         hi = ratio * (1 + table.c2 * table.delta_(n - 1))
-        rep.add(f"N_{n} sandwich lower bound", "pass" if N >= lo else "fail",
-                margin=float(N - lo), detail=f"N={N}, bound={float(lo):.6g}")
-        rep.add(f"N_{n} sandwich upper bound", "pass" if N <= hi else "fail",
-                margin=float(hi - N), detail=f"N={N}, bound={float(hi):.6g}")
+        rep.add(f"N_{n} sandwich lower bound", N >= lo,
+                margin=N - lo, detail=f"N={N}, bound={float(lo):.6g}")
+        rep.add(f"N_{n} sandwich upper bound", N <= hi,
+                margin=hi - N, detail=f"N={N}, bound={float(hi):.6g}")
         # The strict angle-ratio bound genuinely fails at n = 1, where the
         # first level's unit width removes all headroom and the count equals
         # the ratio exactly; it holds with huge margin from n = 2 on.
         angle_ratio = table.theta_(n) / table.theta_(n + 1)
-        rep.add(f"N_{n} below the angle-step ratio",
-                "pass" if N < angle_ratio else "fail",
-                margin=float(angle_ratio - N),
+        rep.add(f"N_{n} below the angle-step ratio", N < angle_ratio,
+                margin=angle_ratio - N,
                 detail=f"N={N}, ratio={float(angle_ratio):.6g}")
         per_parent = cons.counts(n)
         rep.add(f"level-{n} per-parent counts within the same sandwich",
-                "pass" if all(lo <= m <= hi for m in per_parent) else "fail",
+                all(lo <= m <= hi for m in per_parent),
                 detail=f"min={min(per_parent)}, max={max(per_parent)}")
     return rep

@@ -30,10 +30,11 @@ def frac_to_mpf(x: Fraction):
     return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
-def arith_error(prec: int, scale: float = 1.0, ops: int = 64) -> float:
+def arith_error(prec: int, scale=1, ops: int = 64):
     """Conservative absolute error bound for a value of magnitude ~scale
-    computed with ~ops rounded operations at `prec` bits."""
-    return float(scale) * ops * 2.0 ** (-prec)
+    computed with ~ops rounded operations at `prec` bits: ops*scale*2**-prec
+    as an exact mpf, which no float cast can round to 0."""
+    return mpmath.ldexp(mpmath.fmul(ops, scale, exact=True), -prec)
 
 
 def workprec(prec: int):

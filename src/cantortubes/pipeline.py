@@ -38,7 +38,8 @@ from .render import render_arc_diagram, render_gamma_theta, render_level_set, \
     render_tube_stage
 from .reports import EXPECTED_FAILURES, FIRST_LEVEL_C_CEILING, known_shortfall
 from .rotations import RotationFamily, verify_translation_invariants
-from .sequences import build_schedule, derive_sequences, validate_sequences
+from .sequences import build_schedule, check_parameters, derive_sequences, \
+    validate_sequences
 
 DEMO_BANNER = ("demo profile: shallow height recursion for deeper levels; "
                "structural and spacing checks only, the dimension theorem's "
@@ -69,12 +70,12 @@ class RunConfig:
     spacing_samples: int = 2000
     containment_thetas: int = 20
     containment_anchors: int = 400
-    precision: int | None = None
 
     def __post_init__(self):
         for key in ("spacing_samples", "containment_anchors"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        check_parameters(self.s, self.c, self.profile)
 
     @classmethod
     def from_json(cls, blob: dict) -> "RunConfig":
@@ -87,8 +88,12 @@ class RunConfig:
         kw = {}
         for key, value in blob.items():
             if value is not None:
+                parse, refused = parsers[key]
                 try:
-                    kw[key] = parsers[key](value)
+                    if isinstance(value, refused):
+                        raise ValueError(f"a JSON {type(value).__name__} is "
+                                         f"refused, got {value!r}")
+                    kw[key] = parse(value)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"config key {key!r}: {exc}") from exc
         return cls(**kw)
@@ -97,15 +102,10 @@ class RunConfig:
         return {f.name: _dump(f, getattr(self, f.name)) for f in fields(self)}
 
 
-def _parse_int(value) -> int:
-    """An integer key's value; a JSON float or bool is refused, not cast."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-#: How `RunConfig.from_json` parses a value, by its field's type.
-_PARSERS = {"Fraction": parse_rational, "int": _parse_int, "str": str}
+#: How `RunConfig.from_json` parses a value, by its field's type, and the
+#: JSON types it refuses rather than casts (a bool is an int).
+_PARSERS = {"Fraction": (parse_rational, (bool,)), "int": (int, (bool, float)),
+            "str": (str, (int, float, list, dict))}
 
 
 def _dump(f, value):
@@ -144,9 +144,7 @@ class _Run:
 
     @cached_property
     def cons(self) -> Construction:
-        cfg = self.config
-        return Construction(self.table, prec=cfg.precision,
-                            cap=cfg.materialization_cap)
+        return Construction(self.table, cap=self.config.materialization_cap)
 
     @cached_property
     def rf(self) -> RotationFamily:

@@ -3,17 +3,22 @@ of the construction's known first-level failures.
 
 A numerical inequality is only declared to hold when its margin clears ten
 times the accumulated arithmetic error; narrower margins are reported as
-inconclusive rather than silently trusted.
+inconclusive rather than silently trusted.  Margins and errors stay exact
+(Fractions or mpfs): verdicts compare them exactly, `to_json_number` writes.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import mpmath
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
 #: Margin must exceed this multiple of the error bound to count as decided.
-MARGIN_FACTOR = 10.0
+MARGIN_FACTOR = 10
 
 # -- ledger: checks that fail by the construction's own geometry ---------------
 
@@ -34,9 +39,18 @@ def known_shortfall(level: int, C_min: float) -> bool:
     return level == 1 and C_min <= FIRST_LEVEL_C_CEILING
 
 
-def classify(margin: float, err_bound: float) -> str:
-    """pass / fail / inconclusive for an inequality with the given slack."""
-    gate = MARGIN_FACTOR * err_bound
+def exact(x) -> Fraction:
+    """A margin or bound (Fraction, int, float or mpf) as an exact Fraction."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp  # the magnitude's
+        return Fraction(man) * Fraction(2) ** exp * (-1 if x < 0 else 1)
+    return Fraction(x)
+
+
+def classify(margin, err_bound) -> str:
+    """pass / fail / inconclusive for an inequality with the given slack,
+    comparing the exact values."""
+    margin, gate = exact(margin), MARGIN_FACTOR * exact(err_bound)
     if margin >= gate:
         return PASS
     if margin <= -gate:
@@ -44,20 +58,40 @@ def classify(margin: float, err_bound: float) -> str:
     return INCONCLUSIVE
 
 
+def to_json_number(x):
+    """JSON form of a margin, bound or statistic: a number when float64 holds
+    it as a normal number (or it is 0), else a 17-significant-digit decimal
+    string, so nothing underflows to 0 or overflows to inf.  Ints, strings
+    and None pass through; dicts convert value by value."""
+    if isinstance(x, dict):
+        return {k: to_json_number(v) for k, v in x.items()}
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    q = exact(x)
+    if q == 0 or sys.float_info.min <= abs(q) <= sys.float_info.max:
+        return float(q)
+    with mpmath.workprec(80):
+        return mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, 17,
+                           strip_zeros=False)
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """One verdict.  `margin` and `bound` stay exact (Fraction or mpf);
+    `to_json` is the one place they are written."""
+
     name: str
     status: str
-    margin: float | None = None
-    bound: float | None = None
+    margin: object = None
+    bound: object = None
     detail: str = ""
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "status": self.status,
-            "margin": self.margin,
-            "bound": self.bound,
+            "margin": to_json_number(self.margin),
+            "bound": to_json_number(self.bound),
             "detail": self.detail,
         }
 
@@ -76,37 +110,26 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [e for e in self.entries if e.status == FAIL]
 
-    @property
-    def inconclusive(self) -> list[CheckResult]:
-        return [e for e in self.entries if e.status == INCONCLUSIVE]
+    def add(self, name: str, holds: bool, margin=None, detail: str = ""):
+        """A check decided exactly; `margin` is its exact slack, if any."""
+        self.entries.append(CheckResult(name, PASS if holds else FAIL, margin,
+                                        None, detail))
 
-    def add(self, name: str, status: str, margin=None, bound=None, detail: str = ""):
+    def add_inequality(self, name: str, margin, err_bound, detail: str = ""):
         self.entries.append(CheckResult(
-            name, status,
-            None if margin is None else float(margin),
-            None if bound is None else float(bound),
-            detail,
-        ))
+            name, classify(margin, err_bound), margin, err_bound, detail))
 
-    def add_inequality(self, name: str, margin: float, err_bound: float,
-                       detail: str = ""):
-        self.entries.append(CheckResult(
-            name, classify(float(margin), err_bound), float(margin),
-            err_bound, detail,
-        ))
-
-    def add_equality(self, name: str, diff: float, err_bound: float,
-                     detail: str = ""):
+    def add_equality(self, name: str, diff, err_bound, detail: str = ""):
         """Equality check: holds when the difference is within the tracked
         arithmetic error (there is no slack to demand a margin from)."""
-        diff = abs(float(diff))
-        status = PASS if diff <= MARGIN_FACTOR * err_bound else FAIL
+        diff = abs(diff)
+        status = PASS if exact(diff) <= MARGIN_FACTOR * exact(err_bound) else FAIL
         self.entries.append(CheckResult(name, status, -diff, err_bound, detail))
 
     def to_json(self) -> dict:
         return {
             "title": self.title,
             "ok": self.ok,
-            "stats": self.stats,
+            "stats": to_json_number(self.stats),
             "checks": [e.to_json() for e in self.entries],
         }

@@ -22,7 +22,7 @@ from .arcs import arc_point
 from .dyadic import floor_frac
 from .errors import OffGridError, PopulationCapError
 from .hierarchy import Construction
-from .numerics import frac_to_mpf, workprec
+from .numerics import arith_error, frac_to_mpf, workprec
 from .reports import VerificationReport
 
 CASE_ROTATION_ONLY = "rotation-only"      # multiples of the coarsest step
@@ -456,39 +456,28 @@ def verify_translation_invariants(rf: RotationFamily,
         raise ValueError("translation invariants need a grid depth >= 2")
     rep = VerificationReport(title="translation-vector limit behaviour")
 
-    worst_inc = None
-    worst_honesty = None
+    incs, honesty = [], []
     with workprec(cons.prec):
         for _ in range(n_thetas):
             theta = Fraction(rng.random()).limit_denominator(10**12)
-            res = rf.v_limit(theta)
-            evals = dict(res.evaluations)
+            evals = dict(rf.v_limit(theta).evaluations)
             for m in range(1, depth):
                 if m + 1 not in evals:
                     continue
                 inc = abs(evals[m + 1] - evals[m])
-                slack = float(2 * table.Delta_(m)) - float(inc)
-                worst_inc = slack if worst_inc is None else min(worst_inc, slack)
+                incs.append(frac_to_mpf(2 * table.Delta_(m)) - inc)
                 # Refining by one level moves the value by at most the bound
                 # certified after evaluating at level m.
-                honesty = float(rf.tail_bound(m)) - float(inc)
-                worst_honesty = honesty if worst_honesty is None \
-                    else min(worst_honesty, honesty)
-    err = 1e-12
-    rep.add_inequality("grid-refinement increments within 2*Delta_m",
-                       worst_inc, err, detail=f"{n_thetas} random angles")
-    rep.add_inequality("certified bound dominates the observed refinement",
-                       worst_honesty, err)
+                honesty.append(frac_to_mpf(rf.tail_bound(m)) - inc)
+        err = arith_error(cons.prec)
+        rep.add_inequality("grid-refinement increments within 2*Delta_m",
+                           min(incs), err, detail=f"{n_thetas} random angles")
+        rep.add_inequality("certified bound dominates the observed refinement",
+                           min(honesty), err)
 
-    with workprec(cons.prec):
-        stationary = True
-        for m in range(1, depth + 1):
-            step = table.theta_(m)
-            idx = rng.randint(0, int(1 / step) - 1) if step < 1 else 0
-            g = idx * step
-            lim = rf.v_limit(g).point
-            if abs(lim - rf.v(g)) > 1e-30:
-                stationary = False
-        rep.add("on-grid limit equals the recursion value",
-                "pass" if stationary else "fail")
+    # On the grid the limit's finest evaluation is the memoised v itself.
+    grid = [rng.randint(0, int(1 / table.theta_(m)) - 1) * table.theta_(m)
+            for m in range(1, depth + 1)]
+    rep.add("on-grid limit equals the recursion value",
+            all(rf.v_limit(g).point == rf.v(g) for g in grid))
     return rep

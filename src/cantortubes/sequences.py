@@ -27,7 +27,7 @@ from .dyadic import (
     short_repr,
 )
 from .errors import DepthUnreachableError
-from .reports import FAIL, PASS, VerificationReport
+from .reports import VerificationReport
 
 #: Exponents larger than this make downstream extended-precision work
 #: impractically slow; the derivation refuses to cross it.
@@ -55,11 +55,31 @@ class DimensionSchedule:
         return {"s": str(self.s), "s_n": [str(x) for x in self.s_n]}
 
 
+def check_parameters(s=1, c=Fraction(1, 16), profile: str = "strict",
+                     c1=Fraction(2)) -> None:
+    """Refuse (ValueError) an s, c, profile or c1 the derivation cannot use;
+    `build_schedule`, `derive_sequences` and `RunConfig` all run it."""
+    s, c, c1 = Fraction(s), Fraction(c), Fraction(c1)
+    if not 0 <= s <= 1:
+        raise ValueError(f"target dimension must lie in [0, 1], got {s}")
+    if profile not in PROFILES:
+        raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
+    if not 0 < c < Fraction(1, 10):
+        raise ValueError(f"c must lie in (0, 1/10), got {c}")
+    if not is_pow2_reciprocal(c):
+        # A general dyadic c breaks the integrality of theta_2/theta_3 and of
+        # the level-2 grid ratio: the odd part of 1/c never cancels.
+        raise ValueError(f"c must be a reciprocal power of two, got {c}")
+    if not c * (1 + 4 * c * (c1 + 1)) < 1:
+        raise ValueError(f"constant constraint c*(1+4c(c1+1)) < 1 fails for c={c}, c1={c1}")
+    if not 3 * c * c1 < Fraction(1, 2):
+        raise ValueError(f"constant constraint 3*c*c1 < 1/2 fails for c={c}, c1={c1}")
+
+
 def build_schedule(s, depth: int) -> DimensionSchedule:
     """Per-level width exponents: s_n = 1/n when s == 0, else s*n/(n+1)."""
     s = Fraction(s)
-    if not 0 <= s <= 1:
-        raise ValueError(f"target dimension must lie in [0, 1], got {s}")
+    check_parameters(s=s)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if s == 0:
@@ -152,21 +172,8 @@ def derive_sequences(
     Raises DepthUnreachableError when an exponent would exceed
     ``max_exponent`` bits, reporting the deepest achievable level.
     """
-    c = Fraction(c)
-    c1 = Fraction(c1)
-    if profile not in PROFILES:
-        raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
-    if not 0 < c < Fraction(1, 10):
-        raise ValueError(f"c must lie in (0, 1/10), got {c}")
-    if not is_pow2_reciprocal(c):
-        # A general dyadic c breaks the integrality of theta_2/theta_3 and of
-        # the level-2 grid ratio: the odd part of 1/c never cancels.
-        raise ValueError(f"c must be a reciprocal power of two, got {c}")
-    c2 = 4 * c * (c1 + 1)
-    if not c * (1 + c2) < 1:
-        raise ValueError(f"constant constraint c*(1+4c(c1+1)) < 1 fails for c={c}, c1={c1}")
-    if not 3 * c * c1 < Fraction(1, 2):
-        raise ValueError(f"constant constraint 3*c*c1 < 1/2 fails for c={c}, c1={c1}")
+    c, c1 = Fraction(c), Fraction(c1)
+    check_parameters(c=c, profile=profile, c1=c1)
 
     depth = schedule.depth
     one = Fraction(1)
@@ -221,26 +228,24 @@ def validate_sequences(table: SequenceTable) -> VerificationReport:
     """Check every table constraint exactly.
 
     Each verdict is an exact rational comparison, so none is inconclusive;
-    an inequality's margin is its exact slack cast to float (negative when
-    the constraint fails), recomputable exactly from the table.  The report
-    never raises.
+    an inequality's margin is its exact slack (negative when the constraint
+    fails), written as `reports.to_json_number` writes every margin.  The
+    report never raises.
     """
     r = VerificationReport("sequence constraints")
-
-    def add(name: str, passed: bool, slack=None, detail: str = ""):
-        r.add(name, PASS if passed else FAIL, slack, detail=detail)
+    add = r.add
 
     c, c1, c2 = table.c, table.c1, table.c2
     d, D, t = table.delta, table.Delta, table.theta
     N = table.depth
 
     add("base: delta_1 == Delta_1 == 1", d[0] == 1 and D[0] == 1)
-    add("base: theta_1 == c", t[0] == c, slack=t[0] - c)
-    add("constant: c < 1/10", c < Fraction(1, 10), slack=Fraction(1, 10) - c)
-    add("constant: c*(1+4c(c1+1)) < 1", c * (1 + c2) < 1, slack=1 - c * (1 + c2))
+    add("base: theta_1 == c", t[0] == c, margin=t[0] - c)
+    add("constant: c < 1/10", c < Fraction(1, 10), margin=Fraction(1, 10) - c)
+    add("constant: c*(1+4c(c1+1)) < 1", c * (1 + c2) < 1, margin=1 - c * (1 + c2))
     add("constant: 3*c*c1 < 1/2", 3 * c * c1 < Fraction(1, 2),
-        slack=Fraction(1, 2) - 3 * c * c1)
-    add("constant: c1 >= sqrt(2)", c1 * c1 >= 2, slack=c1 * c1 - 2,
+        margin=Fraction(1, 2) - 3 * c * c1)
+    add("constant: c1 >= sqrt(2)", c1 * c1 >= 2, margin=c1 * c1 - 2,
         detail="compared as c1^2 >= 2")
 
     for x, name in ((d, "delta"), (D, "Delta"), (t, "theta")):
@@ -253,11 +258,11 @@ def validate_sequences(table: SequenceTable) -> VerificationReport:
         e = table.p2_exponent(n)
         tag = "" if table.profile == "strict" else " [demo exponent 2]"
         add(f"height bound{tag}: Delta_{n+1} <= c*delta_{n}^{e}",
-            D[n] <= c * d[n - 1] ** e, slack=c * d[n - 1] ** e - D[n])
+            D[n] <= c * d[n - 1] ** e, margin=c * d[n - 1] ** e - D[n])
         add(f"width bound: delta_{n+1} <= c*Delta_{n+1}*delta_{n}",
-            d[n] <= c * D[n] * d[n - 1], slack=c * D[n] * d[n - 1] - d[n])
+            d[n] <= c * D[n] * d[n - 1], margin=c * D[n] * d[n - 1] - d[n])
         add(f"angle def: theta_{n+1} == c*Delta_{n+1}*delta_{n}",
-            t[n] == c * D[n] * d[n - 1], slack=t[n] - c * D[n] * d[n - 1])
+            t[n] == c * D[n] * d[n - 1], margin=t[n] - c * D[n] * d[n - 1])
         ratio = t[n - 1] / t[n]
         add(f"angle integrality: theta_{n}/theta_{n+1} in N",
             ratio.denominator == 1, detail=f"ratio = {short_repr(ratio)}")

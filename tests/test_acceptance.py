@@ -99,7 +99,8 @@ def test_criterion_02_spacing(cons):
                              rng=random.Random(202))
     ok = full.ok and sampled.ok
     margins = [e.margin for r in (full, sampled) for e in r.entries]
-    _report(2, ok, f"all margins positive, min {min(margins):.3e}", t0, 30)
+    _report(2, ok, f"all margins positive, min {float(min(margins)):.3e}",
+            t0, 30)
     assert ok, [e.to_json() for r in (full, sampled) for e in r.entries
                 if e.status != "pass"]
 

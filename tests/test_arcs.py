@@ -223,3 +223,19 @@ def test_demo_depth6_arcs_solve_and_check():
         report = sol.check()
         assert report.ok, (sol.level, [e.to_json() for e in report.entries
                                        if e.status != "pass"])
+
+
+@pytest.mark.parametrize("profile, depth", [("strict", 5), ("demo", 6)])
+def test_deep_arc_checks_write_nonzero_bounds(profile, depth):
+    # theta_5 and 2**-3188 underflow a float; every tolerance check must
+    # still write a nonzero bound and the angle check a nonzero margin (the
+    # exact height-line check writes no bound).
+    table = derive_sequences(build_schedule(1, depth), Fraction(1, 16),
+                             profile=profile)
+    for sol in solve_table_arcs(table):
+        checks = {c["name"]: c for c in sol.check().to_json()["checks"]}
+        assert all(c["status"] == "pass" for c in checks.values())
+        assert checks.pop("q on the height line")["bound"] is None
+        assert all(c["bound"] not in (0, None) for c in checks.values())
+        angle = checks["achieved angle equals the target"]
+        assert (angle["margin"] != 0) == (sol.residual != 0), sol.level

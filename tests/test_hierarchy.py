@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -511,14 +512,21 @@ def test_demo_construction_depth4(demo_table, demo_arcs):
     assert report.ok, [e.to_json() for e in report.entries if e.status != "pass"]
 
 
+@pytest.fixture(scope="module")
+def depth5():
+    """The depth-5 construction of a profile, built once per module so the
+    tests that sample it share its count cache."""
+    return functools.cache(lambda profile: Construction(derive_sequences(
+        build_schedule(1, 5), Fraction(1, 16), profile=profile)))
+
+
 @pytest.mark.parametrize("profile", ["strict", "demo"])
-def test_level5_spacing_margins_in_mpmath(profile):
+def test_level5_spacing_margins_in_mpmath(depth5, profile):
     # The level-5 spacing margins over 30 sampled pairs, as fractions of
     # their bounds, recomputed in mpmath so that no float cast can round a
     # margin or its bound away: each must keep at least half its bound.
-    table = derive_sequences(build_schedule(1, 5), Fraction(1, 16),
-                             profile=profile)
-    cons = Construction(table)
+    cons = depth5(profile)
+    table = cons.table
     sol = cons.sol(4)
     rng = random.Random(0)
     worst_y = worst_x = mpmath.inf
@@ -534,3 +542,58 @@ def test_level5_spacing_margins_in_mpmath(profile):
             worst_y = min(worst_y, 1 - abs(Delta - d.imag) / bound_y)
             worst_x = min(worst_x, 1 - abs(stride - d.real) / (3 * bound_y))
     assert worst_y >= 0.5 and worst_x >= 0.5, (float(worst_y), float(worst_x))
+
+
+def test_level5_spacing_report_writes_exact_margins(depth5):
+    # At 3,188 bits theta_5 and the error bound underflow a float.  The
+    # report must still write a nonzero margin and bound for each check,
+    # each margin within 10% of its mpmath recomputation over the same pairs.
+    cons = depth5("strict")
+    table, sol = cons.table, cons.sol(4)
+    report = verify_spacing(cons, 5, n_samples=30, rng=random.Random(0))
+    rng = random.Random(0)
+    with workprec(cons.prec):
+        pairs = []
+        for ppath in cons.sample_parent_paths(4, 30, rng):
+            parent = cons.rect_by_path(ppath)
+            k = rng.randint(1, cons.count_children_of(parent))
+            pairs.append(child_anchor(parent.anchor, sol, k + 1)
+                         - child_anchor(parent.anchor, sol, k))
+        bound_y = frac_to_mpf(table.c1 * table.theta_(5))
+        Delta = frac_to_mpf(table.Delta_(5))
+        stride = frac_to_mpf(table.delta_(4) / table.Delta_(4) * table.Delta_(5))
+        width = frac_to_mpf(table.delta_(5))
+        expected = [min(bound_y - abs(Delta - d.imag) for d in pairs),
+                    min(3 * bound_y - abs(stride - d.real) for d in pairs),
+                    min(d.real - 3 * width for d in pairs)]
+        checks = report.to_json()["checks"]
+        assert [c["status"] for c in checks] == ["pass"] * 3
+        for check, want in zip(checks, expected):
+            margin, bound = mpmath.mpf(check["margin"]), mpmath.mpf(check["bound"])
+            assert margin != 0 and bound != 0, check
+            assert abs(margin - want) <= abs(want) / 10, check
+
+
+def test_y_projection_checks_split_siblings_from_cousins(cons):
+    # Level 2 has one parent: its siblings share endpoints exactly, and no
+    # pair has different parents.
+    checks = {e.name: e for e in verify_level_invariants(cons, 2).entries}
+    siblings = checks["y-projections of siblings share an endpoint"]
+    assert siblings.status == "pass" and siblings.margin == 0
+    assert "y-projections of different parents' children disjoint" not in checks
+    assert checks["rectangles contained in the unit square"].status == "pass"
+    # A shallow table whose level 3 (3,856 rectangles) materializes: children
+    # of different level-2 parents leave a real gap.
+    c = Fraction(1, 16)
+    table = SequenceTable(
+        c=c, depth=3, delta=(Fraction(1), Fraction(1, 2**8), Fraction(1, 2**40)),
+        Delta=(Fraction(1), Fraction(1, 2**4), Fraction(1, 2**12)),
+        theta=(c, c / 2**4, c / 2**20), c1=Fraction(2), C_tube=Fraction(16),
+        profile="strict", schedule=build_schedule(1, 3))
+    shallow = Construction(table)
+    assert shallow.materializable_depth() == 3
+    report = verify_level_invariants(shallow, 3)
+    assert report.ok, [e.to_json() for e in report.entries if e.status != "pass"]
+    cousins = {e.name: e for e in report.entries}[
+        "y-projections of different parents' children disjoint"]
+    assert cousins.margin > 1e6 * cousins.bound

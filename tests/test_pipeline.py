@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantortubes import hierarchy
+from cantortubes import errors, hierarchy
 from cantortubes.cli import main
 from cantortubes.errors import BracketError, FeasibilityError, GridTooLargeError
 from cantortubes.pipeline import (
@@ -111,8 +111,7 @@ def test_config_roundtrip():
     assert list(blob) == [
         "s", "c", "depth", "profile", "C_tube", "raster_resolution",
         "neighborhood_radius", "materialization_cap", "seed",
-        "spacing_samples", "containment_thetas", "containment_anchors",
-        "precision"]
+        "spacing_samples", "containment_thetas", "containment_anchors"]
     back = RunConfig.from_json(json.loads(json.dumps(blob)))
     assert back == cfg
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -147,6 +146,44 @@ def test_config_rejects_non_integer_ints(tmp_path, blob):
                                                                     seed=5)
 
 
+@pytest.mark.parametrize("blob", [
+    {"precision": 200},     # derived from the table, no longer a key
+    {"C_tube": True},       # a bool is not a rational
+    {"neighborhood_radius": True},
+    {"profile": 5},
+    {"profile": "bogus"},
+    {"c": "1/3"},
+    {"s": "2"},
+], ids=lambda blob: "-".join(f"{k}={v}" for k, v in blob.items()))
+def test_config_refused_at_parse_time(tmp_path, blob):
+    # Refused when the config is read, before any stage runs, instead of
+    # running with a value the manifest misstates or failing in a stage.
+    key = next(iter(blob))
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_json(blob)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "pipeline"]) == 2
+    assert not out.exists()
+
+
+def test_readme_exit_codes_match_the_error_types():
+    # The README's exit-code paragraph lists every package error under the
+    # code it carries, and lists no other.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Exit codes:")[1].split("### Config schema")[0]
+    listed = {}
+    for code, text in re.findall(r"^- `(\d)`:(.*?)(?=^- `|\Z)", block,
+                                 flags=re.MULTILINE | re.DOTALL):
+        listed.update(dict.fromkeys(re.findall(r"`(\w+Error)`", text),
+                                    int(code)))
+    package = {cls.__name__: cls.exit_code for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.CantorTubesError)}
+    assert len(package) == 9
+    assert listed == package | {"ValueError": 2, "OSError": 2}
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="spacing_sample"):
         RunConfig.from_json({"spacing_sample": 5})
@@ -171,11 +208,11 @@ def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
 #: with numpy 2.4.6 and mpmath 1.3.0 (pure-Python backend); another numpy or
 #: mpmath may round differently.
 MANIFEST_SHA256 = {
-    "default": ("f767ac9166686af7b7c769e920668be55d89b37420d91d2979d26308a2f42abd",
+    "default": ("a2a0dc98a48b0880bd16f35cef2fd55cc80d42862958173b03cff699d8872d29",
                 {}),
     # A cap of 10 leaves level 1 materialized only: the lazy side of the
     # materialization boundary.
-    "cap10-fast": ("e4df0cd035fadb157e5fa0c620995c387d3753a347a5775a6e7457e39cb7d1ab",
+    "cap10-fast": ("65c83b08f11ecb76142153c77e37422998c690abece91c60c9ea0f16d0f7bd3b",
                    dict(materialization_cap=10, **FAST)),
 }
 
@@ -352,9 +389,10 @@ STAGE_FILES = {
 
 @pytest.fixture(scope="module")
 def tight_bundle(tmp_path_factory):
-    """A full run at a non-default working precision, so a stage that
-    ignored part of the config would show."""
-    cfg = RunConfig(precision=200, **FAST)
+    """A full run at a non-default target dimension, which changes the
+    table and so every stage, so a stage that ignored part of the config
+    would show."""
+    cfg = RunConfig(s=Fraction(1, 2), **FAST)
     out = tmp_path_factory.mktemp("tight")
     run_pipeline(cfg, out)
     config = out.parent / "tight_config.json"

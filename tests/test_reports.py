@@ -1,0 +1,91 @@
+"""The one margin path: exact error bounds, exact verdicts, and the rule
+by which `to_json_number` writes margins, bounds and statistics."""
+
+import json
+import sys
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from cantortubes.numerics import arith_error
+from cantortubes.reports import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    VerificationReport,
+    classify,
+    to_json_number,
+)
+
+TINY = mpmath.ldexp(1, -3182)  # 64 * 2**-3188, strict depth 5's bound
+
+
+def test_arith_error_is_exact_at_any_precision():
+    # The float form read 0.0 past about 1,080 bits.
+    assert arith_error(3188) == TINY
+    assert arith_error(3188, scale=mpmath.ldexp(3, -1562), ops=8) == \
+        mpmath.ldexp(24, -4750)
+
+
+@pytest.mark.parametrize("margin, status", [
+    (mpmath.ldexp(1, -1562), PASS),
+    (-mpmath.ldexp(1, -1562), FAIL),
+    (10 * TINY, PASS),                       # the gate itself decides
+    (-10 * TINY, FAIL),
+    (9 * TINY, INCONCLUSIVE),
+    (Fraction(0), INCONCLUSIVE),
+    (Fraction(1, 3), PASS),
+])
+def test_classify_compares_exact_values(margin, status):
+    assert classify(margin, TINY) == status
+
+
+def test_equality_within_ten_errors():
+    rep = VerificationReport("equalities")
+    with mpmath.workprec(4000):
+        rep.add_equality("at the gate", -10 * TINY, TINY)
+        rep.add_equality("one ulp past it", 10 * TINY + mpmath.ldexp(1, -3900),
+                         TINY)
+    assert [e.status for e in rep.entries] == [PASS, FAIL]
+    assert rep.entries[0].margin == -10 * TINY   # kept exact, negated |diff|
+
+
+@pytest.mark.parametrize("value, written", [
+    (None, None),
+    (16, 16),
+    (2**1100, 2**1100),                  # ints are exact JSON numbers
+    (Fraction(1, 3), 1 / 3),
+    (mpmath.mpf(0), 0.0),
+    (-mpmath.mpf("0.25"), -0.25),
+    (Fraction(sys.float_info.min), sys.float_info.min),
+    (mpmath.ldexp(1, -3188), "2.0719240103396546e-960"),
+    (-mpmath.ldexp(1, -3188), "-2.0719240103396546e-960"),
+    (Fraction(sys.float_info.min) / 2, "1.1125369292536007e-308"),
+    (Fraction(2**1100, 3), "4.5276617634979528e+330"),
+])
+def test_json_number_rule(value, written):
+    assert to_json_number(value) == written
+    if isinstance(written, str):
+        # 17 significant digits, and within a relative 1e-16 of the value.
+        assert len(written.lstrip("-").split("e")[0].replace(".", "")) == 17
+        with mpmath.workprec(200):
+            exact = mpmath.mpf(value.numerator) / value.denominator \
+                if isinstance(value, Fraction) else value
+            assert abs(mpmath.mpf(written) / exact - 1) < 1e-16
+
+
+def test_report_writes_exact_values_once():
+    rep = VerificationReport("deep")
+    margin = mpmath.ldexp(3, -1563)
+    rep.add_inequality("deep inequality", margin, TINY)
+    rep.add("exact", True, margin=Fraction(1, 2**1100))
+    rep.stats = {"pairs": 30, "bound_y": Fraction(1, 2**1561), "N": {1: 16}}
+    assert rep.entries[0].margin is margin and rep.entries[0].bound is TINY
+    blob = json.loads(json.dumps(rep.to_json()))
+    assert blob["ok"]
+    deep, exact = blob["checks"]
+    assert mpmath.mpf(deep["margin"]) != 0 and mpmath.mpf(deep["bound"]) != 0
+    assert exact["bound"] is None and isinstance(exact["margin"], str)
+    assert blob["stats"]["pairs"] == 30 and blob["stats"]["N"] == {"1": 16}
+    assert isinstance(blob["stats"]["bound_y"], str)
