@@ -6,7 +6,7 @@ along circular arcs) together with the family of rotated, translated tube
 unions that cover every rotated copy of it.
 """
 
-from .arcs import ArcSolution, arc_point, solve_arc, solve_table_arcs
+from .arcs import ArcSolution, solve_arc, solve_table_arcs
 from .errors import (
     BracketError,
     CantorTubesError,

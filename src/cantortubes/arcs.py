@@ -5,7 +5,8 @@ center sits on the perpendicular bisector of those points, below the x-axis,
 such that the sub-arc from the origin to the intersection with the line
 y = Delta_{n+1} subtends exactly theta_{n+1}.  The center has a closed form
 (see `solve_arc`); each solution re-derives its achieved angle from the
-center and verifies it against the target.
+center and verifies it against the target.  A construction works at its
+solutions' precision; `hierarchy.child_anchor` gives the arc's points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import mpmath
 import numpy as np
 
 from .errors import BracketError, FeasibilityError
-from .numerics import arith_error, frac_to_mpf, workprec
+from .numerics import arith_error, default_precision, frac_to_mpf, workprec
 from .reports import VerificationReport
 
 
@@ -65,7 +66,8 @@ class ArcSolution:
                              arith_error(self.prec, frac_to_mpf(self.sub_angle)))
         return rep
 
-    def to_json(self, dps: int = 40) -> dict:
+    def to_json(self) -> dict:
+        dps = 40
         with workprec(self.prec):
             return {
                 "level": self.level,
@@ -132,7 +134,7 @@ def solve_arc(
     Delta_n,
     Delta_next,
     theta_next,
-    prec: int = 160,
+    prec: int,
     level: int = 0,
 ) -> ArcSolution:
     """Closed-form circle center achieving the target sub-arc angle.
@@ -182,27 +184,9 @@ def solve_arc(
 
 def solve_table_arcs(table, prec: int | None = None) -> tuple[ArcSolution, ...]:
     """Solve the arc for every level of a sequence table (levels 1..depth-1)."""
-    from .numerics import default_precision
-
-    if prec is None:
-        prec = default_precision(table)
+    prec = prec or default_precision(table)
     return tuple(
         solve_arc(table.delta_(n), table.Delta_(n), table.Delta_(n + 1),
                   table.theta_(n + 1), prec=prec, level=n)
         for n in range(1, table.depth))
 
-
-def arc_point(sol: ArcSolution, k: int):
-    """k-th equidistant point on the solved circle, 1-based: the image of the
-    origin under clockwise rotation by (k-1) sub-arc angles about the center.
-
-    Returns a complex point; k = 1 is the origin and k = 2 is q.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    phi = (k - 1) * sol.sub_angle
-    if float(phi) > 6.283185307179587:
-        raise ValueError(f"k = {k} winds beyond a full turn")
-    with workprec(sol.prec):
-        alpha = sol.center_c
-        return alpha * (1 - mpmath.expj(-frac_to_mpf(phi)))

@@ -69,16 +69,10 @@ class LevelSet:
                          for r in self.rects])
 
 
-def unit_level(prec: int) -> LevelSet:
-    with workprec(prec):
-        root = RectNode(level=1, path=(), anchor=mpmath.mpc(0, 0),
-                        width=Fraction(1), height=mpmath.mpf(1))
-    return LevelSet(level=1, rects=[root])
-
-
 def child_anchor(parent_anchor, sol: ArcSolution, k: int, prec: int | None = None):
     """Anchor of the k-th child: rotate the parent anchor clockwise by
-    (k-1) angle steps about the arc center.  k = 1 returns the parent."""
+    (k-1) angle steps about the arc center.  k = 1 returns the parent.  Runs
+    at the solution's precision; only `count_children`'s retry passes `prec`."""
     if k < 1:
         raise ValueError(f"child index must be >= 1, got {k}")
     if k == 1:
@@ -99,7 +93,7 @@ def child_rect(a_k, a_k1, delta_next: Fraction, level: int, path: tuple) -> Rect
                     width=Fraction(delta_next), height=a_k1.imag - a_k.imag)
 
 
-def _exit_step(parent: RectNode, sol: ArcSolution, prec: int) -> int:
+def _exit_step(parent: RectNode, sol: ArcSolution) -> int:
     """Closed-form estimate of the child count: the number of whole angle
     steps before the child orbit leaves the parent.
 
@@ -110,7 +104,7 @@ def _exit_step(parent: RectNode, sol: ArcSolution, prec: int) -> int:
     edge beyond the circle is taken at the orbit's rightmost point.  The
     estimate only seeds the search; `count_children` certifies the result.
     """
-    with workprec(prec):
+    with workprec(sol.prec):
         c = sol.center_c
         z = parent.anchor - c
         R, psi = abs(z), mpmath.arg(z)
@@ -158,8 +152,7 @@ def _certified_transition(pred, hint: int, hi: int) -> int:
     return lo
 
 
-def count_children(parent: RectNode, sol: ArcSolution, hi: int,
-                   prec: int | None = None) -> int:
+def count_children(parent: RectNode, sol: ArcSolution, hi: int) -> int:
     """Largest m such that children 1..m stay inside the parent, i.e. the
     certified transition pred(m) and not pred(m+1) of the monotone criterion
     pred(k) = "anchor k+1 lies in the parent" (pred(0) holds: anchor 1 is
@@ -173,28 +166,26 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int,
     `count_search_bound` (the sandwich bound, valid at every level, unlike
     the angle-step ratio which is attained at level 1).  The predicate is
     verified false there before the search is trusted.
-    Containment decisions re-evaluate at doubled precision when the slack is
-    suspiciously close to zero.
+    Containment decisions run at the solution's precision and re-evaluate
+    at doubled precision when the slack is suspiciously close to zero.
     """
-    prec = prec or sol.prec
-
-    def slack(k: int, p: int):
-        with workprec(p):
-            a = child_anchor(parent.anchor, sol, k + 1, prec=p)
+    def slack(k: int, retry: int | None = None):
+        with workprec(retry or sol.prec):
+            a = child_anchor(parent.anchor, sol, k + 1, prec=retry)
             return parent.contain_slack(a)
 
     def pred(k: int) -> bool:
-        s = slack(k, prec)
-        guard = mpmath.mpf(2) ** (-(prec // 2))
+        s = slack(k)
+        guard = mpmath.mpf(2) ** (-(sol.prec // 2))
         if abs(s) < guard:
-            s = slack(k, prec * 2)
+            s = slack(k, sol.prec * 2)
         return s >= 0
 
     if pred(hi):
         raise ConstructionError(
             f"containment did not terminate below the angle-ratio bound {hi}; "
             "monotone-exit assumption violated")
-    return _certified_transition(pred, _exit_step(parent, sol, prec), hi)
+    return _certified_transition(pred, _exit_step(parent, sol), hi)
 
 
 def count_search_bound(table: SequenceTable, n: int) -> int:
@@ -207,17 +198,21 @@ def count_search_bound(table: SequenceTable, n: int) -> int:
 
 class Construction:
     """A sequence table, its solved arcs, and cached access to materialized
-    levels, exact child counts, and lazy path-indexed anchors."""
+    levels, exact child counts, and lazy path-indexed anchors.  Its working
+    precision `prec` is that of its arcs (refused when `sols` mix several)."""
 
-    def __init__(self, table: SequenceTable, prec: int | None = None,
+    def __init__(self, table: SequenceTable,
                  cap: int = DEFAULT_MATERIALIZATION_CAP,
                  sols: tuple | None = None):
         self.table = table
-        self.prec = prec or default_precision(table)
-        self.sols = sols if sols is not None else solve_table_arcs(
-            table, self.prec)
+        self.sols = solve_table_arcs(table) if sols is None else sols
+        self.prec = self.sols[0].prec if self.sols else default_precision(table)
+        if any(sol.prec != self.prec for sol in self.sols):
+            raise ValueError("arc solutions mix precisions")
         self.cap = cap
-        self._levels = {1: unit_level(self.prec)}
+        root = RectNode(level=1, path=(), anchor=mpmath.mpc(0, 0),
+                        width=Fraction(1), height=mpmath.mpf(1))
+        self._levels = {1: LevelSet(level=1, rects=[root])}
         self._depth: int | None = None
         self._counts: dict[tuple, int] = {}
 
@@ -288,16 +283,18 @@ class Construction:
         indices; composes the child-anchor map level by level, starting from
         the deepest materialized level the path's leading indices address."""
         path = self._checked(path)
-        with workprec(self.prec):
-            i, node = self._materialized_prefix(path)
-            return self._walk(path, i, node.anchor)
+        i, node = self._materialized_prefix(path)
+        return self._walk(path, i, node.anchor)
 
     def _checked(self, path) -> tuple:
-        """`path` as a tuple, refused when it reaches past the table."""
+        """`path` as a tuple, refused past the table or at an index below 1."""
         path = tuple(path)
         if len(path) > len(self.sols):
             raise ValueError(
                 f"path of length {len(path)} exceeds table depth {self.table.depth}")
+        for j, k in enumerate(path):
+            if k < 1:
+                raise ValueError(f"path index {k} out of range at level {j + 1}")
         return path
 
     def _materialized_prefix(self, path: tuple) -> tuple:
@@ -316,12 +313,9 @@ class Construction:
 
     def _walk(self, path: tuple, i: int, anchor) -> object:
         """Compose the child-anchor maps of path[i:] onto `anchor`, the
-        anchor path[:i] addresses.  Evaluate under the working precision."""
+        anchor path[:i] addresses."""
         for j in range(i, len(path)):
-            k = path[j]
-            if k < 1:
-                raise ValueError(f"path index {k} out of range at level {j + 1}")
-            anchor = child_anchor(anchor, self.sols[j], k, prec=self.prec)
+            anchor = child_anchor(anchor, self.sols[j], path[j])
         return anchor
 
     def anchors_float64(self, paths) -> tuple:
@@ -350,24 +344,17 @@ class Construction:
         added; a factor 1 + 2**-20 covers second-order terms and the
         rounding of the bound's own arithmetic.
         """
-        paths = [tuple(p) for p in paths]
+        paths = [self._checked(p) for p in paths]
         depth = len(paths[0]) if paths else 0
         if any(len(p) != depth for p in paths):
             raise ValueError("paths must all have the same length")
-        if depth > len(self.sols):
-            raise ValueError(
-                f"path of length {depth} exceeds table depth {self.table.depth}")
         u = 2.0 ** -53
         a = np.zeros(len(paths), dtype=complex)
         E = np.zeros(len(paths))
         mp_err = 0.0
         for i in range(depth):
             sol = self.sols[i]
-            ks = [p[i] for p in paths]
-            if min(ks) < 1:
-                raise ValueError(
-                    f"path index {min(ks)} out of range at level {i + 1}")
-            t = np.array([float((k - 1) * sol.sub_angle) for k in ks])
+            t = np.array([float((p[i] - 1) * sol.sub_angle) for p in paths])
             s = np.sin(0.5 * t)
             m = -2 * s * s - 1j * np.sin(t)
             c = sol.center_c
@@ -394,8 +381,8 @@ class Construction:
         sol, k = self.sols[len(path) - 1], path[-1]
         with workprec(self.prec):
             parent = self._walk(path[:-1], i, node.anchor)
-            a = child_anchor(parent, sol, k, prec=self.prec)
-            a2 = child_anchor(parent, sol, k + 1, prec=self.prec)
+            a = child_anchor(parent, sol, k)
+            a2 = child_anchor(parent, sol, k + 1)
             return child_rect(a, a2, self.table.delta_(len(path) + 1),
                               level=len(path) + 1, path=path)
 
@@ -413,7 +400,7 @@ class Construction:
         if parent.path not in self._counts:
             hi = count_search_bound(self.table, parent.level)
             self._counts[parent.path] = count_children(
-                parent, self.sol(parent.level), hi, self.prec)
+                parent, self.sol(parent.level), hi)
         return self._counts[parent.path]
 
     def sample_parent_paths(self, parent_level: int, n_samples: int,
@@ -483,8 +470,8 @@ def verify_spacing(cons: Construction, child_level: int,
                 if cnt < 1:
                     continue
                 k = rng.randint(1, cnt)
-                a = child_anchor(parent.anchor, sol, k, prec=cons.prec)
-                b = child_anchor(parent.anchor, sol, k + 1, prec=cons.prec)
+                a = child_anchor(parent.anchor, sol, k)
+                b = child_anchor(parent.anchor, sol, k + 1)
                 pairs.append(b - a)
 
         if not pairs:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hierarchy import Construction, LevelSet
+from .hierarchy import Construction, LevelSet, child_anchor
 from .numerics import workprec
 from .raster import RasterResult, rasterize
 
@@ -35,7 +35,7 @@ def interval_union_length(intervals):
     return total
 
 
-def projection_lengths(level: LevelSet, prec: int = 128) -> tuple:
+def projection_lengths(level: LevelSet, prec: int) -> tuple:
     """(len_y, len_x): interval-union lengths of the level's projections."""
     with workprec(prec):
         ys = [(r.anchor.imag, r.anchor.imag + r.height) for r in level.rects]
@@ -53,12 +53,10 @@ def projection_lengths_lazy(cons: Construction, n: int) -> tuple:
     parents = cons.level(n - 1)
     N = cons.N(n - 1)
     sol = cons.sol(n - 1)
-    from .hierarchy import child_anchor
-
     with workprec(cons.prec):
         total = 0
         for parent in parents.rects:
-            top = child_anchor(parent.anchor, sol, N + 1, prec=cons.prec)
+            top = child_anchor(parent.anchor, sol, N + 1)
             total += top.imag - parent.anchor.imag
         len_x = cons.population(n) * cons.table.delta_(n)
         return total, len_x

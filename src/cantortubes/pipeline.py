@@ -75,6 +75,12 @@ class RunConfig:
         for key in ("spacing_samples", "containment_anchors"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("C_tube", "neighborhood_radius"):
+            if (getattr(self, key) or 0) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.raster_resolution is not None and self.raster_resolution <= 0:
+            raise ValueError(
+                f"raster_resolution must be > 0, got {self.raster_resolution}")
         check_parameters(self.s, self.c, self.profile)
 
     @classmethod
@@ -141,6 +147,21 @@ class _Run:
         cfg = self.config
         return derive_sequences(build_schedule(cfg.s, cfg.depth), cfg.c,
                                 profile=cfg.profile, C_tube=cfg.C_tube)
+
+    @cached_property
+    def area_settings(self) -> tuple:
+        """(radius, resolution) of the area stage, defaults resolved; checked."""
+        cfg = self.config
+        radius = cfg.neighborhood_radius
+        radius = self.table.theta_(2) if radius is None else radius
+        res = cfg.raster_resolution
+        res = Fraction(radius, 4) if res is None else res
+        if res <= 0:
+            raise ValueError(f"raster_resolution must be > 0, got {res} "
+                             "(neighborhood_radius/4 by default)")
+        if radius > 0 and res > radius / 4:
+            raise ValueError(f"raster_resolution {res} > neighborhood_radius/4")
+        return radius, res
 
     @cached_property
     def cons(self) -> Construction:
@@ -221,7 +242,7 @@ def _verify(run: _Run) -> bool:
                 for child in range(mat_depth + 1, depth + 1)]
     reports.append(verify_counts(cons, min(mat_depth, depth - 1)))
     reports.append(verify_translation_invariants(
-        run.rf, rng=random.Random(cfg.seed + 1), n_thetas=40))
+        run.rf, rng=random.Random(cfg.seed + 1)))
     failures = [e.name for r in reports for e in r.failures]
     blob = {
         "profile": cfg.profile,
@@ -277,11 +298,7 @@ def _tubes(run: _Run) -> bool:
 def _area(run: _Run) -> bool:
     if run.stage_level < 2:
         return True
-    cfg = run.config
-    radius = cfg.neighborhood_radius
-    radius = run.table.theta_(2) if radius is None else radius
-    res = cfg.raster_resolution
-    res = Fraction(radius, 4) if res is None else res
+    radius, res = run.area_settings
     est = neighborhood_area(run.fams, float(radius), float(res))
     run.write_json("area.json", {
         "stage_level": run.stage_level,
@@ -372,12 +389,13 @@ def _execute(run: _Run, stages) -> bool:
 
 def run_pipeline(config: RunConfig, out_dir) -> RunBundle:
     """Run every stage and write the bundle with its hashed manifest.  A
-    depth below 2 has no grid refinement to verify: it is refused before any
-    stage writes a file."""
+    depth below 2 (no grid refinement to verify) and bad area settings are
+    refused before any stage writes a file."""
     if config.depth < 2:
         raise ValueError(f"the pipeline needs depth >= 2, got {config.depth}")
     out_dir = Path(out_dir)
     run = _Run(config, out_dir)
+    run.area_settings  # raises on bad settings
     ok = _execute(run, _STAGES)
     run.write_json("manifest.json", {
         "config": config.to_json(),

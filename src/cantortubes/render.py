@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .errors import RenderCapError
-from .hierarchy import Construction
+from .hierarchy import Construction, child_anchor
 from .rotations import RotationFamily
 
 RENDER_CAP = 50_000   # primitives drawn directly; beyond it, sample
@@ -137,11 +138,8 @@ def render_arc_diagram(cons: Construction, level: int = 1) -> str:
     canvas.polyline("arc", pts, stroke="#1f77b4", stroke_width=0.0025)
 
     count = min(cons.N(level) + 1 if level < table.depth else 2, 4000)
-    from .arcs import arc_point
-    from .numerics import workprec
-
-    with workprec(cons.prec):
-        anchors = [arc_point(sol, k) for k in range(1, count + 1)]
+    origin = mpmath.mpc(0, 0)
+    anchors = [child_anchor(origin, sol, k) for k in range(1, count + 1)]
     for k, a in enumerate(anchors, start=1):
         canvas.dot("anchors", float(a.real), float(a.imag), r=0.005)
     qx, qy = float(sol.q[0]), float(sol.q[1])

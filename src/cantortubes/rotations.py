@@ -3,10 +3,11 @@
 A clockwise rotation by theta is paired with a translation vector v(theta)
 chosen so that consecutive rotated copies overlap heavily.  On the dyadic
 angle grid (multiples of the per-level angle steps) v is defined by a
-three-case recursion; elsewhere it is the left limit along the grid, with a
-certified Cauchy tail bound.  Tube families inflate a level's rectangles,
-rotate them, and translate them by v; their union over one level's grid is
-the level's stage of the covering set.
+three-case recursion over `child_anchor` orbit points; elsewhere it is the
+left limit along the grid, with a certified Cauchy tail bound.  `v_limit`
+serves any angle, exactly (bound 0) on the grid.  Tube families inflate a
+level's rectangles, rotate them, and translate them by v; their union over
+one level's grid is the level's stage of the covering set.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .arcs import arc_point
 from .dyadic import floor_frac
 from .errors import OffGridError, PopulationCapError
-from .hierarchy import Construction
+from .hierarchy import Construction, child_anchor
 from .numerics import arith_error, frac_to_mpf, workprec
 from .reports import VerificationReport
+from .sequences import p2_exponent
 
 CASE_ROTATION_ONLY = "rotation-only"      # multiples of the coarsest step
 CASE_ANCHOR = "anchor"                    # v = first-parent child anchor
@@ -154,22 +155,16 @@ class RotationFamily:
         """Translation vector on the dyadic angle grid (exact recursion)."""
         return self._v_tagged(Fraction(theta))[0]
 
-    def v_case(self, theta: Fraction) -> str:
-        return self._v_tagged(Fraction(theta))[1]
-
     def _v_tagged(self, theta: Fraction) -> tuple:
-        if theta in self._memo:
-            return self._memo[theta]
-        table = self.cons.table
-        if theta == 0:
-            res = (mpmath.mpc(0, 0), CASE_ROTATION_ONLY)
-            self._memo[theta] = res
-            return res
+        if theta not in self._memo:
+            self._memo[theta] = self._v_recursion(theta)
+        return self._memo[theta]
+
+    def _v_recursion(self, theta: Fraction) -> tuple:
         m = self.grid_level_of(theta)
-        if m == 1:
-            res = (mpmath.mpc(0, 0), CASE_ROTATION_ONLY)
-            self._memo[theta] = res
-            return res
+        if m == 1:  # theta = 0 included
+            return mpmath.mpc(0, 0), CASE_ROTATION_ONLY
+        table = self.cons.table
         n = m - 1
         theta_n = table.theta_(n)
         theta_m = table.theta_(m)
@@ -181,7 +176,7 @@ class RotationFamily:
         q, k = divmod(int(K), N_n)
         sol = self.cons.sol(n)
         with workprec(self.cons.prec):
-            base = arc_point(sol, k + 1)
+            base = child_anchor(mpmath.mpc(0, 0), sol, k + 1)
             case = CASE_ANCHOR
             if q:
                 base = mpmath.expj(-frac_to_mpf(q * N_n * theta_m)) * base
@@ -190,9 +185,7 @@ class RotationFamily:
                 coarse, _ = self._v_tagged(j * theta_n)
                 base = mpmath.expj(-frac_to_mpf(j * theta_n)) * base + coarse
                 case = CASE_COMPOSED
-        res = (base, case)
-        self._memo[theta] = res
-        return res
+        return base, case
 
     def tail_bound(self, m: int) -> Fraction:
         """Certified bound on ||v(theta) - v(Theta_m)||: the increment chain
@@ -202,13 +195,13 @@ class RotationFamily:
         table = self.cons.table
         D = table.depth
         tail = sum((2 * table.Delta_(j) for j in range(m, D + 1)), Fraction(0))
-        beyond = table.c * table.delta_(D) ** table.p2_exponent(D)
+        beyond = table.c * table.delta_(D) ** p2_exponent(table.profile, D)
         return tail + 4 * beyond
 
     def v_limit(self, theta) -> VLimitResult:
-        """Left-limit evaluation at an arbitrary angle in [0, 1]: evaluate at
-        the grid points below theta on every grid level; the finest value
-        ships with its certified bound."""
+        """v at any angle in [0, 1] as the left limit: evaluate at the grid
+        points below theta on every grid level; the finest value ships with
+        its certified bound, 0 when theta lies on the finest usable grid."""
         theta = Fraction(theta)
         if not 0 <= theta <= 1:
             raise ValueError(f"angle must lie in [0, 1], got {theta}")
@@ -217,19 +210,11 @@ class RotationFamily:
         evals = tuple(
             (m, self.v(floor_frac(theta / table.theta_(m)) * table.theta_(m)))
             for m in range(1, level + 1))
+        on_grid = (theta / table.theta_(level)).denominator == 1
         return VLimitResult(
             theta=theta, point=evals[-1][1],
-            error_bound=float(self.tail_bound(level)),
+            error_bound=0.0 if on_grid else float(self.tail_bound(level)),
             grid_level=level, evaluations=evals)
-
-    def v_any(self, theta) -> tuple:
-        """(point, error_bound) for exact-grid or arbitrary angles alike."""
-        theta = Fraction(theta)
-        try:
-            return self.v(theta), 0.0
-        except OffGridError:
-            res = self.v_limit(theta)
-            return res.point, res.error_bound
 
     def translation_table(self, level: int) -> TranslationTable:
         """Materialized v table on a level's full angle grid, refused past
@@ -260,10 +245,10 @@ class RotationFamily:
         float64 pass `Construction.anchors_float64`, within its bound of the
         mpmath anchors.
         """
-        theta = Fraction(theta)
-        v, bound = self.v_any(theta)
+        res = self.v_limit(theta)
+        v, theta = res.point, res.theta
         anchors, paths, _ = self._level_anchors(level, n_samples, rng)
-        return _place(anchors, theta, v), v, bound, paths is not None
+        return _place(anchors, theta, v), v, res.error_bound, paths is not None
 
     def _level_anchors(self, level: int, n_samples: int | None,
                        rng: random.Random | None) -> tuple:
@@ -294,7 +279,7 @@ class RotationFamily:
         if not 0 <= l < n_fam:
             raise ValueError(f"angle index {l} outside 0..{n_fam - 1}")
         angle = l * step
-        v, _ = self.v_any(angle)
+        v = self.v(angle)
         return TubeFamily(
             level=level, angle_index=l, angle=angle, variant=variant, C=C,
             half_width=mult * float(C * step),
@@ -342,8 +327,8 @@ class RotationFamily:
         """
         table = self.cons.table
         C = Fraction(C if C is not None else table.C_tube)
-        theta = Fraction(theta)
-        v, v_bound = self.v_any(theta)
+        res = self.v_limit(theta)
+        v, theta = res.point, res.theta
         anchors, paths, e = self._level_anchors(n + 1, n_samples, rng)
         theta_n, Delta_n = float(table.theta_(n)), float(table.Delta_(n))
         n_fam = table.family_count(n)
@@ -384,10 +369,9 @@ class RotationFamily:
             if single.max() > float(C) - d_own:
                 best = widest(pts, single)
                 refine |= best >= best.max() - 2 * delta([own] + others)
-            with workprec(self.cons.prec):
-                for j in np.flatnonzero(refine):
-                    a = self.cons.anchor_by_path(paths[j])
-                    anchors[j] = (float(a.real), float(a.imag))
+            for j in np.flatnonzero(refine):
+                a = self.cons.anchor_by_path(paths[j])
+                anchors[j] = (float(a.real), float(a.imag))
             pts = _place(anchors, theta, v)
 
         local, own_ratios = ratios(own, pts)
@@ -406,7 +390,7 @@ class RotationFamily:
             sampled=paths is not None,
             worst_x_ratio=float(np.abs(local[worst, j_best, 0]) / theta_n),
             worst_y_ratio=float(np.abs(local[worst, j_best, 1]) / Delta_n),
-            v_error_bound=float(v_bound),
+            v_error_bound=res.error_bound,
             scanned_all_families=scanned_all,
         )
 
@@ -444,11 +428,12 @@ def empirical_v_bounds(rf: RotationFamily, n: int, n_samples: int = 400,
 
 
 def verify_translation_invariants(rf: RotationFamily,
-                                  rng: random.Random | None = None,
-                                  n_thetas: int = 100) -> VerificationReport:
+                                  rng: random.Random | None = None
+                                  ) -> VerificationReport:
     """The limit-evaluation invariants: per-level increments within twice the
     height scale, on-grid stationarity, and honesty of the returned bound."""
     rng = rng or random.Random(0)
+    n_thetas = 40
     cons = rf.cons
     table = cons.table
     depth = rf.grid_depth()
@@ -462,8 +447,6 @@ def verify_translation_invariants(rf: RotationFamily,
             theta = Fraction(rng.random()).limit_denominator(10**12)
             evals = dict(rf.v_limit(theta).evaluations)
             for m in range(1, depth):
-                if m + 1 not in evals:
-                    continue
                 inc = abs(evals[m + 1] - evals[m])
                 incs.append(frac_to_mpf(2 * table.Delta_(m)) - inc)
                 # Refining by one level moves the value by at most the bound

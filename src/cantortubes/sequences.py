@@ -31,7 +31,7 @@ from .reports import VerificationReport
 
 #: Exponents larger than this make downstream extended-precision work
 #: impractically slow; the derivation refuses to cross it.
-DEFAULT_MAX_EXPONENT = 200_000
+MAX_EXPONENT = 200_000
 
 PROFILES = ("strict", "demo")
 
@@ -74,6 +74,11 @@ def check_parameters(s=1, c=Fraction(1, 16), profile: str = "strict",
         raise ValueError(f"constant constraint c*(1+4c(c1+1)) < 1 fails for c={c}, c1={c1}")
     if not 3 * c * c1 < Fraction(1, 2):
         raise ValueError(f"constant constraint 3*c*c1 < 1/2 fails for c={c}, c1={c1}")
+
+
+def p2_exponent(profile: str, n: int) -> int:
+    """Exponent e of the height recursion Delta_{n+1} <= c*delta_n**e."""
+    return n + 1 if profile == "strict" else 2
 
 
 def build_schedule(s, depth: int) -> DimensionSchedule:
@@ -129,10 +134,6 @@ class SequenceTable:
         0..floor(1/theta_n)."""
         return floor_frac(1 / self.theta_(n)) + 1
 
-    def p2_exponent(self, n: int) -> int:
-        """Exponent in the height recursion Delta_{n+1} <= c*delta_n**e."""
-        return n + 1 if self.profile == "strict" else 2
-
     def min_scale_bits(self) -> int:
         """Bits needed to resolve the finest scale in the table."""
         return -floor_log2(self.theta[-1])
@@ -158,7 +159,6 @@ def derive_sequences(
     profile: str = "strict",
     c1=Fraction(2),
     C_tube=Fraction(16),
-    max_exponent: int = DEFAULT_MAX_EXPONENT,
 ) -> SequenceTable:
     """Greedily derive the largest dyadic sequences satisfying every bound.
 
@@ -170,7 +170,7 @@ def derive_sequences(
     structural and spacing properties are unaffected.
 
     Raises DepthUnreachableError when an exponent would exceed
-    ``max_exponent`` bits, reporting the deepest achievable level.
+    ``MAX_EXPONENT`` bits, reporting the deepest achievable level.
     """
     c, c1 = Fraction(c), Fraction(c1)
     check_parameters(c=c, profile=profile, c1=c1)
@@ -183,10 +183,9 @@ def derive_sequences(
 
     for n in range(1, depth):
         # Height: largest power of two below the profile bound.
-        e = n + 1 if profile == "strict" else 2
-        bound = c * delta[n - 1] ** e
+        bound = c * delta[n - 1] ** p2_exponent(profile, n)
         a = -floor_log2(bound)
-        if a > max_exponent:
+        if a > MAX_EXPONENT:
             raise DepthUnreachableError(requested=depth, max_depth=n)
         Delta_next = pow2(-a)
         theta_next = c * Delta_next * delta[n - 1]
@@ -196,7 +195,7 @@ def derive_sequences(
         m_schedule = ceil_frac(a * inv_s)  # c*2**-m <= c*(2**-a)**(1/s)
         m_product = -floor_log2(Delta_next * delta[n - 1])  # (P3) bound
         m = max(m_schedule, m_product, 0)
-        if m > max_exponent:
+        if m > MAX_EXPONENT:
             raise DepthUnreachableError(requested=depth, max_depth=n)
         delta_next = c * pow2(-m)
 
@@ -255,7 +254,7 @@ def validate_sequences(table: SequenceTable) -> VerificationReport:
             all(x[i] > x[i + 1] for i in range(len(x) - 1)) or len(x) == 1)
 
     for n in range(1, N):  # constraints linking level n to n+1 (1-based n)
-        e = table.p2_exponent(n)
+        e = p2_exponent(table.profile, n)
         tag = "" if table.profile == "strict" else " [demo exponent 2]"
         add(f"height bound{tag}: Delta_{n+1} <= c*delta_{n}^{e}",
             D[n] <= c * d[n - 1] ** e, margin=c * d[n - 1] ** e - D[n])

@@ -8,15 +8,18 @@ from cantortubes.arcs import (
     ArcSolution,
     _angle_at_center,
     angle_profile,
-    arc_point,
     perp_bisector_axis_crossing,
     solve_arc,
     solve_table_arcs,
 )
 from cantortubes.dyadic import pow2
 from cantortubes.errors import FeasibilityError
+from cantortubes.hierarchy import child_anchor
 from cantortubes.numerics import default_precision, frac_to_mpf, workprec
 from cantortubes.sequences import build_schedule, derive_sequences
+
+#: The arc's equidistant points are the orbit of the origin.
+ORIGIN = mpmath.mpc(0, 0)
 
 
 def test_axis_crossing_unit_level():
@@ -78,9 +81,9 @@ def test_solution_invariants_level1(strict_table):
 def test_arc_point_endpoints(strict_table, strict_arcs):
     sol = strict_arcs[0]
     with workprec(sol.prec):
-        p1 = arc_point(sol, 1)
+        p1 = child_anchor(ORIGIN, sol, 1)
         assert p1 == 0
-        p2 = arc_point(sol, 2)
+        p2 = child_anchor(ORIGIN, sol, 2)
         q = mpmath.mpc(*sol.q)
         # p2 rotates by the exact target angle; q sits at the achieved one,
         # so they agree up to residual * radius.
@@ -92,7 +95,7 @@ def test_arc_points_equidistant(strict_arcs):
     sol = strict_arcs[0]
     with workprec(sol.prec):
         step = abs((1 - mpmath.expj(-frac_to_mpf(sol.sub_angle))) * sol.center_c)
-        pts = [arc_point(sol, k) for k in range(1, 20)]
+        pts = [child_anchor(ORIGIN, sol, k) for k in range(1, 20)]
         for a, b in zip(pts, pts[1:]):
             assert abs(abs(b - a) - step) < 1e-30
 
@@ -100,7 +103,7 @@ def test_arc_points_equidistant(strict_arcs):
 def test_arc_points_monotone_in_unit_box(strict_arcs):
     sol = strict_arcs[0]
     with workprec(sol.prec):
-        pts = [arc_point(sol, k) for k in range(1, 18)]
+        pts = [child_anchor(ORIGIN, sol, k) for k in range(1, 18)]
         inside = [p for p in pts if p.real <= 1 and p.imag <= 1]
         for a, b in zip(inside, inside[1:]):
             assert b.real > a.real and b.imag > a.imag
@@ -112,7 +115,7 @@ def test_arc_point_y_increments_bounded(strict_table, strict_arcs):
     sol = strict_arcs[0]
     D2 = float(strict_table.Delta_(2))
     with workprec(sol.prec):
-        pts = [arc_point(sol, k) for k in range(1, 18)]
+        pts = [child_anchor(ORIGIN, sol, k) for k in range(1, 18)]
         incs = [float(b.imag - a.imag) for a, b in zip(pts, pts[1:])]
         assert abs(incs[0] - D2) < 1e-25
         for inc in incs:
@@ -135,9 +138,7 @@ def test_infeasible_angle_rejected(strict_table):
 def test_arc_point_range_errors(strict_arcs):
     sol = strict_arcs[0]
     with pytest.raises(ValueError):
-        arc_point(sol, 0)
-    with pytest.raises(ValueError):
-        arc_point(sol, 10**9)
+        child_anchor(ORIGIN, sol, 0)
 
 
 def test_solution_json_roundtrippable(strict_arcs):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cantortubes import hierarchy
-from cantortubes.arcs import arc_point, solve_table_arcs
+from cantortubes.arcs import solve_table_arcs
 from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
@@ -20,7 +20,7 @@ from cantortubes.hierarchy import (
     verify_level_invariants,
     verify_spacing,
 )
-from cantortubes.numerics import frac_to_mpf, workprec
+from cantortubes.numerics import default_precision, frac_to_mpf, workprec
 from cantortubes.reports import EXPECTED_FAILURES
 from cantortubes.rotations import RotationFamily
 from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
@@ -31,18 +31,36 @@ def cons(strict_table, strict_arcs):
     return Construction(strict_table, sols=strict_arcs)
 
 
+def arc_point(sol, k: int):
+    """The former closed form of the k-th equidistant point of a solved
+    circle, 1-based: the origin rotated clockwise by (k-1) sub-arc angles
+    about the center.  The oracle for `child_anchor` from the origin."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    phi = (k - 1) * sol.sub_angle
+    if float(phi) > 6.283185307179587:
+        raise ValueError(f"k = {k} winds beyond a full turn")
+    with workprec(sol.prec):
+        alpha = sol.center_c
+        return alpha * (1 - mpmath.expj(-frac_to_mpf(phi)))
+
+
 def test_child_anchor_k1_is_parent(cons):
     with workprec(cons.prec):
         p = mpmath.mpc("0.3", "0.4")
         assert child_anchor(p, cons.sol(1), 1) is p
 
 
-def test_child_anchor_of_origin_is_arc_point(cons):
-    with workprec(cons.prec):
-        for k in (1, 2, 5, 11):
-            a = child_anchor(mpmath.mpc(0, 0), cons.sol(1), k, prec=cons.prec)
-            b = arc_point(cons.sol(1), k)
-            assert abs(a - b) < 1e-40
+def test_child_anchor_of_origin_is_arc_point(request):
+    # Bit for bit, at every level: k = 1, 2 and the first parent's count N
+    # and N + 1 (the anchor that leaves the parent).
+    for name in ("cons", "strict4_cons", "demo4_cons"):
+        cons = request.getfixturevalue(name)
+        for n in range(1, cons.table.depth):
+            N = cons.count_children_by_path((1,) * (n - 1))
+            for k in (1, 2, N, N + 1):
+                a = child_anchor(mpmath.mpc(0, 0), cons.sol(n), k)
+                assert a == arc_point(cons.sol(n), k), (name, n, k)
 
 
 def test_rotation_identity_exact_algebra(cons):
@@ -96,7 +114,7 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
             else:
                 break
     hi = count_search_bound(strict_table, 1)
-    assert count_children(parent, sol, hi, cons.prec) == kept
+    assert count_children(parent, sol, hi) == kept
     assert cons.N(1) == kept
 
 
@@ -133,7 +151,7 @@ def assert_counts_match_reference(cons, parents, monkeypatch):
     evals = []
 
     def counted(parent_anchor, sol, k, prec=None):
-        evals.append(prec == cons.prec)
+        evals.append((prec or sol.prec) == cons.prec)
         return child_anchor(parent_anchor, sol, k, prec)
 
     for parent in parents:
@@ -142,7 +160,7 @@ def assert_counts_match_reference(cons, parents, monkeypatch):
         evals.clear()
         with monkeypatch.context() as m:
             m.setattr(hierarchy, "child_anchor", counted)
-            got = count_children(parent, sol, hi, cons.prec)
+            got = count_children(parent, sol, hi)
         assert sum(evals) <= 4, parent.path
         assert got == reference_count(parent, sol, hi, cons.prec), parent.path
 
@@ -261,7 +279,7 @@ def test_count_children_rejects_undersized_bound(cons):
     parent = cons.level(1).rects[0]
     with pytest.raises(ConstructionError,
                        match="monotone-exit assumption violated"):
-        count_children(parent, cons.sol(1), cons.N(1), cons.prec)
+        count_children(parent, cons.sol(1), cons.N(1))
 
 
 def test_count_sandwich_and_angle_bound(cons):
@@ -487,9 +505,22 @@ def test_spacing_detects_corruption(cons, strict_table):
         c1=strict_table.c1, C_tube=strict_table.C_tube,
         profile="strict", schedule=strict_table.schedule,
     )
-    bad_cons = Construction(bad, prec=cons.prec, sols=cons.sols)
+    bad_cons = Construction(bad, sols=cons.sols)
     report = verify_spacing(bad_cons, child_level=2)
     assert not report.ok
+
+
+def test_construction_takes_the_precision_of_its_arcs(strict_table):
+    assert Construction(strict_table).prec == default_precision(strict_table)
+    sols = solve_table_arcs(strict_table, 200)
+    assert Construction(strict_table, sols=sols).prec == 200
+
+
+def test_construction_refuses_arcs_of_mixed_precision(strict_table,
+                                                      strict_arcs):
+    mixed = (strict_arcs[0], solve_table_arcs(strict_table, 200)[1])
+    with pytest.raises(ValueError, match="mix precisions"):
+        Construction(strict_table, sols=mixed)
 
 
 def test_sample_parent_paths_reproducible(cons):

@@ -154,6 +154,9 @@ def test_config_rejects_non_integer_ints(tmp_path, blob):
     {"profile": "bogus"},
     {"c": "1/3"},
     {"s": "2"},
+    {"C_tube": "-1"},
+    {"neighborhood_radius": "-1/64"},
+    {"raster_resolution": "0"},
 ], ids=lambda blob: "-".join(f"{k}={v}" for k, v in blob.items()))
 def test_config_refused_at_parse_time(tmp_path, blob):
     # Refused when the config is read, before any stage runs, instead of
@@ -161,6 +164,20 @@ def test_config_refused_at_parse_time(tmp_path, blob):
     key = next(iter(blob))
     with pytest.raises(ValueError, match=key):
         RunConfig.from_json(blob)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "pipeline"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blob", [
+    {"neighborhood_radius": "0"},  # the default resolution is radius/4 = 0
+    {"neighborhood_radius": "1/64", "raster_resolution": "1/8"},
+], ids=lambda blob: "-".join(f"{k}={v}" for k, v in blob.items()))
+def test_area_settings_refused_before_any_stage_writes(tmp_path, blob):
+    # Each field parses alone; together they leave no raster the area stage
+    # accepts, so the run is refused before its first stage.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(blob))
     out = tmp_path / "o"

@@ -5,7 +5,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from cantortubes.arcs import arc_point
 from cantortubes.dyadic import floor_frac
 from cantortubes.errors import OffGridError, PopulationCapError
 from cantortubes.hierarchy import Construction, child_anchor
@@ -36,6 +35,25 @@ def demo_rf(demo_table, demo_arcs):
     return RotationFamily(Construction(demo_table, sols=demo_arcs))
 
 
+def v_case(rf, theta):
+    """The recursion case of v(theta)."""
+    return rf._v_tagged(Fraction(theta))[1]
+
+
+def v_any(rf, theta):
+    """The former two-way any-angle entry, the oracle for `v_limit`: v itself
+    with bound 0 on the grid, else v at the finest grid point below theta
+    with the tail bound of the finest grid level."""
+    theta = Fraction(theta)
+    try:
+        return rf.v(theta), 0.0
+    except OffGridError:
+        level = rf.grid_depth()
+        step = rf.cons.table.theta_(level)
+        return (rf.v(floor_frac(theta / step) * step),
+                float(rf.tail_bound(level)))
+
+
 def test_grid_depth(rf):
     assert rf.grid_depth() == 3
 
@@ -46,7 +64,7 @@ def test_v_zero_and_coarse_grid(rf, strict_table):
     for j in (1, 5, 16):
         th = j * strict_table.theta_(1)
         assert rf.v(th) == 0
-        assert rf.v_case(th) == CASE_ROTATION_ONLY
+        assert v_case(rf, th) == CASE_ROTATION_ONLY
 
 
 def test_v_anchor_case(rf, cons, strict_table):
@@ -56,8 +74,9 @@ def test_v_anchor_case(rf, cons, strict_table):
     with workprec(cons.prec):
         for k in (1, 3, 15):
             th = k * strict_table.theta_(2)
-            assert abs(rf.v(th) - arc_point(sol, k + 1)) < 1e-40
-            assert rf.v_case(th) == CASE_ANCHOR
+            anchor = child_anchor(mpmath.mpc(0, 0), sol, k + 1)
+            assert abs(rf.v(th) - anchor) < 1e-40
+            assert v_case(rf, th) == CASE_ANCHOR
 
 
 def test_v_composed_case_identity(rf, cons, strict_table):
@@ -71,7 +90,7 @@ def test_v_composed_case_identity(rf, cons, strict_table):
             composed = mpmath.expj(-frac_to_mpf(j * t1)) * rf.v(k * t2) \
                 + rf.v(j * t1)
             assert abs(direct - composed) < 1e-40
-            assert rf.v_case(th) == CASE_COMPOSED
+            assert v_case(rf, th) == CASE_COMPOSED
 
 
 def test_v_rotated_anchor_case(rf, cons, strict_table):
@@ -115,6 +134,28 @@ def test_v_limit_increments_and_bound(rf, strict_table):
             assert res.error_bound <= float(2 * strict_table.Delta_(3)) * 1.1
 
 
+@pytest.mark.parametrize("name", ["rf", "demo_rf"])
+def test_v_limit_matches_the_two_way_oracle(request, name):
+    # On-grid angles (l * theta_m at every usable m) come back exactly with
+    # bound 0; off-grid ones with the finest level's tail bound.
+    rf = request.getfixturevalue(name)
+    rng = random.Random(5)
+    table = rf.cons.table
+    thetas = [Fraction(0), Fraction(1)]
+    for m in range(1, rf.grid_depth() + 1):
+        n_steps = floor_frac(1 / table.theta_(m))
+        thetas += [rng.randint(0, n_steps) * table.theta_(m) for _ in range(20)]
+    thetas += [Fraction(rng.random()).limit_denominator(10**12)
+               for _ in range(40)]
+    on_grid = 0
+    for theta in thetas:
+        res = rf.v_limit(theta)
+        point, bound = v_any(rf, theta)
+        assert res.point == point and res.error_bound == bound, theta
+        on_grid += bound == 0.0
+    assert on_grid >= 20 * rf.grid_depth()
+
+
 def test_v_limit_convergence_report(rf):
     res = rf.v_limit(0.3)
     assert res.error_bound < 1e-3
@@ -122,7 +163,7 @@ def test_v_limit_convergence_report(rf):
 
 
 def test_translation_invariants_report(rf):
-    report = verify_translation_invariants(rf, rng=random.Random(1), n_thetas=40)
+    report = verify_translation_invariants(rf, rng=random.Random(1))
     assert report.ok, [e.to_json() for e in report.entries if e.status != "pass"]
 
 
@@ -322,7 +363,7 @@ def reference_gamma_anchors(rf, theta, level, n_samples=None, rng=None):
     """Rotated anchors with every sampled anchor built by `anchor_by_path`
     in mpmath and rounded to float64."""
     theta = Fraction(theta)
-    v, bound = rf.v_any(theta)
+    v, bound = v_any(rf, theta)
     try:
         pts = rf.cons.level(level).anchors_float()
         sampled = False
