@@ -16,7 +16,6 @@ from cantortubes import (
     build_schedule,
     derive_sequences,
     projection_lengths,
-    projection_lengths_lazy,
     verify_counts,
     verify_spacing,
 )
@@ -56,8 +55,8 @@ print("  (the level-1 angle-ratio bound fails with exact equality 16 == 16; "
       "the first level's unit width leaves no headroom)")
 
 print("\n=== projections ===")
-ly2, lx2 = projection_lengths(cons.level(2), cons.prec)
-ly3, lx3 = projection_lengths_lazy(cons, 3)
+ly2, lx2 = projection_lengths(cons, 2)
+ly3, lx3 = projection_lengths(cons, 3)
 print(f"  level 2: vertical mass {float(ly2):.6f}, horizontal {float(lx2):.6f}")
 print(f"  level 3: vertical mass {float(ly3):.6f}, horizontal {float(lx3):.3e}"
       " (computed lazily)")

@@ -34,11 +34,9 @@ from .measures import (
     DimensionEstimate,
     box_dimension_x_projection,
     dimension_bound_report,
-    interval_union_length,
     neighborhood_area,
     pairwise_overlap_loss,
     projection_lengths,
-    projection_lengths_lazy,
 )
 from .pipeline import RunConfig, run_pipeline, verify_manifest
 from .render import render_svg

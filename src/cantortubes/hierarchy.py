@@ -192,8 +192,7 @@ def count_search_bound(table: SequenceTable, n: int) -> int:
     """Strict upper bound for per-parent child counts at level n, from the
     two-sided count sandwich (valid at every level; the angle-step ratio is
     *attained* at level 1, so it cannot serve as a strict bracket there)."""
-    ratio = table.Delta_(n) / table.Delta_(n + 1)
-    return ceil_frac(ratio * (1 + table.c2 * table.delta_(n - 1))) + 1
+    return ceil_frac(table.count_sandwich(n)[1]) + 1
 
 
 class Construction:
@@ -217,8 +216,23 @@ class Construction:
         self._counts: dict[tuple, int] = {}
 
     def sol(self, n: int) -> ArcSolution:
-        """Arc solution used to subdivide level n (1-based)."""
+        """Arc solution used to subdivide level n, refused (ValueError)
+        outside 1..depth - 1: the deepest level has no children."""
+        if not 1 <= n <= len(self.sols):
+            raise ValueError(f"no arc subdivides level {n} of a depth-"
+                             f"{self.table.depth} table")
         return self.sols[n - 1]
+
+    def anchor_error(self, n: int):
+        """Error (mpf) of level-n anchors and their increments: `arith_error`,
+        plus the parent arc's residual, which moves its centre and with it
+        every increment by about residual*radius."""
+        with workprec(self.prec):
+            err = arith_error(self.prec)
+            if n >= 2:
+                sol = self.sol(n - 1)
+                err += 4 * sol.residual * sol.radius
+            return err
 
     def level(self, n: int) -> LevelSet:
         """Level n, materialized on first use; past `materializable_depth()`
@@ -226,8 +240,7 @@ class Construction:
         Its rectangles are the first N(n - 1) children (the uniform count)
         of every level-(n - 1) rectangle, each built by `rect_by_path`, in
         path order, which must be anchor-x order."""
-        if not 1 <= n <= self.table.depth:
-            raise ValueError(f"level {n} outside table depth {self.table.depth}")
+        self.table.check_level(n)
         if n not in self._levels:
             population = self.population(n)
             if population > self.cap:
@@ -255,6 +268,12 @@ class Construction:
                 n += 1
             self._depth = n
         return self._depth
+
+    def counted_depth(self) -> int:
+        """Deepest level whose population is exact (it needs the counts of
+        the materialized level above): the angle grid, projection and
+        dimension levels stop here."""
+        return min(self.table.depth, self.materializable_depth() + 1)
 
     def counts(self, n: int) -> tuple:
         """Per-parent child counts at level n; needs only level n itself."""
@@ -408,11 +427,9 @@ class Construction:
         """Uniformly sampled paths addressing level-`parent_level` parents.
         Uses the exact uniform counts of the materializable levels,
         per-parent counts beyond."""
-        if not 1 <= parent_level <= self.table.depth:
-            raise ValueError(
-                f"level {parent_level} outside table depth {self.table.depth}")
+        self.table.check_level(parent_level)
         exact = [self.N(lvl) for lvl in
-                 range(1, min(parent_level, self.materializable_depth() + 1))]
+                 range(1, min(parent_level, self.counted_depth()))]
         paths = []
         for _ in range(n_samples):
             path = []
@@ -452,10 +469,8 @@ def verify_spacing(cons: Construction, child_level: int,
         title=f"spacing of level-{child_level} children "
               f"({'all pairs' if n_samples is None else f'{n_samples} sampled pairs'})")
     pairs = []
+    err = cons.anchor_error(child_level)
     with workprec(cons.prec):
-        # The arc residual moves the solved centre, and with it every
-        # increment, by about residual*radius.
-        err = arith_error(cons.prec) + 4 * sol.residual * sol.radius
         if n_samples is None:
             level = cons.level(child_level)
             for a, b in zip(level.rects, level.rects[1:]):
@@ -509,10 +524,8 @@ def verify_level_invariants(cons: Construction, n: int) -> VerificationReport:
     rects = cons.level(n).rects
     rep = VerificationReport(title=f"level-{n} structure ({len(rects)} rects)")
 
+    err = cons.anchor_error(n)
     with workprec(cons.prec):
-        err = arith_error(cons.prec)
-        if n >= 2:  # the arc residual's effect, as in `verify_spacing`
-            err += 4 * cons.sol(n - 1).residual * cons.sol(n - 1).radius
         first = rects[0]
         rep.add("first rectangle anchored at the origin", first.anchor == 0)
         rep.add("widths equal the level width scale exactly",
@@ -577,9 +590,7 @@ def verify_counts(cons: Construction, max_parent_level: int) -> VerificationRepo
     for n in range(1, max_parent_level + 1):
         N = cons.N(n)
         rep.stats["N"][n] = N
-        ratio = table.Delta_(n) / table.Delta_(n + 1)
-        lo = ratio * (1 - table.c2 * table.delta_(n - 1))
-        hi = ratio * (1 + table.c2 * table.delta_(n - 1))
+        lo, hi = table.count_sandwich(n)
         rep.add(f"N_{n} sandwich lower bound", N >= lo,
                 margin=N - lo, detail=f"N={N}, bound={float(lo):.6g}")
         rep.add(f"N_{n} sandwich upper bound", N <= hi,

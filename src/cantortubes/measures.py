@@ -1,5 +1,5 @@
-"""Quantitative measurements: projection lengths, rasterized areas of tube
-unions, covering-sum bookkeeping, and box-counting slopes."""
+"""Quantitative measurements: telescoped projection lengths, rasterized areas
+of tube unions, covering-sum bookkeeping, and box-counting slopes."""
 
 from __future__ import annotations
 
@@ -9,45 +9,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hierarchy import Construction, LevelSet, child_anchor
+from .hierarchy import Construction, child_anchor
 from .numerics import workprec
 from .raster import RasterResult, rasterize
 
 
-# -- interval unions -----------------------------------------------------------
+# -- projections ----------------------------------------------------------------
 
-def interval_union_length(intervals):
-    """Exact length of a union of closed intervals, by sweep.  Endpoint types
-    just need subtraction and ordering (floats, mpf, Fraction)."""
-    ivs = sorted((lo, hi) for lo, hi in intervals if hi > lo)
-    total = 0
-    cur_lo = cur_hi = None
-    for lo, hi in ivs:
-        if cur_hi is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
-def projection_lengths(level: LevelSet, prec: int) -> tuple:
-    """(len_y, len_x): interval-union lengths of the level's projections."""
-    with workprec(prec):
-        ys = [(r.anchor.imag, r.anchor.imag + r.height) for r in level.rects]
-        xs = [(r.anchor.real, r.anchor.real + float(r.width)) for r in level.rects]
-        return interval_union_length(ys), interval_union_length(xs)
-
-
-def projection_lengths_lazy(cons: Construction, n: int) -> tuple:
-    """Projection lengths of level n without materializing it: the y-union
-    telescopes over the previous level's parents (children tile each parent's
-    bottom span contiguously), and the x-projections are disjoint so the
-    length is the exact count times the width."""
+def projection_lengths(cons: Construction, n: int) -> tuple:
+    """(len_y, len_x) of level n <= `cons.counted_depth()`, unbuilt.  Siblings
+    share y-endpoints and cousins are disjoint (`verify_level_invariants`),
+    so len_y telescopes to one span per parent, from its corner to its
+    (N + 1)-th child anchor; disjoint x-projections give count * width."""
     if n == 1:
         return 1.0, 1.0
     parents = cons.level(n - 1)

@@ -32,7 +32,6 @@ from .measures import (
     dimension_bound_report,
     neighborhood_area,
     projection_lengths,
-    projection_lengths_lazy,
 )
 from .render import render_arc_diagram, render_gamma_theta, render_level_set, \
     render_tube_stage
@@ -72,7 +71,8 @@ class RunConfig:
     containment_anchors: int = 400
 
     def __post_init__(self):
-        for key in ("spacing_samples", "containment_anchors"):
+        for key in ("materialization_cap", "spacing_samples",
+                    "containment_thetas", "containment_anchors"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("C_tube", "neighborhood_radius"):
@@ -258,15 +258,12 @@ def _verify(run: _Run) -> bool:
 
 
 def _projections(run: _Run) -> bool:
-    cons, mat_depth = run.cons, run.mat_depth
     proj = {}
-    for n in range(1, mat_depth + 1):
-        ly, lx = projection_lengths(cons.level(n), cons.prec)
+    for n in range(1, run.cons.counted_depth() + 1):
+        ly, lx = projection_lengths(run.cons, n)
         proj[str(n)] = {"len_y": float(ly), "len_x": float(lx)}
-    if run.table.depth > mat_depth:
-        ly, lx = projection_lengths_lazy(cons, mat_depth + 1)
-        proj[str(mat_depth + 1)] = {
-            "len_y": float(ly), "len_x": float(lx), "lazy": True}
+        if n > run.mat_depth:
+            proj[str(n)]["lazy"] = True
     run.write_json("projections.json", proj)
     return True
 
@@ -312,7 +309,7 @@ def _area(run: _Run) -> bool:
 
 def _dimension(run: _Run) -> bool:
     cons, depth = run.cons, run.table.depth
-    dim = box_dimension_x_projection(cons, min(depth, run.mat_depth + 1))
+    dim = box_dimension_x_projection(cons, cons.counted_depth())
     run.write_json("dimension.json", {
         "estimate": dim.to_json(),
         "stage_bounds": [dimension_bound_report(cons, n)

@@ -137,7 +137,7 @@ def render_arc_diagram(cons: Construction, level: int = 1) -> str:
     pts = [(ax + r * math.cos(p), ay + r * math.sin(p)) for p in phis]
     canvas.polyline("arc", pts, stroke="#1f77b4", stroke_width=0.0025)
 
-    count = min(cons.N(level) + 1 if level < table.depth else 2, 4000)
+    count = min(cons.N(level) + 1, 4000)
     origin = mpmath.mpc(0, 0)
     anchors = [child_anchor(origin, sol, k) for k in range(1, count + 1)]
     for k, a in enumerate(anchors, start=1):
@@ -189,13 +189,14 @@ def render_tube_stage(rf: RotationFamily, level: int, C=None,
                       family_stride: int = 16) -> str:
     """Rotated-box families of one stage, one color per drawn family."""
     n_fam = rf.cons.table.family_count(level)
-    indices = list(range(0, n_fam, max(1, family_stride)))
-    fams = [rf.tube_family(level, l, C) for l in indices]
-    total = sum(len(f) for f in fams)
+    indices = range(0, n_fam, max(1, family_stride))
+    # Every family holds the whole level, so the cap is checked up front.
+    total = len(indices) * rf.cons.population(level)
     if total > RENDER_CAP:
         raise RenderCapError(
             f"{total} tubes exceed the render cap {RENDER_CAP}; "
             "raise family_stride to sample fewer families")
+    fams = [rf.tube_family(level, l, C) for l in indices]
     corners = [f.corners() for f in fams]
     xs = [c[..., 0].min() for c in corners] + [c[..., 0].max() for c in corners]
     ys = [c[..., 1].min() for c in corners] + [c[..., 1].max() for c in corners]
@@ -207,7 +208,7 @@ def render_tube_stage(rf: RotationFamily, level: int, C=None,
             canvas.polygon(f"family-{fam.angle_index}", quad, stroke=color,
                            stroke_width=0.002, opacity=0.7)
     canvas.text("labels", 0.0, -0.1,
-                f"stage {level}: families {indices} of {n_fam}", size=0.05)
+                f"stage {level}: families {list(indices)} of {n_fam}", size=0.05)
     return canvas.to_string()
 
 

@@ -131,19 +131,21 @@ class RotationFamily:
     # -- angle grid ----------------------------------------------------------
 
     def grid_depth(self) -> int:
-        """Finest grid level usable by the recursion.  Grid level m needs the
-        exact uniform counts of every coarser level, which the materialized
-        levels provide: one past `materializable_depth()`, within the table."""
-        return min(self.cons.table.depth,
-                   self.cons.materializable_depth() + 1)
+        """Finest grid level usable by the recursion, which needs the exact
+        counts of every coarser level: the construction's `counted_depth()`."""
+        return self.cons.counted_depth()
+
+    def _on_grid(self, theta: Fraction, m: int) -> bool:
+        """Does the level-m step divide theta (refused outside [0, 1])?"""
+        if not 0 <= theta <= 1:
+            raise ValueError(f"angle must lie in [0, 1], got {theta}")
+        return (theta / self.cons.table.theta_(m)).denominator == 1
 
     def grid_level_of(self, theta: Fraction) -> int:
         """Coarsest level whose step divides theta."""
         theta = Fraction(theta)
-        if not 0 <= theta <= 1:
-            raise ValueError(f"angle must lie in [0, 1], got {theta}")
         for m in range(1, self.grid_depth() + 1):
-            if (theta / self.cons.table.theta_(m)).denominator == 1:
+            if self._on_grid(theta, m):
                 return m
         raise OffGridError(
             f"{theta} is not a multiple of any usable grid step "
@@ -203,14 +205,12 @@ class RotationFamily:
         points below theta on every grid level; the finest value ships with
         its certified bound, 0 when theta lies on the finest usable grid."""
         theta = Fraction(theta)
-        if not 0 <= theta <= 1:
-            raise ValueError(f"angle must lie in [0, 1], got {theta}")
         table = self.cons.table
         level = self.grid_depth()
+        on_grid = self._on_grid(theta, level)
         evals = tuple(
             (m, self.v(floor_frac(theta / table.theta_(m)) * table.theta_(m)))
             for m in range(1, level + 1))
-        on_grid = (theta / table.theta_(level)).denominator == 1
         return VLimitResult(
             theta=theta, point=evals[-1][1],
             error_bound=0.0 if on_grid else float(self.tail_bound(level)),

@@ -116,18 +116,31 @@ class SequenceTable:
     def c2(self) -> Fraction:
         return 4 * self.c * (self.c1 + 1)
 
+    def check_level(self, n: int) -> int:
+        """n itself, refused (ValueError) outside 1..depth."""
+        if not 1 <= n <= self.depth:
+            raise ValueError(f"level {n} outside table depth {self.depth}")
+        return n
+
     def delta_(self, n: int) -> Fraction:
         """Width delta_n, 1-based; delta_0 := 1 by convention (used by the
         n = 1 instance of the child-count sandwich)."""
         if n == 0:
             return Fraction(1)
-        return self.delta[n - 1]
+        return self.delta[self.check_level(n) - 1]
 
     def Delta_(self, n: int) -> Fraction:
-        return self.Delta[n - 1]
+        return self.Delta[self.check_level(n) - 1]
 
     def theta_(self, n: int) -> Fraction:
-        return self.theta[n - 1]
+        return self.theta[self.check_level(n) - 1]
+
+    def count_sandwich(self, n: int) -> tuple:
+        """Exact (lo, hi) around the per-parent child count at level n:
+        Delta_n/Delta_{n+1} * (1 -/+ c2*delta_{n-1}), for n in 1..depth-1."""
+        ratio = self.Delta_(n) / self.Delta_(n + 1)
+        slack = self.c2 * self.delta_(n - 1)
+        return ratio * (1 - slack), ratio * (1 + slack)
 
     def family_count(self, n: int) -> int:
         """Tube families in the level-n stage: angle indices

@@ -134,10 +134,10 @@ def test_criterion_03_count_bounds(cons, strict_table):
 
 def test_criterion_04_projection_mass(cons, strict_table):
     t0 = time.time()
-    from cantortubes.measures import projection_lengths, projection_lengths_lazy
+    from cantortubes.measures import projection_lengths
 
     c2 = strict_table.c2
-    len_y2, _ = projection_lengths(cons.level(2), cons.prec)
+    len_y2, _ = projection_lengths(cons, 2)
     bound2 = 1 - c2 * strict_table.delta_(1)
     ok_y = float(len_y2) >= float(bound2)
     mass3 = cons.population(3) * strict_table.Delta_(3)

@@ -8,6 +8,7 @@ import pytest
 
 from cantortubes import hierarchy
 from cantortubes.arcs import solve_table_arcs
+from cantortubes.dyadic import ceil_frac
 from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
@@ -116,6 +117,18 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
     hi = count_search_bound(strict_table, 1)
     assert count_children(parent, sol, hi) == kept
     assert cons.N(1) == kept
+
+
+@pytest.mark.parametrize("profile, depth", [
+    *(("strict", d) for d in (2, 3, 4, 5)), *(("demo", d) for d in (3, 4, 5, 6))])
+def test_count_search_bound_from_the_sandwich(profile, depth):
+    # The former inline bound: one past the ceiling of the sandwich's top.
+    table = derive_sequences(build_schedule(1, depth), Fraction(1, 16),
+                             profile=profile)
+    for n in range(1, depth):
+        ratio = table.Delta_(n) / table.Delta_(n + 1)
+        hi = ratio * (1 + table.c2 * table.delta_(n - 1))
+        assert count_search_bound(table, n) == ceil_frac(hi) + 1
 
 
 def reference_count(parent, sol, hi, prec):
@@ -369,6 +382,8 @@ def test_materialization_boundary_matches_reference(boundary_tables, profile,
         assert new(new_cons) == old(ref_cons)
         # Deciding builds no level the reference did not.
         assert set(new_cons._levels) <= set(ref_cons._levels)
+    cons = fresh()
+    assert cons.counted_depth() == min(depth, cons.materializable_depth() + 1)
 
 
 def test_product_lower_bound(cons, strict_table):

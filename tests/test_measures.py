@@ -8,21 +8,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantortubes.hierarchy import Construction
+from cantortubes.numerics import workprec
 from cantortubes.measures import (
     AreaEstimate,
     box_dimension_x_projection,
     covering_sum,
     dimension_bound_report,
-    interval_union_length,
     neighborhood_area,
     pairwise_overlap_loss,
     projection_lengths,
-    projection_lengths_lazy,
 )
 from cantortubes import raster
 from cantortubes.raster import rasterize
 from cantortubes.rotations import RotationFamily, TubeFamily
-from cantortubes.sequences import build_schedule, derive_sequences
+from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,35 @@ def box_family(cx, cy, w, h, angle=0.0) -> TubeFamily:
         centers=np.array([[cx, cy]]), v=(0.0, 0.0))
 
 
-# -- interval sweep ------------------------------------------------------------
+# -- interval sweep: the projection oracle --------------------------------------
+
+def interval_union_length(intervals):
+    """Exact length of a union of closed intervals, by sweep.  Endpoint types
+    just need subtraction and ordering (floats, mpf, Fraction)."""
+    ivs = sorted((lo, hi) for lo, hi in intervals if hi > lo)
+    total = 0
+    cur_lo = cur_hi = None
+    for lo, hi in ivs:
+        if cur_hi is None:
+            cur_lo, cur_hi = lo, hi
+        elif lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+        else:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+    if cur_hi is not None:
+        total += cur_hi - cur_lo
+    return total
+
+
+def swept_projection_lengths(level, prec) -> tuple:
+    """(len_y, len_x): interval-union lengths of a materialized level's
+    projections, swept over every rectangle."""
+    with workprec(prec):
+        ys = [(r.anchor.imag, r.anchor.imag + r.height) for r in level.rects]
+        xs = [(r.anchor.real, r.anchor.real + float(r.width)) for r in level.rects]
+        return interval_union_length(ys), interval_union_length(xs)
+
 
 intervals = st.lists(
     st.tuples(st.floats(-100, 100, allow_nan=False),
@@ -70,36 +97,70 @@ def test_interval_union_merging():
 
 # -- projections ---------------------------------------------------------------
 
+def shallow_table() -> SequenceTable:
+    """A table whose level 3 (3,856 rectangles, 16 parents) materializes."""
+    c = Fraction(1, 16)
+    return SequenceTable(
+        c=c, depth=3, delta=(Fraction(1), Fraction(1, 2**8), Fraction(1, 2**40)),
+        Delta=(Fraction(1), Fraction(1, 2**4), Fraction(1, 2**12)),
+        theta=(c, c / 2**4, c / 2**20), c1=Fraction(2), C_tube=Fraction(16),
+        profile="strict", schedule=build_schedule(1, 3))
+
+
+@pytest.mark.parametrize("profile, depth, s, c", [
+    *(("strict", d, 1, Fraction(1, 16)) for d in (2, 3, 4, 5)),
+    *(("demo", d, 1, Fraction(1, 16)) for d in (3, 4, 5, 6)),
+    ("strict", 3, Fraction(1, 2), Fraction(1, 16)),
+    ("strict", 3, 0, Fraction(1, 16)),
+    ("strict", 3, 1, Fraction(1, 32)),
+    ("shallow", 3, None, None),
+])
+def test_projection_lengths_match_sweep(profile, depth, s, c):
+    # The telescoped lengths equal the sweep over every rectangle, as the
+    # floats the bundle writes, at every materialized level.
+    table = (shallow_table() if profile == "shallow" else
+             derive_sequences(build_schedule(s, depth), c, profile=profile))
+    cons = Construction(table)
+    for n in range(1, cons.materializable_depth() + 1):
+        swept = swept_projection_lengths(cons.level(n), cons.prec)
+        assert tuple(map(float, projection_lengths(cons, n))) == \
+            tuple(map(float, swept)), n
+
+
+def test_projection_lazy_matches_materialized(cons):
+    # The telescoped lengths of level n read level n - 1 only; the sweep
+    # reads every rectangle of level n.
+    for n in (1, 2):
+        swept = swept_projection_lengths(cons.level(n), cons.prec)
+        assert tuple(map(float, projection_lengths(cons, n))) == \
+            tuple(map(float, swept))
+
+
 def test_projection_level1(cons):
-    len_y, len_x = projection_lengths(cons.level(1), cons.prec)
+    len_y, len_x = projection_lengths(cons, 1)
     assert float(len_y) == 1 and float(len_x) == 1
 
 
 def test_projection_level2(cons, strict_table):
-    len_y, len_x = projection_lengths(cons.level(2), cons.prec)
+    len_y, len_x = projection_lengths(cons, 2)
     # y-mass survives: at least 1 - c2*delta_1 (exact bound 1/4), and the
     # x-projection is exactly count * width since the pieces are disjoint.
     assert float(len_y) >= float(1 - strict_table.c2)
-    assert abs(float(len_x) - cons.N(1) * float(strict_table.delta_(2))) < 1e-30
-
-
-def test_projection_lazy_matches_materialized(cons):
-    len_y2, len_x2 = projection_lengths(cons.level(2), cons.prec)
-    lazy_y, lazy_x = projection_lengths_lazy(cons, 2)
-    assert abs(float(len_y2) - float(lazy_y)) < 1e-25
-    assert abs(float(len_x2) - float(lazy_x)) < 1e-25
+    assert len_x == cons.N(1) * strict_table.delta_(2)
 
 
 def test_projection_level3_lazy(cons, strict_table):
     # Level 3 is never materialized; the telescoped y-union and counted
     # x-union still come out exactly.
-    len_y3, len_x3 = projection_lengths_lazy(cons, 3)
+    assert cons.materializable_depth() == 2 and cons.counted_depth() == 3
+    len_y3, len_x3 = projection_lengths(cons, 3)
+    assert 3 not in cons._levels
     assert float(len_y3) >= float((1 - strict_table.c2) * (1 - strict_table.c2 * strict_table.delta_(2)))
     assert len_x3 == cons.population(3) * strict_table.delta_(3)
     # Horizontal mass shrinks like the width/height ratio: the normalized
     # quantity stays of unit order while len_x itself collapses.
     for n in (2, 3):
-        _, len_x = projection_lengths_lazy(cons, n)
+        _, len_x = projection_lengths(cons, n)
         normalized = float(len_x) * float(strict_table.Delta_(n) / strict_table.delta_(n))
         assert 0.2 <= normalized <= 1.05
 

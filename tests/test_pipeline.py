@@ -157,6 +157,10 @@ def test_config_rejects_non_integer_ints(tmp_path, blob):
     {"C_tube": "-1"},
     {"neighborhood_radius": "-1/64"},
     {"raster_resolution": "0"},
+    {"containment_thetas": 0},   # would write an empty containment verdict
+    {"containment_thetas": -3},
+    {"materialization_cap": -5},  # would run as if the cap were 1
+    {"materialization_cap": 0},
 ], ids=lambda blob: "-".join(f"{k}={v}" for k, v in blob.items()))
 def test_config_refused_at_parse_time(tmp_path, blob):
     # Refused when the config is read, before any stage runs, instead of
@@ -169,6 +173,27 @@ def test_config_refused_at_parse_time(tmp_path, blob):
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), "pipeline"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["render", "arc_diagram", "--level", "3"], 2),   # the deepest level
+    (["render", "arc_diagram", "--level", "0"], 2),
+    (["render", "arc_diagram", "--depth", "1"], 2),   # a table with no arc
+    (["tubes", "--level", "4"], 2),
+    (["tubes", "--level", "0"], 2),
+    (["render", "tube_stage", "--level", "0"], 2),
+    (["render", "level_set", "--level", "0"], 2),
+    (["render", "gamma_theta", "--level", "4"], 2),
+    (["render", "tube_stage", "--level", "3"], 3),    # ~2^47 families
+], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_level_flags_out_of_range_fail_typed(tmp_path, capsys, argv, code):
+    # A level outside the table is a labelled one-line error with the
+    # documented exit code; a render too large is refused before it builds.
+    assert main(["--out", str(tmp_path), *argv]) == code
+    err = capsys.readouterr().err
+    label = "resource cap: " if code == 3 else "configuration error: "
+    assert err.startswith(label) and err.count("\n") == 1, err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("blob", [
@@ -231,6 +256,11 @@ MANIFEST_SHA256 = {
     # materialization boundary.
     "cap10-fast": ("65c83b08f11ecb76142153c77e37422998c690abece91c60c9ea0f16d0f7bd3b",
                    dict(materialization_cap=10, **FAST)),
+    # Depth 4 of both profiles: sampled spacing and a lazy projection level.
+    "demo4-fast": ("d3b9230391b5f52b90e8a0bddbcd8b110c1756646063423d2fb2ad28b9e50b2c",
+                   dict(profile="demo", depth=4, **FAST)),
+    "strict4-fast": ("96daf879df99aeeae7a25b5bacc410b971f8f09f340fa560a66eda5184704e6a",
+                     dict(depth=4, **FAST)),
 }
 
 

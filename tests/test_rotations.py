@@ -108,8 +108,11 @@ def test_v_rotated_anchor_case(rf, cons, strict_table):
 def test_v_off_grid_rejected(rf):
     with pytest.raises(OffGridError):
         rf.v(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        rf.v(Fraction(3, 2))
+    for call in (lambda: rf.v(Fraction(3, 2)),
+                 lambda: rf.v_limit(Fraction(3, 2)),
+                 lambda: rf.grid_level_of(-1)):
+        with pytest.raises(ValueError, match=r"angle must lie in \[0, 1\]"):
+            call()
 
 
 def test_v_limit_on_grid_is_stationary(rf, strict_table):

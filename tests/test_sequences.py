@@ -183,3 +183,32 @@ def test_table_json_shape():
     blob = table.to_json()
     assert blob["delta"][2] == {"num": 1, "log2_den": 50}
     assert blob["schedule"]["s_n"] == ["1/2", "2/3", "3/4"]
+
+
+def test_accessors_refuse_levels_outside_the_table():
+    # Level 0 and depth + 1 are refused, never wrapped round to the last
+    # entry or an IndexError; delta_0 := 1 is the one convention.
+    table = derive_sequences(build_schedule(1, 3), C4)
+    for accessor, entries, refused in ((table.delta_, table.delta, (-1, 4)),
+                                       (table.Delta_, table.Delta, (0, 4)),
+                                       (table.theta_, table.theta, (0, 4))):
+        assert accessor(3) == entries[2]
+        for n in refused:
+            with pytest.raises(ValueError, match="outside table depth 3"):
+                accessor(n)
+    assert table.delta_(0) == 1
+    with pytest.raises(ValueError):
+        table.family_count(0)
+
+
+@pytest.mark.parametrize("profile, depth", [
+    *(("strict", d) for d in (2, 3, 4, 5)), *(("demo", d) for d in (3, 4, 5, 6))])
+def test_count_sandwich_is_the_inline_formula(profile, depth):
+    table = derive_sequences(build_schedule(1, depth), C4, profile=profile)
+    for n in range(1, depth):
+        ratio = table.Delta_(n) / table.Delta_(n + 1)
+        assert table.count_sandwich(n) == (
+            ratio * (1 - table.c2 * table.delta_(n - 1)),
+            ratio * (1 + table.c2 * table.delta_(n - 1)))
+    with pytest.raises(ValueError):
+        table.count_sandwich(depth)
