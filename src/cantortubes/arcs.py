@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 import numpy as np
 
+from .dyadic import is_dyadic
 from .errors import BracketError, FeasibilityError
 from .numerics import arith_error, default_precision, frac_to_mpf, workprec
 from .reports import VerificationReport
@@ -25,12 +27,14 @@ from .reports import VerificationReport
 @dataclass(frozen=True)
 class ArcSolution:
     """Solved circle for one level: center below the x-axis, radius,
-    the line intersection q, and the achieved sub-arc angle."""
+    the line intersection q, and the achieved sub-arc angle.  The target
+    angle is stored as the integers num, e: sub_angle = num*2**-e."""
 
     level: int
     center: tuple
     radius: object
-    sub_angle: Fraction
+    num: int
+    e: int
     achieved: object
     q: tuple
     residual: object
@@ -39,8 +43,27 @@ class ArcSolution:
     line_height: Fraction
 
     @property
+    def sub_angle(self) -> Fraction:
+        return Fraction(self.num, 1 << self.e)
+
+    @cached_property
     def center_c(self):
-        return mpmath.mpc(self.center[0], self.center[1])
+        """The center as one mpc, built once at the solution's precision:
+        use it under a working precision of at least `prec`, or through
+        complex()."""
+        with workprec(self.prec):
+            return mpmath.mpc(self.center[0], self.center[1])
+
+    def turn(self, j: int):
+        """j angle steps, j*sub_angle, as an mpf at the current working
+        precision: only the integer j*num is rounded, so this is bit for bit
+        frac_to_mpf(j*sub_angle)."""
+        return mpmath.ldexp(mpmath.mpf(j * self.num), -self.e)
+
+    def turn_float(self, j: int) -> float:
+        """j*sub_angle rounded once to float64 (int true division rounds
+        correctly), bit for bit float(j*sub_angle)."""
+        return (j * self.num) / (1 << self.e)
 
     def check(self) -> VerificationReport:
         """Verify the solution invariants with tracked error margins."""
@@ -63,7 +86,7 @@ class ArcSolution:
                     detail="exact by construction")
             rep.add_inequality("q in the first quadrant", qx, err)
             rep.add_equality("achieved angle equals the target", self.residual,
-                             arith_error(self.prec, frac_to_mpf(self.sub_angle)))
+                             arith_error(self.prec, self.turn(1)))
         return rep
 
     def to_json(self) -> dict:
@@ -140,7 +163,8 @@ def solve_arc(
     """Closed-form circle center achieving the target sub-arc angle.
 
     Feasibility (exact, rational): 0 < theta_next < Delta_next*delta_n/Delta_n^2,
-    a lower bound for the angle attained with the center on the x-axis.
+    a lower bound for the angle attained with the center on the x-axis; the
+    target must be dyadic, as every table angle is.
     With k = cot(theta/2) and h = Delta_next, the chord from the origin to
     q = (x_q, h) subtends theta at the center (x_q/2 + k*h/2, h/2 - k*x_q/2),
     and that center lies on the bisector of the origin and (delta, Delta)
@@ -160,6 +184,8 @@ def solve_arc(
         raise FeasibilityError(
             f"target angle {target} must lie below {h * d / (D * D)}, a lower "
             "bound for the angle with the center on the x-axis")
+    if not is_dyadic(target):
+        raise FeasibilityError(f"target angle {target} is not dyadic")
 
     with workprec(prec):
         hm, tm = frac_to_mpf(h), frac_to_mpf(target)
@@ -172,7 +198,8 @@ def solve_arc(
             level=level,
             center=(ax, ay),
             radius=r,
-            sub_angle=target,
+            num=target.numerator,
+            e=target.denominator.bit_length() - 1,
             achieved=achieved,
             q=q,
             residual=abs(achieved - tm),

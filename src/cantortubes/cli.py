@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -90,10 +91,13 @@ def cmd_tubes(args) -> int:
 
 
 def cmd_render(args) -> int:
-    rf = rotation_family(_load_config(args))
     params = {"level": args.level}
     if args.target == "gamma_theta":
-        params["thetas"] = [float(t) for t in (args.thetas or "0,0.3,0.7").split(",")]
+        thetas = [float(t) for t in (args.thetas or "0,0.3,0.7").split(",")]
+        if not all(map(math.isfinite, thetas)):
+            raise ValueError(f"--thetas must be finite angles, got {args.thetas}")
+        params["thetas"] = thetas
+    rf = rotation_family(_load_config(args))
     text = render_svg(args.target, rf.cons, rf, **params)
     _emit(args, f"{args.target}_level_{args.level}.svg", text)
     return EXIT_OK

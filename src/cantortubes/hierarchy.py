@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -64,9 +65,16 @@ class LevelSet:
     def __len__(self):
         return len(self.rects)
 
-    def anchors_float(self):
-        return np.array([[float(r.anchor.real), float(r.anchor.imag)]
-                         for r in self.rects])
+    def anchors_float(self) -> np.ndarray:
+        """(m, 2) float64 anchors, built once and read-only."""
+        return self._anchors_float
+
+    @cached_property
+    def _anchors_float(self) -> np.ndarray:
+        anchors = np.array([[float(r.anchor.real), float(r.anchor.imag)]
+                            for r in self.rects])
+        anchors.flags.writeable = False
+        return anchors
 
 
 def child_anchor(parent_anchor, sol: ArcSolution, k: int, prec: int | None = None):
@@ -78,7 +86,7 @@ def child_anchor(parent_anchor, sol: ArcSolution, k: int, prec: int | None = Non
     if k == 1:
         return parent_anchor
     with workprec(prec or sol.prec):
-        rot = mpmath.expj(-frac_to_mpf((k - 1) * sol.sub_angle))
+        rot = mpmath.expj(-sol.turn(k - 1))
         return sol.center_c * (1 - rot) + rot * parent_anchor
 
 
@@ -113,7 +121,7 @@ def _exit_step(parent: RectNode, sol: ArcSolution) -> int:
         top = (parent.anchor.imag + parent.height - c.imag) / R
         if top <= 1:
             exits.append(psi - (mpmath.pi - mpmath.asin(top)))
-        return int(mpmath.floor(min(exits) / frac_to_mpf(sol.sub_angle)))
+        return int(mpmath.floor(min(exits) / sol.turn(1)))
 
 
 def _certified_transition(pred, hint: int, hi: int) -> int:
@@ -344,10 +352,10 @@ class Construction:
 
         One vectorized pass per level applies the child-anchor map in its
         cancellation-free form a <- a - (c - a)*expm1(-i*t), with
-        expm1(-i*t) = -2*sin(t/2)**2 - i*sin(t) and t = float((k-1)*step)
-        rounded from the exact Fraction: the step moves a by |c - a|*t, the
-        orbit step, never by the difference of two terms of size |c|.  Path
-        indices stay Python ints (deep ones overflow int64).
+        expm1(-i*t) = -2*sin(t/2)**2 - i*sin(t) and t = (k-1)*step rounded
+        once to float64 (`ArcSolution.turn_float`): the step moves a by
+        |c - a|*t, the orbit step, never by the difference of two terms of
+        size |c|.  Path indices stay Python ints (deep ones overflow int64).
 
         e is derived from the rounding of every step, with unit u = 2**-53
         and numpy's float64 sine within one ulp:
@@ -373,14 +381,14 @@ class Construction:
         mp_err = 0.0
         for i in range(depth):
             sol = self.sols[i]
-            t = np.array([float((p[i] - 1) * sol.sub_angle) for p in paths])
+            t = np.array([sol.turn_float(p[i] - 1) for p in paths])
             s = np.sin(0.5 * t)
             m = -2 * s * s - 1j * np.sin(t)
-            c = sol.center_c
-            c_abs = abs(complex(c))
+            c = complex(sol.center_c)
+            c_abs = abs(c)
             mp_err += float(arith_error(
                 self.prec, scale=2 * c_abs + np.abs(a).max(), ops=8))
-            d = complex(c) - a
+            d = c - a
             a = a - d * m
             mu = u * t * (3 + 3 * t)
             E = (E * (1 + mu) + np.abs(m) * u * (c_abs + 4 * np.abs(d))

@@ -7,7 +7,8 @@ three-case recursion over `child_anchor` orbit points; elsewhere it is the
 left limit along the grid, with a certified Cauchy tail bound.  `v_limit`
 serves any angle, exactly (bound 0) on the grid.  Tube families inflate a
 level's rectangles, rotate them, and translate them by v; their union over
-one level's grid is the level's stage of the covering set.
+one level's grid is the level's stage of the covering set.  Both v and the
+tube families are built once per `RotationFamily` and then shared.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ CASE_ROTATED_ANCHOR = "rotated-anchor"    # anchor rotated by a block angle
 CASE_COMPOSED = "composed"                # coarse part + rotated remainder
 
 TRANSLATION_TABLE_CAP = 200_000   # entries of one materialized v table
-STAGE_TUBE_CAP = 5_000_000        # tubes of one Besicovitch stage
+STAGE_TUBE_CAP = 5_000_000        # tubes of one Besicovitch stage, and of
+                                  # the tube-family memo
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,11 @@ class TranslationTable:
         return len(self.entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TubeFamily:
     """All tubes of one rotation angle: congruent rotated boxes sharing one
-    rotation and one translation, so only the centers vary."""
+    rotation and one translation, so only the centers vary.  Immutable, its
+    centers a read-only view, so one family can be shared by every caller."""
 
     level: int
     angle_index: int
@@ -80,6 +83,11 @@ class TubeFamily:
     rotation: float           # box axes rotated by this signed angle
     centers: np.ndarray       # (m, 2) world coordinates
     v: tuple
+
+    def __post_init__(self):
+        centers = np.asarray(self.centers).view()
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
 
     def __len__(self):
         return len(self.centers)
@@ -127,6 +135,8 @@ class RotationFamily:
     def __init__(self, cons: Construction):
         self.cons = cons
         self._memo: dict[Fraction, tuple] = {}
+        self._families: dict[tuple, TubeFamily] = {}
+        self._family_tubes = 0
 
     # -- angle grid ----------------------------------------------------------
 
@@ -181,7 +191,7 @@ class RotationFamily:
             base = child_anchor(mpmath.mpc(0, 0), sol, k + 1)
             case = CASE_ANCHOR
             if q:
-                base = mpmath.expj(-frac_to_mpf(q * N_n * theta_m)) * base
+                base = mpmath.expj(-sol.turn(q * N_n)) * base
                 case = CASE_ROTATED_ANCHOR
             if j:
                 coarse, _ = self._v_tagged(j * theta_n)
@@ -268,9 +278,14 @@ class RotationFamily:
         """Rotated-box family at one grid angle: every level rectangle's
         anchor gets a centered box of half-extents C*theta x C*Delta ("T") or
         twice that ("T_prime"), all rotated by -l*theta_level and translated
-        by v(l*theta_level)."""
+        by v(l*theta_level).  Built once per (level, l, C, variant) and then
+        shared, until the memo holds `STAGE_TUBE_CAP` tubes; past that,
+        families are built afresh on every call."""
         table = self.cons.table
         C = Fraction(C if C is not None else table.C_tube)
+        key = (level, l, C, variant)
+        if key in self._families:
+            return self._families[key]
         if variant not in ("T", "T_prime"):
             raise ValueError(f"unknown variant {variant!r}")
         mult = 1 if variant == "T" else 2
@@ -280,7 +295,7 @@ class RotationFamily:
             raise ValueError(f"angle index {l} outside 0..{n_fam - 1}")
         angle = l * step
         v = self.v(angle)
-        return TubeFamily(
+        fam = TubeFamily(
             level=level, angle_index=l, angle=angle, variant=variant, C=C,
             half_width=mult * float(C * step),
             half_height=mult * float(C * table.Delta_(level)),
@@ -288,6 +303,10 @@ class RotationFamily:
             centers=_place(self.cons.level(level).anchors_float(), angle, v),
             v=(float(v.real), float(v.imag)),
         )
+        if self._family_tubes + len(fam) <= STAGE_TUBE_CAP:
+            self._families[key] = fam
+            self._family_tubes += len(fam)
+        return fam
 
     def besicovitch_stage(self, level: int, C=None, variant: str = "T") -> list:
         """All tube families of one level: angle indices 0..floor(1/theta).

@@ -133,6 +133,27 @@ def test_infeasible_angle_rejected(strict_table):
     d, D, h = Fraction(1, 2), Fraction(3, 4), Fraction(1, 8)
     with pytest.raises(FeasibilityError):
         solve_arc(d, D, h, h * d / (D * D), prec=128)
+    # A feasible angle that is not dyadic has no exact integer step.
+    with pytest.raises(FeasibilityError, match="not dyadic"):
+        solve_arc(d, D, h, Fraction(1, 3 * 2**10), prec=128)
+
+
+def test_turn_is_the_fraction_step_bit_for_bit():
+    # The integer step against the Fraction product it replaces, at the
+    # solution's precision and the doubled retry precision, for step counts
+    # up to the deep ones (> 2**64) of lazily reached levels and past the
+    # solution's precision (3**400 has 634 bits), where j*num is rounded.
+    for table in (derive_sequences(build_schedule(1, 4), Fraction(1, 16)),
+                  derive_sequences(build_schedule(1, 4), Fraction(1, 16),
+                                   profile="demo")):
+        for sol in solve_table_arcs(table):
+            assert Fraction(sol.num, 2**sol.e) == table.theta_(sol.level + 1)
+            for j in (0, 1, 2, 3, 2**40 + 1, 3**45, 2**70 - 1, 5**80, 3**400):
+                angle = j * sol.sub_angle
+                assert sol.turn_float(j) == float(angle), (sol.level, j)
+                for prec in (sol.prec, 2 * sol.prec):
+                    with workprec(prec):
+                        assert sol.turn(j) == frac_to_mpf(angle), (prec, j)
 
 
 def test_arc_point_range_errors(strict_arcs):

@@ -21,7 +21,12 @@ from cantortubes.hierarchy import (
     verify_level_invariants,
     verify_spacing,
 )
-from cantortubes.numerics import default_precision, frac_to_mpf, workprec
+from cantortubes.numerics import (
+    arith_error,
+    default_precision,
+    frac_to_mpf,
+    workprec,
+)
 from cantortubes.reports import EXPECTED_FAILURES
 from cantortubes.rotations import RotationFamily
 from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
@@ -248,6 +253,61 @@ def test_anchors_float64_within_derived_bound(request, name, level):
     assert np.hypot(*(got - ref).T).max() <= e
     # Tight enough to screen with: about ten times the observed error.
     assert e < 1e-14
+
+
+def fraction_child_anchor(parent_anchor, sol, k: int, prec: int | None = None):
+    """The child-anchor map with its angle as the Fraction product
+    (k - 1)*sub_angle: the oracle for `child_anchor`'s integer step."""
+    if k == 1:
+        return parent_anchor
+    with workprec(prec or sol.prec):
+        rot = mpmath.expj(-frac_to_mpf((k - 1) * sol.sub_angle))
+        return mpmath.mpc(*sol.center) * (1 - rot) + rot * parent_anchor
+
+
+def fraction_anchors_float64(cons, paths) -> tuple:
+    """`Construction.anchors_float64` with its angles rounded from the
+    Fraction product, t = float((k - 1)*sub_angle): the oracle for its
+    integer float step, rows and bound."""
+    u = 2.0 ** -53
+    a = np.zeros(len(paths), dtype=complex)
+    E = np.zeros(len(paths))
+    mp_err = 0.0
+    for i in range(len(paths[0])):
+        sol = cons.sols[i]
+        t = np.array([float((p[i] - 1) * sol.sub_angle) for p in paths])
+        s = np.sin(0.5 * t)
+        m = -2 * s * s - 1j * np.sin(t)
+        c = complex(mpmath.mpc(*sol.center))
+        c_abs = abs(c)
+        mp_err += float(arith_error(
+            cons.prec, scale=2 * c_abs + np.abs(a).max(), ops=8))
+        d = c - a
+        a = a - d * m
+        mu = u * t * (3 + 3 * t)
+        E = (E * (1 + mu) + np.abs(m) * u * (c_abs + 4 * np.abs(d))
+             + np.abs(d) * mu + u * np.abs(a))
+    e = np.max(E + u * np.abs(a), initial=0.0) + mp_err
+    return np.stack([a.real, a.imag], axis=1), float(e) * (1 + 2.0 ** -20)
+
+
+def test_integer_step_matches_fraction_step_bit_for_bit(strict4_cons):
+    # Strict depth 4, level-4 sampled paths: the last indices pass 2**64.
+    cons = strict4_cons
+    paths = cons.sample_parent_paths(4, 20, random.Random(4))
+    assert max(p[-1] for p in paths) > 2**64
+    for path in paths:
+        a = mpmath.mpc(0, 0)
+        for j, k in enumerate(path):
+            sol = cons.sol(j + 1)
+            for prec in (None, 2 * sol.prec):  # the count's retry doubles
+                assert child_anchor(a, sol, k, prec=prec) \
+                    == fraction_child_anchor(a, sol, k, prec=prec), (path, j)
+            a = fraction_child_anchor(a, sol, k)
+        assert cons.anchor_by_path(path) == a
+    got, e = cons.anchors_float64(paths)
+    ref, e_ref = fraction_anchors_float64(cons, paths)
+    assert np.array_equal(got, ref) and e == e_ref
 
 
 def test_anchors_float64_rejects_bad_paths(cons):

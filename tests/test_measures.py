@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -355,8 +356,7 @@ def painted_masks(families, inflate, grid):
 
 def stacked_family(n):
     fam = box_family(0.5, 0.5, 1, 1)
-    fam.centers = np.repeat(fam.centers, n, axis=0)
-    return fam
+    return replace(fam, centers=np.repeat(fam.centers, n, axis=0))
 
 
 def tall_family(n):
@@ -364,9 +364,8 @@ def tall_family(n):
     # through many row bands of the painter.
     rng = np.random.default_rng(5)
     fam = box_family(0.5, 0.5, 0.001, 0.5, angle=0.002)
-    fam.centers = np.column_stack([0.5 + 0.001 * rng.random(n),
-                                   0.5 + 0.01 * rng.random(n)])
-    return fam
+    return replace(fam, centers=np.column_stack([0.5 + 0.001 * rng.random(n),
+                                                 0.5 + 0.01 * rng.random(n)]))
 
 
 def exact_edge_families():
@@ -385,8 +384,7 @@ def quadrant_families():
     fams = []
     for angle in (0.3, 1.9, 3.0, -1.2, -2.8, math.pi):
         fam = box_family(0, 0, 0.3, 0.1, angle=angle)
-        fam.centers = rng.random((3, 2))
-        fams.append(fam)
+        fams.append(replace(fam, centers=rng.random((3, 2))))
     return fams
 
 
@@ -540,9 +538,9 @@ def exact_boxes(fam, inflate=0.0):
 def random_family(rng, n):
     fam = box_family(0, 0, rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.6),
                      angle=rng.uniform(-math.pi, math.pi))
-    fam.centers = np.array([[rng.uniform(0, 0.5), rng.uniform(0, 0.5)]
-                            for _ in range(n)])
-    return fam
+    return replace(fam, centers=np.array([[rng.uniform(0, 0.5),
+                                           rng.uniform(0, 0.5)]
+                                          for _ in range(n)]))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -564,8 +562,7 @@ def test_overlap_bracket_holds_exact_difference_area(seed):
     b = random_family(rng, 2)
     if seed % 2:
         # A nearby angle and shared centers, as consecutive families have.
-        b.centers = a.centers + 0.01
-        b.rotation = a.rotation + 0.05
+        b = replace(b, centers=a.centers + 0.01, rotation=a.rotation + 0.05)
     est = pairwise_overlap_loss(a, b, 1 / 256)
     boxes_b = exact_boxes(b)
     exact = exact_union_area(exact_boxes(a) + boxes_b) \

@@ -184,6 +184,8 @@ def test_config_refused_at_parse_time(tmp_path, blob):
     (["render", "tube_stage", "--level", "0"], 2),
     (["render", "level_set", "--level", "0"], 2),
     (["render", "gamma_theta", "--level", "4"], 2),
+    (["render", "gamma_theta", "--thetas", "inf"], 2),  # not a finite angle
+    (["render", "gamma_theta", "--thetas", "0.3,1e400"], 2),
     (["render", "tube_stage", "--level", "3"], 3),    # ~2^47 families
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
 def test_level_flags_out_of_range_fail_typed(tmp_path, capsys, argv, code):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from cantortubes.dyadic import floor_frac
 from cantortubes.errors import OffGridError, PopulationCapError
 from cantortubes.hierarchy import Construction, child_anchor
+from cantortubes import rotations
 from cantortubes.numerics import frac_to_mpf, workprec
 from cantortubes.rotations import (
     CASE_ANCHOR,
@@ -312,6 +314,42 @@ def test_besicovitch_stage_counts(rf, cons):
     assert all(len(f) == cons.N(1) for f in stage2)
     with pytest.raises(PopulationCapError):
         rf.besicovitch_stage(3, C=16)
+
+
+def test_tube_families_built_once(rf):
+    # One family per (level, l, C, variant), shared by every caller.
+    fam = rf.tube_family(2, 5, C=16)
+    assert rf.tube_family(2, 5, C=Fraction(16), variant="T") is fam
+    assert rf.tube_family(2, 5, C=16, variant="T_prime") is not fam
+    stage = rf.besicovitch_stage(2, C=16)
+    assert stage[5] is fam
+    assert all(f is rf.tube_family(2, l, C=16) for l, f in enumerate(stage))
+
+
+def test_shared_families_and_level_anchors_are_read_only(rf, cons):
+    fam = rf.tube_family(2, 5, C=16)
+    with pytest.raises(ValueError):
+        fam.centers[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.rotation = 0.0
+    anchors = cons.level(2).anchors_float()
+    assert cons.level(2).anchors_float() is anchors
+    with pytest.raises(ValueError):
+        anchors[0, 0] = 1.0
+
+
+def test_tube_families_past_the_memo_cap_built_fresh(rf, cons, monkeypatch):
+    refs = [rf.tube_family(2, l, C=16) for l in range(4)]
+    monkeypatch.setattr(rotations, "STAGE_TUBE_CAP", 2 * cons.N(1))
+    small = RotationFamily(cons)
+    fams = [small.tube_family(2, l, C=16) for l in range(4)]
+    again = [small.tube_family(2, l, C=16) for l in range(4)]
+    # The memo fills with the first two families; the rest are rebuilt.
+    assert [a is b for a, b in zip(fams, again)] == [True, True, False, False]
+    for ref, fam in zip(refs, again):
+        assert np.array_equal(fam.centers, ref.centers)
+        assert {k: v for k, v in vars(fam).items() if k != "centers"} \
+            == {k: v for k, v in vars(ref).items() if k != "centers"}
 
 
 def test_containment_on_grid_single_family(rf, strict_table):
