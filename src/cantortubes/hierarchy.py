@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath
 import numpy as np
@@ -25,6 +25,15 @@ from .reports import VerificationReport
 from .sequences import SequenceTable
 
 DEFAULT_MATERIALIZATION_CAP = 2_000_000
+
+
+@lru_cache(maxsize=64)
+def _width_mpf(width: Fraction, prec: int):
+    """frac_to_mpf(width) at `prec` bits, converted once: a level's
+    rectangles share their width, and the count predicates use it at the
+    solution's precision and its doubled retry."""
+    with workprec(prec):
+        return frac_to_mpf(width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +50,7 @@ class RectNode:
     def contain_slack(self, z):
         """Smallest signed distance of z to the four sides; >= 0 iff z lies
         in the closed rectangle.  Evaluate under a working precision."""
-        w = frac_to_mpf(self.width)
+        w = _width_mpf(self.width, mpmath.mp.prec)
         return min(
             z.real - self.anchor.real,
             self.anchor.real + w - z.real,
@@ -116,7 +125,8 @@ def _exit_step(parent: RectNode, sol: ArcSolution) -> int:
         c = sol.center_c
         z = parent.anchor - c
         R, psi = abs(z), mpmath.arg(z)
-        right = (parent.anchor.real + frac_to_mpf(parent.width) - c.real) / R
+        right = (parent.anchor.real + _width_mpf(parent.width, sol.prec)
+                 - c.real) / R
         exits = [psi - mpmath.acos(min(right, 1))]
         top = (parent.anchor.imag + parent.height - c.imag) / R
         if top <= 1:

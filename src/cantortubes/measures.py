@@ -67,8 +67,8 @@ def neighborhood_area(families, radius, resolution) -> AreaEstimate:
     (each rotated box inflated by the radius in its own frame)."""
     radius = float(radius)
     resolution = float(resolution)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     if radius > 0 and resolution > radius / 4:
         raise ValueError(
             f"resolution {resolution} too coarse for radius {radius}; "

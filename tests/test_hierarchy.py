@@ -124,6 +124,17 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
     assert cons.N(1) == kept
 
 
+def test_contain_slack_converts_the_width_at_the_working_precision():
+    # The width is converted once per (width, precision): a width that is
+    # not a binary fraction shows a conversion made at another precision.
+    node = hierarchy.RectNode(level=2, path=(1,), anchor=mpmath.mpc(0, 0),
+                              width=Fraction(1, 3), height=mpmath.mpf(1))
+    for prec in (53, 200, 53, 400):
+        with workprec(prec):
+            z = mpmath.mpc(mpmath.mpf(3) / 10, mpmath.mpf(1) / 2)
+            assert node.contain_slack(z) == frac_to_mpf(Fraction(1, 3)) - z.real
+
+
 @pytest.mark.parametrize("profile, depth", [
     *(("strict", d) for d in (2, 3, 4, 5)), *(("demo", d) for d in (3, 4, 5, 6))])
 def test_count_search_bound_from_the_sandwich(profile, depth):

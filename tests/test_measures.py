@@ -180,6 +180,25 @@ def test_area_resolution_guard():
         neighborhood_area([box_family(0, 0, 1, 1)], 0.01, 0.01)
 
 
+@pytest.mark.parametrize("bad", [
+    {"resolution": math.nan}, {"resolution": math.inf},
+    {"inflate": math.nan}, {"inflate": math.inf}, {"inflate": -1.0}],
+    ids=["nan-resolution", "inf-resolution", "nan-inflate", "inf-inflate",
+         "negative-inflate"])
+def test_rasterize_refuses_bad_arguments(bad):
+    # Each is refused by name, not as empty families or by numpy.
+    args = {"resolution": 1 / 64, "inflate": 0.0, **bad}
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        rasterize([box_family(0.5, 0.5, 1, 1)], **args)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_area_refuses_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="^radius must be finite"):
+        neighborhood_area([box_family(0.5, 0.5, 1, 1)], radius, 1 / 64)
+
+
 def test_area_bracket_shrinks_with_resolution():
     fam = [box_family(0.3, 0.4, 1, 0.7, angle=0.3)]
     coarse = neighborhood_area(fam, 0, 1 / 128)
@@ -460,6 +479,179 @@ def test_raster_near_axis_rotation_counts_like_axis_aligned(angle):
     assert want == (3844, 4096, 4356)
     assert rasterize([box_family(0.5, 0.5, 1, 1, angle)], 1 / 64).counts() \
         == want
+
+
+# -- the one-slab middle against the two-slab solve ---------------------------
+
+def _two_slab_interval(a, b, w, big: float, flat):
+    inside = None if flat is None else np.abs(b) <= w
+    lo = -w
+    lo -= b
+    lo /= a
+    hi = w
+    hi -= b
+    hi /= a
+    if flat is not None:
+        lo[:, flat] = np.where(inside[:, flat], -big, big)
+        hi[:, flat] = np.where(inside[:, flat], big, -big)
+    return lo, hi
+
+
+def two_slab_ranges(self, r0: int, r1: int):
+    """The oracle: every range solved from both slabs on every row."""
+    start = np.searchsorted(self.r_lo, r0 - self.max_span, side="right")
+    stop = np.searchsorted(self.r_lo, r1, side="left")
+    sel = np.arange(start, stop)[self.r_hi[start:stop] > r0]
+    first = np.maximum(self.r_lo[sel], r0) - r0
+    n = np.minimum(self.r_hi[sel], r1) - r0 - first
+    idx = np.repeat(sel, n)
+    rows = np.repeat((first - (n.cumsum() - n)).astype(np.int32), n)
+    rows += np.arange(len(idx), dtype=np.int32)
+    dy = self.ys[r0:r1].take(rows)
+    dy -= self.cy.take(idx)
+    bounds = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, m, half, any_flat in self.slabs:
+            a, b = a.take(idx), m.take(idx)
+            b *= dy
+            bounds.append(_two_slab_interval(
+                a, b, half.take(idx, axis=1), self.big,
+                a < 1e-300 if any_flat else None))
+    (lo, hi), (lo2, hi2) = bounds
+    np.maximum(lo, lo2, out=lo)
+    np.minimum(hi, hi2, out=hi)
+    shift = self.shift.take(idx)
+    for v in (lo, hi):
+        v += shift
+        v /= self.cell
+        v -= 0.5
+    np.ceil(lo, out=lo)
+    np.floor(hi, out=hi)
+    hi += 1.0
+    np.clip(lo, 0, self.nx, out=lo)
+    np.clip(hi, 0, self.nx, out=hi)
+    if self.gone is not None:
+        hi[self.gone.take(idx, axis=1)] = 0
+    return rows, lo.astype(np.int32), hi.astype(np.int32)
+
+
+def assert_ranges_match_two_slab(boxes, ny, nx):
+    """Band by band, the painter's (row, il, ih) of each classification are
+    the oracle's, as multisets (the painter lays the caps out first)."""
+    def keys(rows, il, ih):
+        return np.sort((rows.astype(np.int64) * (nx + 1) + il) * (nx + 1)
+                       + ih, axis=-1)
+
+    for r0, r1 in raster._bands([boxes], ny, nx):
+        got = keys(*boxes.ranges(r0, r1))
+        want = keys(*two_slab_ranges(boxes, r0, r1))
+        assert np.array_equal(got, want), (r0, r1)
+
+
+def wide_families():
+    # Wider than tall at several angles: the first slab is the free one.
+    rng = np.random.default_rng(11)
+    fams = []
+    for angle in (0.0, 0.4, -1.1, 2.5, math.pi / 2):
+        fam = box_family(0, 0, 0.6, 0.08, angle=angle)
+        fams.append(replace(fam, centers=rng.random((3, 2))))
+    return fams
+
+
+def near_vertical_families():
+    return [box_family(0.3 + 0.1 * k, 0.5, 0.05, 0.4, angle=angle)
+            for k, angle in enumerate(
+                s * math.pi / 2 + e for s in (1, -1) for e in (1e-12, -1e-12))]
+
+
+def shrunk_families():
+    # At cell 1/64 both families' shrunk boxes are gone: a half-width lies
+    # below the cell half-diagonal, 0.011.
+    return [box_family(0.3, 0.4, 0.01, 0.5, angle=0.2),
+            box_family(0.6, 0.6, 0.004, 0.004, angle=1.0)]
+
+
+def _boxes_on_frame(fams, res, inflate=0.0):
+    grid = rasterize(fams, res, inflate=inflate)
+    boxes = raster._Boxes(fams, inflate, grid.x0, grid.y0, grid.cell,
+                          grid.nx, grid.ny)
+    return boxes, grid
+
+
+@pytest.mark.parametrize("case", ["stage2", "quadrants", "exact-edges",
+                                  "multi-band", "wide", "near-vertical",
+                                  "shrunk"])
+def test_ranges_match_two_slab_solve(case, rf):
+    inflate = 0.0
+    if case == "stage2":
+        fams = [rf.tube_family(2, l) for l in (0, 1, 128, 255, 256)]
+        res, inflate = 1 / 1024, 1 / 256
+    elif case == "quadrants":
+        fams, res, inflate = quadrant_families(), 1 / 256, 0.01
+    elif case == "exact-edges":
+        fams, res = exact_edge_families(), 0.125
+    elif case == "multi-band":
+        fams, res = [tall_family(100)], 2.0 ** -15
+    elif case == "wide":
+        fams, res, inflate = wide_families(), 1 / 256, 0.003
+    elif case == "near-vertical":
+        fams, res = near_vertical_families(), 1 / 512
+    else:
+        fams, res = shrunk_families(), 1 / 64
+    boxes, grid = _boxes_on_frame(fams, res, inflate)
+    # Some rows skip the free slab.
+    assert (boxes.runs[5] > boxes.runs[2]).any()
+    if case == "wide":
+        # The width slab is the skipped one for some boxes.
+        assert (boxes.slabs[1][2][1] == 0.3 + inflate).any()
+    if case == "shrunk":
+        assert boxes.gone is not None
+    assert_ranges_match_two_slab(boxes, grid.ny, grid.nx)
+
+
+@given(st.floats(-math.pi, math.pi), st.floats(0.005, 0.4),
+       st.floats(0.005, 0.4), st.integers(0, 2), st.sampled_from((-1, 1)),
+       st.integers(0, 40), st.integers(-100, 100))
+@example(0.0, 0.05, 0.3, 1, 1, 7, 0)
+@example(math.pi / 2, 0.3, 0.05, 0, -1, 3, 0)
+@example(-math.pi / 2 + 1e-12, 0.3, 0.05, 2, 1, 0, 0)
+@settings(max_examples=150, deadline=None)
+def test_ranges_match_two_slab_at_the_middle_edge(angle, w, h, k, side, r,
+                                                  ulps):
+    # One box whose center puts row r + 28 at dy = side*D, moved by a few
+    # ulps either way, D the span of classification k over which the free
+    # slab cannot bind; the margin is 64 ulps of the larger of its terms.
+    cell, nx, ny = 1 / 64, 96, 96
+    ys = (np.arange(ny) + 0.5) * cell
+    rc = cell * np.sqrt(2.0) / 2.0
+    ca, sa = abs(float(np.cos(angle))), abs(float(np.sin(angle)))
+    d = abs(ca * (h + (k - 1) * rc) - sa * (w + (k - 1) * rc))
+    cy = ys[r + 28] - side * d * (1 + ulps * 2.0 ** -52)
+    fam = box_family(0.75, cy, 2 * w, 2 * h, angle=angle)
+    boxes = raster._Boxes([fam], 0.0, 0.0, 0.0, cell, nx, ny)
+    assert_ranges_match_two_slab(boxes, ny, nx)
+
+
+def test_default_stage2_solves_one_slab_on_most_ranges(rf, strict_table,
+                                                      monkeypatch):
+    # Counted as the painter runs, so a silent fallback to solving both
+    # slabs everywhere fails here.
+    fams = rf.besicovitch_stage(2)
+    radius = float(strict_table.theta_(2))
+    boxes, _ = _boxes_on_frame(fams, radius / 4, radius)
+    ranges = int((boxes.r_hi - boxes.r_lo).sum())
+    assert ranges == 7388595
+    solved = []
+    solve = raster._axis_interval
+
+    def counted(slab, idx, dy, big):
+        solved.append(len(idx))
+        return solve(slab, idx, dy, big)
+
+    monkeypatch.setattr(raster, "_axis_interval", counted)
+    assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
+    # Every range is solved on its first slab, and a cap's on both.
+    assert (2 * ranges - sum(solved)) / ranges >= 0.9
 
 
 # -- the union count of row ranges --------------------------------------------
