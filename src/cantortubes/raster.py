@@ -15,6 +15,13 @@ solves that slab alone, and both only on the caps above and below.  The
 middle is cut short by a margin that bounds the rounding of the two float
 solves (`_Boxes`), so the slab it skips never holds the max or min bound,
 and every range is bit-identical to solving both slabs on every row.
+
+In a dense fan of tubes most ranges land on cells that other boxes cover
+on every row anyway.  The painter walks the frame in blocks of rows and in
+each block skips the boxes whose ranges there all lie in cells that the
+boxes spanning the block cover on each of its rows (`_Boxes.cull`), then
+paints the kept boxes band by band.  Each set's union, hence every count,
+is unchanged cell for cell, and work grows with the kept ranges.
 """
 
 from __future__ import annotations
@@ -26,20 +33,20 @@ import numpy as np
 from .errors import GridTooLargeError
 
 # Cap on a raster frame's cells, which bounds the work: it grows with the
-# (box, row) ranges, while memory stays at one band of rows whatever the frame.
+# (box, row) ranges the cull keeps, while memory stays at one band of rows
+# whatever the frame.
 MAX_CELLS = 80_000_000
 
-# Slab solves per band of rows, counted after culling the boxes that miss the
-# band: a (box, row) range costs one in a box's middle and two in its caps.
+# Slab solves per band of rows, counted over the boxes that reach the band
+# and that the cull keeps: a (box, row) range costs one in a box's middle and
+# two in its caps.
 # A band's temporaries peak at about 84 bytes a solve (tracemalloc, default
 # stage 2), against 177 bytes a range when both slabs were solved on every
 # row, so a band takes under 0.7 MB, as 4,096 two-slab ranges did.  A band
-# holds whole rows, and its run bookkeeping covers every box it crosses: in
-# the middle of the default stage 2, 8,192 gives two rows of about 3,600
-# ranges against some 4,000 boxes, where 4,096 gave one row and left the
-# split no faster than solving both slabs everywhere.  The default run's peak
-# RSS rose 0.8 MB with it (perfbench strict3-default medians, 43.3 to
-# 44.2 MB).
+# holds whole rows, and its run bookkeeping covers every kept box it
+# crosses; unculled, in the middle of the default stage 2, 8,192 gives two
+# rows of about 3,600 ranges against some 4,000 boxes, where 4,096 gave one
+# row and left the split no faster than solving both slabs everywhere.
 _BAND_ENTRIES = 1 << 13
 
 
@@ -90,21 +97,27 @@ def _axis_interval(slab, idx, dy, big: float):
     rows at `dy` from their centers, one row of bounds per classification;
     empty rows get inverted bounds, and entries whose slope is flat
     (a < 1e-300, where the division may overflow or divide by zero) a full
-    or empty row."""
+    or empty row, written over the solved bounds in place so that no array's
+    size depends on how many entries are flat."""
     a, m, w, any_flat = slab
     a, b, w = a.take(idx), m.take(idx), w.take(idx, axis=1)
     b *= dy
-    flat = a < 1e-300 if any_flat else None
-    inside = None if flat is None else np.abs(b) <= w
+    if any_flat:
+        # +-big by the sign of w - |b|: a flat slab holds the whole row
+        # where |b| <= w, and w - |b| is +0.0, never -0.0, when they tie.
+        edge = w - np.abs(b)
+        np.copysign(big, edge, out=edge)
     lo = -w
     lo -= b
     lo /= a
     hi = w
     hi -= b
     hi /= a
-    if flat is not None:
-        lo[:, flat] = np.where(inside[:, flat], -big, big)
-        hi[:, flat] = np.where(inside[:, flat], big, -big)
+    if any_flat:
+        flat = a < 1e-300
+        np.copyto(hi, edge, where=flat)
+        np.negative(edge, out=edge)
+        np.copyto(lo, edge, where=flat)
     return lo, hi
 
 
@@ -157,7 +170,33 @@ class _Boxes:
     and a box with T < 0 has no middle.  The middle rows are those whose
     float dy lies in [-T, T]: float subtraction is monotone, so they are
     the rows whose center lies in [cy - T, cy + T], searched for with both
-    ends rounded inward."""
+    ends rounded inward.
+
+    The cull (`cull`) works on a block of rows.  dy grows with the row, and
+    each slab's float solve is monotone in dy, as are the shift, scaling,
+    ceil, floor and clip after it; so a box's first-slab bounds over the
+    block lie between their values at its first and last row there.  A lower
+    bound that is monotone, or flat (-big on one run of rows, +big off it),
+    is largest at one of the two ends, and so is the max of two such bounds;
+    alike for upper bounds and their min.  Hence a box that spans the block
+    covers, in the full class, I = [max il, min ih) of its ranges at the
+    block's two end rows on every row of the block.  Swept in order of
+    start, the ranges I that reach past the running maximum (U) have the
+    union K of them all.  A box's hull, [min il, max ih) of its first slab's
+    touched ranges at its first and last row in the block, holds every range
+    it paints there in every class: the touched half-width is the widest,
+    the second slab only narrows a range, and a class shrunk to nothing
+    paints nothing.  So a box outside U whose hull lies in one component of
+    K paints only cells that U covers on the same row in the full class,
+    hence in its own; skipping it leaves each set's union as it is.  The
+    cull's bounds come from the same `_axis_interval` and `_columns` calls
+    as `ranges` (the middle's one-slab ranges being bit-identical), so no
+    rounding margin is needed.  A flat first slope, whose bound leaves the
+    hull open as it is not monotone, or a bound that is not finite keeps a
+    box out of the cull (`_family_slabs` puts a flat slope second, so the
+    first is not flat in practice).  A block whose window (`_window`) holds
+    no more boxes than it has rows is not culled: solving every box at the
+    block's two ends would cost about what skipping saves."""
 
     def __init__(self, families, inflate: float, x0: float, y0: float,
                  cell: float, nx: int, ny: int):
@@ -192,6 +231,17 @@ class _Boxes:
         self.slabs = [(p[0, fam_of_box], p[1, fam_of_box],
                        p[2:5, fam_of_box], bool(any_flat))
                       for p, any_flat in zip((params[:5], params[5:10]), flat)]
+        a, m, w = params[0], np.abs(params[1]), params[2]
+        # A full range is 2w/a wide and moves |m|/a per unit of height, so
+        # no column stays in it over a height of 2w/|m|; and a box's middle,
+        # 2T tall, wholly holds one of any run of blocks T tall.  A block is
+        # at least the least of these heights, in rows, over the families
+        # the cull may use.
+        keep = (a >= 1e-300) & (w > 0)
+        with np.errstate(divide="ignore", over="ignore"):
+            rows = np.minimum(2 * w[keep] / m[keep], params[10, keep])
+        rows = rows.min(initial=ny * cell) / cell
+        self.block_rows = int(min(max(rows, 1), ny))
         span = params[10, fam_of_box]
         m_lo = np.searchsorted(self.ys, np.nextafter(self.cy - span, np.inf))
         m_hi = np.searchsorted(self.ys, np.nextafter(self.cy + span, -np.inf),
@@ -207,45 +257,110 @@ class _Boxes:
         gone = (params[2:5] <= 0) | (params[7:10] <= 0)
         self.gone = gone[:, fam_of_box] if gone.any() else None
 
-    def row_solves(self, ny: int) -> np.ndarray:
-        """Number of slab solves on each row: two per (box, row) range in a
-        cap, one in a middle."""
-        weights = np.repeat((2, 2, 1, -2, -2, -1), self.runs.shape[1])
-        solves = np.bincount(self.runs.ravel(), weights, ny + 1).cumsum()
-        return solves[:ny].astype(np.int64)
+    def row_solves(self, r0: int, r1: int, boxes=None) -> np.ndarray:
+        """Number of slab solves on each row of [r0, r1), over all boxes or
+        the sorted indices `boxes`: two per (box, row) range in a cap, one
+        in a middle."""
+        runs = self.runs if boxes is None else self.runs[:, boxes]
+        runs = np.minimum(np.maximum(runs, r0), r1)
+        weights = np.repeat((2, 2, 1, -2, -2, -1), runs.shape[1])
+        solves = np.bincount((runs - r0).ravel(), weights, r1 - r0 + 1)
+        return solves.cumsum()[:r1 - r0].astype(np.int64)
 
-    def _entries(self, r0: int, r1: int):
+    def _window(self, r0: int, r1: int) -> slice:
+        """The boxes that may reach a row of [r0, r1), those that end before
+        it included."""
+        return slice(np.searchsorted(self.r_lo, r0 - self.max_span, "right"),
+                     np.searchsorted(self.r_lo, r1, "left"))
+
+    def cull(self, r0: int, r1: int):
+        """Sorted indices of the boxes to paint on the block [r0, r1): those
+        that reach it, less the boxes whose every range there lies in cells
+        that the kept boxes cover on the same row (see `_Boxes`); None when
+        none is skipped."""
+        # Not culled: a block whose window holds no more boxes than rows.
+        if len(self.cy) <= r1 - r0:
+            return None
+        window = self._window(r0, r1)
+        if window.stop - window.start <= r1 - r0:
+            return None
+        box = window.start + np.flatnonzero(self.r_hi[window] > r0)
+        ends = np.concatenate((np.maximum(self.r_lo[box], r0),
+                               np.minimum(self.r_hi[box], r1) - 1))
+        idx = np.concatenate((box, box))
+        dy = self.ys.take(ends)
+        dy -= self.cy.take(idx)
+        n = len(box)
+        # One classification at a time: the slabs' rows 0 and 2 hold the
+        # full and the touched half-widths.
+        (a, m, w, f), (a2, m2, w2, f2) = self.slabs
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lo, hi = _axis_interval((a, m, w[2:], f), idx, dy, self.big)
+        # Hull: the first slab's touched range at the two end rows.
+        ok = np.isfinite(lo[0]) & np.isfinite(hi[0])
+        ok = ok[:n] & ok[n:]
+        if f:
+            ok &= a.take(box) >= 1e-300
+        hl, hh = self._columns(idx, lo, hi)
+        hl = np.minimum(hl[0, :n], hl[0, n:])
+        hh = np.maximum(hh[0, :n], hh[0, n:])
+        # Cover: the full range of the boxes spanning the block, at its two
+        # end rows, both slabs solved, as `ranges` would.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lo, hi = _axis_interval((a, m, w[:1], f), idx, dy, self.big)
+            lo2, hi2 = _axis_interval((a2, m2, w2[:1], f2), idx, dy,
+                                      self.big)
+        np.maximum(lo, lo2, out=lo)
+        np.minimum(hi, hi2, out=hi)
+        del dy, lo2, hi2
+        cl, ch = self._columns(idx, lo, hi)
+        if self.gone is not None:
+            ch[self.gone[:1].take(idx, axis=1)] = 0
+        cl = np.maximum(cl[0, :n], cl[0, n:])
+        ch = np.minimum(ch[0, :n], ch[0, n:])
+        span = np.flatnonzero(ok & (self.r_lo[box] <= r0)
+                              & (self.r_hi[box] >= r1) & (ch > cl))
+        if not len(span):
+            return None
+        span = span[np.argsort(cl[span], kind="stable")]
+        cl, ch = cl[span], ch[span]
+        reach = np.maximum.accumulate(ch)
+        # Components of the cover start where a range starts past the reach
+        # of those before it; U holds the ranges that extend the reach.
+        new = np.ones(len(span), dtype=bool)
+        new[1:] = cl[1:] > reach[:-1]
+        extends = new.copy()
+        extends[1:] |= ch[1:] > reach[:-1]
+        first = np.flatnonzero(new)
+        k_lo, k_hi = cl[first], reach[np.append(first[1:] - 1, len(span) - 1)]
+        k = np.searchsorted(k_lo, hl, side="right") - 1
+        skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
+        skip[span[extends]] = False
+        return box[~skip] if skip.any() else None
+
+    def _entries(self, r0: int, r1: int, boxes=None):
         """Boxes and rows, counted from r0, of the (box, row) ranges in the
-        band [r0, r1), the caps' first, and how many ranges the caps hold."""
-        start = np.searchsorted(self.r_lo, r0 - self.max_span, side="right")
-        stop = np.searchsorted(self.r_lo, r1, side="left")
+        band [r0, r1), over the boxes that reach it or the sorted indices
+        `boxes`, the caps' first, and how many ranges the caps hold."""
+        if boxes is None:
+            window = self._window(r0, r1)
+            runs, boxes = self.runs[:, window], np.arange(window.start,
+                                                         window.stop)
+        else:
+            runs = self.runs[:, boxes]
         # Runs of boxes that end before the band are empty.
-        runs = np.minimum(np.maximum(self.runs[:, start:stop], r0), r1)
+        runs = np.minimum(np.maximum(runs, r0), r1)
         runs -= r0
         first = runs[:3].ravel()
         n = runs[3:].ravel() - first
-        box = np.arange(start, stop)
-        idx = np.repeat(np.concatenate((box, box, box)), n)
+        idx = np.repeat(np.concatenate((boxes, boxes, boxes)), n)
         rows = np.repeat((first - (n.cumsum() - n)).astype(np.int32), n)
         rows += np.arange(len(idx), dtype=np.int32)
-        return idx, rows, int(n[:2 * (stop - start)].sum())
+        return idx, rows, int(n[:2 * len(boxes)].sum())
 
-    def ranges(self, r0: int, r1: int):
-        """Rows counted from r0, and the column ranges [il, ih) of every box
-        on every row of [r0, r1) it can reach, one row of il and ih per
-        classification (full, center, touched); ih <= il marks an empty
-        range."""
-        idx, rows, caps = self._entries(r0, r1)
-        dy = self.ys[r0:r1].take(rows)
-        dy -= self.cy.take(idx)
-        # Temporaries are freed once spent: a band's peak sets the memory.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lo, hi = _axis_interval(self.slabs[0], idx, dy, self.big)
-            lo2, hi2 = _axis_interval(self.slabs[1], idx[:caps], dy[:caps],
-                                      self.big)
-        np.maximum(lo[:, :caps], lo2, out=lo[:, :caps])
-        np.minimum(hi[:, :caps], hi2, out=hi[:, :caps])
-        del dy, lo2, hi2
+    def _columns(self, idx, lo, hi):
+        """Solved x-bounds of the boxes `idx`, rounded in place to the
+        column ranges [il, ih) of the cell centers they hold."""
         shift = self.shift.take(idx)
         for v in (lo, hi):
             v += shift
@@ -259,25 +374,73 @@ class _Boxes:
         # the frame's edge instead of wrapping it around.
         np.clip(lo, 0, self.nx, out=lo)
         np.clip(hi, 0, self.nx, out=hi)
+        return lo.astype(np.int32), hi.astype(np.int32)
+
+    def ranges(self, r0: int, r1: int, boxes=None):
+        """Rows counted from r0, and the column ranges [il, ih) of every box
+        (or of the sorted indices `boxes`) on every row of [r0, r1) it can
+        reach, one row of il and ih per classification (full, center,
+        touched); ih <= il marks an empty range."""
+        idx, rows, caps = self._entries(r0, r1, boxes)
+        dy = self.ys[r0:r1].take(rows)
+        dy -= self.cy.take(idx)
+        # Temporaries are freed once spent: a band's peak sets the memory.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lo, hi = _axis_interval(self.slabs[0], idx, dy, self.big)
+            lo2, hi2 = _axis_interval(self.slabs[1], idx[:caps], dy[:caps],
+                                      self.big)
+        np.maximum(lo[:, :caps], lo2, out=lo[:, :caps])
+        np.minimum(hi[:, :caps], hi2, out=hi[:, :caps])
+        del dy, lo2, hi2
+        il, ih = self._columns(idx, lo, hi)
         if self.gone is not None:
-            hi[self.gone.take(idx, axis=1)] = 0
-        return rows, lo.astype(np.int32), hi.astype(np.int32)
+            ih[self.gone.take(idx, axis=1)] = 0
+        return rows, il, ih
+
+
+def _split(solves, r0: int, nx: int):
+    """Split the rows r0, r0 + 1, ... with the given slab solves into bands
+    of about _BAND_ENTRIES solves; a row with more is a band of its own.  A
+    band spans fewer than 2**31 cells, so flat cell indices fit int32."""
+    before = np.zeros(len(solves) + 1, dtype=np.int64)
+    before[1:] = solves.cumsum()
+    max_rows = max(1, np.iinfo(np.int32).max // (nx + 1))
+    i, n = 0, len(solves)
+    while i < n:
+        j = int(np.searchsorted(before, before[i] + _BAND_ENTRIES,
+                                side="right")) - 1
+        j = min(max(j, i + 1), i + max_rows, n)
+        yield r0 + i, r0 + j
+        i = j
 
 
 def _bands(tables, ny: int, nx: int):
     """Split [0, ny) into bands of about _BAND_ENTRIES slab solves over all
-    tables; a row with more solves than that is a band of its own.  A band
-    spans fewer than 2**31 cells, so flat cell indices fit int32."""
-    before = np.zeros(ny + 1, dtype=np.int64)
-    before[1:] = sum(t.row_solves(ny) for t in tables).cumsum()
-    max_rows = max(1, np.iinfo(np.int32).max // (nx + 1))
-    r0 = 0
-    while r0 < ny:
-        r1 = int(np.searchsorted(before, before[r0] + _BAND_ENTRIES,
-                                 side="right")) - 1
-        r1 = min(max(r1, r0 + 1), r0 + max_rows, ny)
-        yield r0, r1
-        r0 = r1
+    tables (see `_split`)."""
+    return _split(sum(t.row_solves(0, ny) for t in tables), 0, nx)
+
+
+def _painted(tables, ny: int, nx: int):
+    """Each table's `ranges` over the boxes its `cull` keeps, band by band.
+    The frame is walked in blocks, each a run of whole `_bands` at least
+    the tables' `block_rows` tall; a block where some box is skipped is
+    split anew into bands of about _BAND_ENTRIES solves of the kept boxes,
+    and any other block is painted in its own bands, as if unculled.
+    Yields each band's first row and its ranges per table."""
+    rows = min(t.block_rows for t in tables)
+    bands = []
+    for band in _bands(tables, ny, nx):
+        bands.append(band)
+        b0, b1 = bands[0][0], band[1]
+        if b1 - b0 < rows and b1 < ny:
+            continue
+        kept = [t.cull(b0, b1) for t in tables]
+        if any(k is not None for k in kept):
+            bands = _split(sum(t.row_solves(b0, b1, k)
+                               for t, k in zip(tables, kept)), b0, nx)
+        for r0, r1 in bands:
+            yield r0, [t.ranges(r0, r1, k) for t, k in zip(tables, kept)]
+        bands = []
 
 
 def _keys(rows, il, ih, nx: int):
@@ -329,18 +492,23 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
     frame = (x0, y0, resolution, nx, ny)
     plus = _Boxes(families, inflate, *frame)
     sub = _Boxes(minus, inflate, *frame)
+    tables = (plus, sub) if len(sub.cy) else (plus,)
     counts = np.zeros(3, dtype=np.int64)
-    for r0, r1 in _bands((plus, sub), ny, nx):
-        ps, pe = _keys(*plus.ranges(r0, r1), nx)
-        if len(sub.cy):
+    for _, painted in _painted(tables, ny, nx):
+        # Each band's ranges are freed once turned into keys, and its keys
+        # once counted, before the next band is painted.
+        ps, pe = _keys(*painted.pop(0), nx)
+        if painted:
             # Full cells lose what `minus` may touch, touched cells only
             # what it fills: |P \ M| = |P u M| - |M|.
-            ms, me = (k[::-1] for k in _keys(*sub.ranges(r0, r1), nx))
+            ms, me = (k[::-1] for k in _keys(*painted.pop(), nx))
             counts += (_union_cells(np.concatenate((ps, ms), axis=1),
                                     np.concatenate((pe, me), axis=1))
                        - _union_cells(ms, me))
+            del ms, me
         else:
             counts += _union_cells(ps, pe)
+        del ps, pe
     full, center, touched = (int(c) for c in counts)
     return RasterResult(x0=x0, y0=y0, cell=resolution, nx=nx, ny=ny,
                         full=full, center=center, touched=touched)

@@ -407,31 +407,63 @@ def quadrant_families():
     return fams
 
 
-@pytest.mark.parametrize("case", ["level2", "level2-inflated", "stacked",
-                                  "multi-band", "exact-edges", "quadrants"])
-def test_raster_matches_per_box_reference(case, rf, strict_table):
+def painter_case(case, rf, strict_table):
+    """Families, inflation and cell size of a painter test case."""
+    inflate = 0.0
     if case.startswith("level2"):
         # l = 0 is axis-aligned: the degenerate-slope branch of the solve.
         fams = [rf.tube_family(2, l, C=16) for l in (0, 64, 128)]
         res = 1 / 512
-        inflate = 0.0
         if case == "level2-inflated":
             inflate = float(strict_table.theta_(2))
     elif case == "stacked":
-        fams, inflate, res = [stacked_family(32_768)], 0.0, 0.1
+        fams, res = [stacked_family(32_768)], 0.1
     elif case == "exact-edges":
-        fams, inflate, res = exact_edge_families(), 0.0, 0.125
+        fams, res = exact_edge_families(), 0.125
     elif case == "quadrants":
         fams, inflate, res = quadrant_families(), 0.01, 1 / 256
+    elif case == "multi-band":
+        fams, res = [tall_family(100)], 2.0 ** -15
+    elif case == "stage2":
+        fams = [rf.tube_family(2, l) for l in (0, 1, 128, 255, 256)]
+        res, inflate = 1 / 1024, 1 / 256
+    elif case == "fan":
+        # Every eighth family of the default stage 2: blocks with many more
+        # boxes than rows, most of them inside the others' cover.
+        fams = rf.besicovitch_stage(2)[::8]
+        res, inflate = 1 / 256, 1 / 256
+    elif case == "wide":
+        fams, res, inflate = wide_families(), 1 / 256, 0.003
+    elif case == "near-vertical":
+        fams, res = near_vertical_families(), 1 / 512
     else:
-        fams, inflate, res = [tall_family(100)], 0.0, 2.0 ** -15
-    grid = rasterize(fams, res, inflate=inflate)
+        fams, res = shrunk_families(), 1 / 64
+    return fams, inflate, res
+
+
+_REFERENCES = {}
+
+
+def reference_case(case, rf, strict_table):
+    """A painter case on its raster frame, with its per-box reference masks,
+    computed once per module."""
+    if case not in _REFERENCES:
+        fams, inflate, res = painter_case(case, rf, strict_table)
+        grid = rasterize(fams, res, inflate=inflate)
+        _REFERENCES[case] = (fams, inflate, grid,
+                             reference_masks(fams, inflate, grid))
+    return _REFERENCES[case]
+
+
+@pytest.mark.parametrize("case", ["level2", "level2-inflated", "stacked",
+                                  "multi-band", "exact-edges", "quadrants"])
+def test_raster_matches_per_box_reference(case, rf, strict_table):
+    fams, inflate, grid, ref = reference_case(case, rf, strict_table)
     painted, bands = painted_masks(fams, inflate, grid)
     if case == "multi-band":
         # Every box spans more rows than any band holds.
         assert len(bands) > 2
         assert grid.ny // 2 > max(r1 - r0 for r0, r1 in bands)
-    ref = reference_masks(fams, inflate, grid)
     for got, want in zip(painted, ref):
         assert np.array_equal(got, want)
     assert grid.counts() == tuple(int(m.sum()) for m in ref)
@@ -581,23 +613,8 @@ def _boxes_on_frame(fams, res, inflate=0.0):
 @pytest.mark.parametrize("case", ["stage2", "quadrants", "exact-edges",
                                   "multi-band", "wide", "near-vertical",
                                   "shrunk"])
-def test_ranges_match_two_slab_solve(case, rf):
-    inflate = 0.0
-    if case == "stage2":
-        fams = [rf.tube_family(2, l) for l in (0, 1, 128, 255, 256)]
-        res, inflate = 1 / 1024, 1 / 256
-    elif case == "quadrants":
-        fams, res, inflate = quadrant_families(), 1 / 256, 0.01
-    elif case == "exact-edges":
-        fams, res = exact_edge_families(), 0.125
-    elif case == "multi-band":
-        fams, res = [tall_family(100)], 2.0 ** -15
-    elif case == "wide":
-        fams, res, inflate = wide_families(), 1 / 256, 0.003
-    elif case == "near-vertical":
-        fams, res = near_vertical_families(), 1 / 512
-    else:
-        fams, res = shrunk_families(), 1 / 64
+def test_ranges_match_two_slab_solve(case, rf, strict_table):
+    fams, inflate, res = painter_case(case, rf, strict_table)
     boxes, grid = _boxes_on_frame(fams, res, inflate)
     # Some rows skip the free slab.
     assert (boxes.runs[5] > boxes.runs[2]).any()
@@ -652,6 +669,170 @@ def test_default_stage2_solves_one_slab_on_most_ranges(rf, strict_table,
     assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
     # Every range is solved on its first slab, and a cap's on both.
     assert (2 * ranges - sum(solved)) / ranges >= 0.9
+
+
+# -- the cull against the unculled painter ------------------------------------
+
+def _row_masks(rows, il, ih, ny, nx):
+    """Cells of the [il, ih) ranges on their rows, as a boolean grid."""
+    diff = np.zeros((ny, nx + 1), dtype=np.int32)
+    ok = ih > il
+    np.add.at(diff, (rows[ok], il[ok]), 1)
+    np.add.at(diff, (rows[ok], ih[ok]), -1)
+    return np.cumsum(diff, axis=1)[:, :nx] > 0
+
+
+def culled_masks(families, inflate, grid):
+    """(full_in, center_in, touched) painted from the ranges of the boxes the
+    cull keeps (`raster._painted`, as `rasterize` paints them), and how many
+    ranges those were against the ranges of every box."""
+    boxes = raster._Boxes(families, inflate, grid.x0, grid.y0, grid.cell,
+                          grid.nx, grid.ny)
+    bands = [(rows + r0, il, ih) for r0, [(rows, il, ih)]
+             in raster._painted([boxes], grid.ny, grid.nx)]
+    rows, il, ih = (np.concatenate(part, axis=-1) for part in zip(*bands))
+    masks = tuple(_row_masks(rows, l, h, grid.ny, grid.nx)
+                  for l, h in zip(il, ih))
+    return masks, len(rows), int((boxes.r_hi - boxes.r_lo).sum())
+
+
+@pytest.mark.parametrize("case", ["level2", "level2-inflated", "stacked",
+                                  "multi-band", "exact-edges", "quadrants",
+                                  "stage2", "wide", "near-vertical", "shrunk",
+                                  "fan"])
+def test_culled_painter_matches_per_box_reference(case, rf, strict_table):
+    fams, inflate, grid, ref = reference_case(case, rf, strict_table)
+    masks, kept, ranges = culled_masks(fams, inflate, grid)
+    for got, want in zip(masks, ref):
+        assert np.array_equal(got, want)
+    if case == "fan":
+        assert kept < ranges / 2
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_cull_skips_only_boxes_inside_the_kept_full_cover(mirror, rf,
+                                                          strict_table):
+    # The cull's own claim, stronger than equal counts: on every row of a
+    # block, a skipped box's touched range lies in cells that the kept
+    # boxes' full ranges cover.  The fan's ranges drift one way, and its
+    # mirror image's the other.
+    fams, inflate, res = painter_case("fan", rf, strict_table)
+    if mirror:
+        fams = [replace(f, rotation=-f.rotation, centers=f.centers * (-1, 1))
+                for f in fams]
+    boxes, grid = _boxes_on_frame(fams, res, inflate)
+    skipped = 0
+    for b0 in range(0, grid.ny, boxes.block_rows):
+        b1 = min(b0 + boxes.block_rows, grid.ny)
+        kept = boxes.cull(b0, b1)
+        if kept is None:
+            continue
+        window = boxes._window(b0, b1)
+        gone = np.setdiff1d(np.arange(window.start, window.stop), kept)
+        skipped += len(gone)
+        rows, il, ih = boxes.ranges(b0, b1, kept)
+        cover = _row_masks(rows, il[0], ih[0], b1 - b0, grid.nx)
+        rows, il, ih = boxes.ranges(b0, b1, gone)
+        assert not (_row_masks(rows, il[2], ih[2], b1 - b0, grid.nx)
+                    & ~cover).any(), (b0, b1)
+    assert skipped > 0
+
+
+def unculled_counts(families, res, inflate=0.0, minus=()):
+    """The oracle: `rasterize`'s counts with every box that reaches a band
+    painted on it, in the bands of `raster._bands`."""
+    grid = rasterize(families, res, inflate=inflate)
+    frame = (grid.x0, grid.y0, grid.cell, grid.nx, grid.ny)
+    plus = raster._Boxes(families, inflate, *frame)
+    sub = raster._Boxes(minus, inflate, *frame)
+    counts = np.zeros(3, dtype=np.int64)
+    for r0, r1 in raster._bands((plus, sub), grid.ny, grid.nx):
+        ps, pe = raster._keys(*plus.ranges(r0, r1), grid.nx)
+        ms, me = (k[::-1] for k in raster._keys(*sub.ranges(r0, r1),
+                                                grid.nx))
+        counts += (raster._union_cells(np.concatenate((ps, ms), axis=1),
+                                       np.concatenate((pe, me), axis=1))
+                   - raster._union_cells(ms, me))
+    return tuple(int(c) for c in counts)
+
+
+SLOPES = [0.0, math.pi, math.pi / 2, -math.pi / 2, math.pi / 2 + 1e-12,
+          math.pi / 2 - 1e-12, -math.pi / 2 + 1e-12, -math.pi / 2 - 1e-12]
+
+
+@st.composite
+def clustered_family(draw, fan):
+    """Up to 80 boxes of one shape on a few shared centers near (0.3, 0.3),
+    turned to within 0.5 of the slope `fan` or to an axis, exactly (a flat
+    slope) or but for 1e-12; a side of 0.002 is gone once shrunk by the
+    cell half-diagonal."""
+    w = draw(st.sampled_from([0.002, 0.05, 0.1, 0.2, 0.8]))
+    h = draw(st.sampled_from([0.002, 0.2, 0.5, 0.8]))
+    angle = draw(st.one_of(st.sampled_from(SLOPES),
+                           st.floats(-0.5, 0.5).map(lambda d: fan + d)))
+    spots = draw(st.lists(st.tuples(st.floats(-0.02, 0.02),
+                                    st.floats(-0.02, 0.02)),
+                          min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(spots) - 1), min_size=1,
+                          max_size=80))
+    fam = box_family(0, 0, w, h, angle=angle)
+    return replace(fam, centers=0.3 + np.array([spots[i] for i in picks]))
+
+
+@st.composite
+def clustered_sets(draw):
+    fan = draw(st.floats(-math.pi, math.pi))
+    return (draw(st.lists(clustered_family(fan), min_size=1, max_size=3)),
+            draw(st.lists(clustered_family(fan), max_size=2)))
+
+
+@given(clustered_sets(), st.sampled_from([0.0, 0.01]))
+@settings(max_examples=150, deadline=None)
+def test_culled_counts_equal_unculled_counts(sets, inflate):
+    # At cell 1/512 about a third of these sets hold blocks the cull
+    # thins out.
+    fams, minus = sets
+    res = 1 / 512
+    got = rasterize(fams, res, inflate=inflate, minus=minus).counts()
+    assert got == unculled_counts(fams, res, inflate, minus)
+
+
+def test_default_stage2_unions_few_ranges(rf, strict_table, monkeypatch):
+    # Counted as the painter runs: a cull that silently keeps every box
+    # unions all 7,388,595 (box, row) ranges.
+    fams = rf.besicovitch_stage(2)
+    radius = float(strict_table.theta_(2))
+    unioned = []
+    union = raster._union_cells
+
+    def counted(starts, ends):
+        unioned.append(starts.shape[-1])
+        return union(starts, ends)
+
+    monkeypatch.setattr(raster, "_union_cells", counted)
+    assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
+    assert sum(unioned) <= 0.4 * 7388595
+
+
+def test_overlap_loss_solves_no_more_than_its_ranges(rf, monkeypatch):
+    # Two families of 16 boxes over hundreds of rows: no block holds more
+    # boxes than rows, so the cull solves nothing of its own.
+    a, b = rf.tube_family(2, 64), rf.tube_family(2, 65)
+    res = 1 / 512
+    frame = rasterize([a], res)
+    tables = [raster._Boxes([f], 0.0, frame.x0, frame.y0, frame.cell,
+                            frame.nx, frame.ny) for f in (a, b)]
+    want = sum(int(t.row_solves(0, frame.ny).sum()) for t in tables)
+    solved = []
+    solve = raster._axis_interval
+
+    def counted(slab, idx, dy, big):
+        solved.append(len(idx))
+        return solve(slab, idx, dy, big)
+
+    monkeypatch.setattr(raster, "_axis_interval", counted)
+    assert pairwise_overlap_loss(a, b, res).cells_on > 0
+    assert sum(solved) == want
 
 
 # -- the union count of row ranges --------------------------------------------
