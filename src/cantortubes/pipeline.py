@@ -22,6 +22,7 @@ from pathlib import Path
 from .dyadic import dyadic_to_json, parse_rational
 from .errors import CantorTubesError
 from .hierarchy import (
+    DEFAULT_MATERIALIZATION_CAP,
     Construction,
     verify_counts,
     verify_level_invariants,
@@ -64,7 +65,7 @@ class RunConfig:
     C_tube: Fraction = Fraction(16)
     raster_resolution: Fraction | None = None   # default: theta_2 / 4
     neighborhood_radius: Fraction | None = None  # default: theta_2
-    materialization_cap: int = 2_000_000
+    materialization_cap: int = DEFAULT_MATERIALIZATION_CAP
     seed: int = 0
     spacing_samples: int = 2000
     containment_thetas: int = 20

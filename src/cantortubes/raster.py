@@ -17,11 +17,13 @@ solves (`_Boxes`), so the slab it skips never holds the max or min bound,
 and every range is bit-identical to solving both slabs on every row.
 
 In a dense fan of tubes most ranges land on cells that other boxes cover
-on every row anyway.  The painter walks the frame in blocks of rows and in
-each block skips the boxes whose ranges there all lie in cells that the
-boxes spanning the block cover on each of its rows (`_Boxes.cull`), then
-paints the kept boxes band by band.  Each set's union, hence every count,
-is unchanged cell for cell, and work grows with the kept ranges.
+on every row anyway.  The painter walks the frame once, in blocks of rows.
+In each block it skips the boxes whose ranges there all lie in cells that
+the boxes spanning the block cover on each of its rows (`_Boxes.cull`),
+then paints the kept boxes band by band.  A block is no shorter than an
+average band, and a set too small to thin out any block is walked as one
+block.  Each set's union, hence every count, is unchanged cell for cell,
+and work grows with the kept ranges.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ def _family_slabs(fam, inflate: float, rc: float) -> list:
 
 class _Boxes:
     """One set of families on a raster frame, box by box, ordered by the
-    first row a box can reach.
+    first row a box can reach.  The order serves memory locality alone: the
+    boxes that reach a block of rows then lie close together in every
+    per-box array.
 
     Each slab |a*dx + b| <= w is stored with a >= 0: negating a and b
     together leaves the slab as it is, and because rounding is symmetric
@@ -172,10 +176,11 @@ class _Boxes:
     the rows whose center lies in [cy - T, cy + T], searched for with both
     ends rounded inward.
 
-    The cull (`cull`) works on a block of rows.  dy grows with the row, and
-    each slab's float solve is monotone in dy, as are the shift, scaling,
-    ceil, floor and clip after it; so a box's first-slab bounds over the
-    block lie between their values at its first and last row there.  A lower
+    The cull (`cull`) works on a block of rows [r0, r1), over the boxes that
+    reach it: r_lo < r1 and r_hi > r0.  dy grows with the row, and each
+    slab's float solve is monotone in dy, as are the shift, scaling, ceil,
+    floor and clip after it; so a box's first-slab bounds over the block
+    lie between their values at its first and last row there.  A lower
     bound that is monotone, or flat (-big on one run of rows, +big off it),
     is largest at one of the two ends, and so is the max of two such bounds;
     alike for upper bounds and their min.  Hence a box that spans the block
@@ -194,9 +199,9 @@ class _Boxes:
     rounding margin is needed.  A flat first slope, whose bound leaves the
     hull open as it is not monotone, or a bound that is not finite keeps a
     box out of the cull (`_family_slabs` puts a flat slope second, so the
-    first is not flat in practice).  A block whose window (`_window`) holds
-    no more boxes than it has rows is not culled: solving every box at the
-    block's two ends would cost about what skipping saves."""
+    first is not flat in practice).  A block reached by no more boxes than
+    it has rows is not culled: solving every box at the block's two ends
+    would cost about what skipping saves."""
 
     def __init__(self, families, inflate: float, x0: float, y0: float,
                  cell: float, nx: int, ny: int):
@@ -223,7 +228,6 @@ class _Boxes:
         r_hi = np.clip(np.floor((cy + ey - y0) / cell - 0.5) + 2, 0, ny)
         order = np.argsort(r_lo, kind="stable")
         r_lo, r_hi = r_lo[order].astype(np.int32), r_hi[order].astype(np.int32)
-        self.max_span = int((r_hi - r_lo).max(initial=0))
         self.cy = cy[order]
         self.shift = centers[order, 0] - x0
         fam_of_box = fam_of_box[order]
@@ -235,8 +239,8 @@ class _Boxes:
         # A full range is 2w/a wide and moves |m|/a per unit of height, so
         # no column stays in it over a height of 2w/|m|; and a box's middle,
         # 2T tall, wholly holds one of any run of blocks T tall.  A block is
-        # at least the least of these heights, in rows, over the families
-        # the cull may use.
+        # the least of these heights, in rows, over the families the cull
+        # may use.
         keep = (a >= 1e-300) & (w > 0)
         with np.errstate(divide="ignore", over="ignore"):
             rows = np.minimum(2 * w[keep] / m[keep], params[10, keep])
@@ -257,71 +261,58 @@ class _Boxes:
         gone = (params[2:5] <= 0) | (params[7:10] <= 0)
         self.gone = gone[:, fam_of_box] if gone.any() else None
 
-    def row_solves(self, r0: int, r1: int, boxes=None) -> np.ndarray:
-        """Number of slab solves on each row of [r0, r1), over all boxes or
-        the sorted indices `boxes`: two per (box, row) range in a cap, one
-        in a middle."""
-        runs = self.runs if boxes is None else self.runs[:, boxes]
-        runs = np.minimum(np.maximum(runs, r0), r1)
+    def row_solves(self, r0: int, r1: int, boxes) -> np.ndarray:
+        """Number of slab solves on each row of [r0, r1) over the sorted
+        indices `boxes`: two per (box, row) range in a cap, one in a
+        middle."""
+        runs = np.minimum(np.maximum(self.runs[:, boxes], r0), r1)
         weights = np.repeat((2, 2, 1, -2, -2, -1), runs.shape[1])
         solves = np.bincount((runs - r0).ravel(), weights, r1 - r0 + 1)
         return solves.cumsum()[:r1 - r0].astype(np.int64)
 
-    def _window(self, r0: int, r1: int) -> slice:
-        """The boxes that may reach a row of [r0, r1), those that end before
-        it included."""
-        return slice(np.searchsorted(self.r_lo, r0 - self.max_span, "right"),
-                     np.searchsorted(self.r_lo, r1, "left"))
-
-    def cull(self, r0: int, r1: int):
+    def cull(self, r0: int, r1: int) -> np.ndarray:
         """Sorted indices of the boxes to paint on the block [r0, r1): those
         that reach it, less the boxes whose every range there lies in cells
-        that the kept boxes cover on the same row (see `_Boxes`); None when
-        none is skipped."""
-        # Not culled: a block whose window holds no more boxes than rows.
-        if len(self.cy) <= r1 - r0:
-            return None
-        window = self._window(r0, r1)
-        if window.stop - window.start <= r1 - r0:
-            return None
-        box = window.start + np.flatnonzero(self.r_hi[window] > r0)
+        that the kept boxes cover on the same row (see `_Boxes`)."""
+        stop = np.searchsorted(self.r_lo, r1, "left")
+        box = np.flatnonzero(self.r_hi[:stop] > r0)
+        if len(box) <= r1 - r0:
+            return box
         ends = np.concatenate((np.maximum(self.r_lo[box], r0),
                                np.minimum(self.r_hi[box], r1) - 1))
         idx = np.concatenate((box, box))
         dy = self.ys.take(ends)
         dy -= self.cy.take(idx)
         n = len(box)
-        # One classification at a time: the slabs' rows 0 and 2 hold the
-        # full and the touched half-widths.
+        # The first slab in the full and the touched class (rows 0 and 2 of
+        # its half-widths), the second in the full class alone.
         (a, m, w, f), (a2, m2, w2, f2) = self.slabs
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lo, hi = _axis_interval((a, m, w[2:], f), idx, dy, self.big)
+            lo, hi = _axis_interval((a, m, w[::2], f), idx, dy, self.big)
+            lo2, hi2 = _axis_interval((a2, m2, w2[:1], f2), idx, dy,
+                                      self.big)
+        del dy
         # Hull: the first slab's touched range at the two end rows.
-        ok = np.isfinite(lo[0]) & np.isfinite(hi[0])
+        ok = np.isfinite(lo[1]) & np.isfinite(hi[1])
         ok = ok[:n] & ok[n:]
         if f:
             ok &= a.take(box) >= 1e-300
-        hl, hh = self._columns(idx, lo, hi)
-        hl = np.minimum(hl[0, :n], hl[0, n:])
-        hh = np.maximum(hh[0, :n], hh[0, n:])
         # Cover: the full range of the boxes spanning the block, at its two
         # end rows, both slabs solved, as `ranges` would.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lo, hi = _axis_interval((a, m, w[:1], f), idx, dy, self.big)
-            lo2, hi2 = _axis_interval((a2, m2, w2[:1], f2), idx, dy,
-                                      self.big)
-        np.maximum(lo, lo2, out=lo)
-        np.minimum(hi, hi2, out=hi)
-        del dy, lo2, hi2
-        cl, ch = self._columns(idx, lo, hi)
+        np.maximum(lo[0], lo2[0], out=lo[0])
+        np.minimum(hi[0], hi2[0], out=hi[0])
+        del lo2, hi2
+        il, ih = self._columns(idx, lo, hi)
+        hl = np.minimum(il[1, :n], il[1, n:])
+        hh = np.maximum(ih[1, :n], ih[1, n:])
         if self.gone is not None:
-            ch[self.gone[:1].take(idx, axis=1)] = 0
-        cl = np.maximum(cl[0, :n], cl[0, n:])
-        ch = np.minimum(ch[0, :n], ch[0, n:])
+            ih[0, self.gone[0].take(idx)] = 0
+        cl = np.maximum(il[0, :n], il[0, n:])
+        ch = np.minimum(ih[0, :n], ih[0, n:])
         span = np.flatnonzero(ok & (self.r_lo[box] <= r0)
                               & (self.r_hi[box] >= r1) & (ch > cl))
         if not len(span):
-            return None
+            return box
         span = span[np.argsort(cl[span], kind="stable")]
         cl, ch = cl[span], ch[span]
         reach = np.maximum.accumulate(ch)
@@ -336,20 +327,14 @@ class _Boxes:
         k = np.searchsorted(k_lo, hl, side="right") - 1
         skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
         skip[span[extends]] = False
-        return box[~skip] if skip.any() else None
+        return box[~skip]
 
-    def _entries(self, r0: int, r1: int, boxes=None):
-        """Boxes and rows, counted from r0, of the (box, row) ranges in the
-        band [r0, r1), over the boxes that reach it or the sorted indices
-        `boxes`, the caps' first, and how many ranges the caps hold."""
-        if boxes is None:
-            window = self._window(r0, r1)
-            runs, boxes = self.runs[:, window], np.arange(window.start,
-                                                         window.stop)
-        else:
-            runs = self.runs[:, boxes]
-        # Runs of boxes that end before the band are empty.
-        runs = np.minimum(np.maximum(runs, r0), r1)
+    def _entries(self, r0: int, r1: int, boxes):
+        """Boxes and rows, counted from r0, of the (box, row) ranges of the
+        sorted indices `boxes` in the band [r0, r1), the caps' first, and how
+        many ranges the caps hold."""
+        # Runs of boxes that miss the band are empty.
+        runs = np.minimum(np.maximum(self.runs[:, boxes], r0), r1)
         runs -= r0
         first = runs[:3].ravel()
         n = runs[3:].ravel() - first
@@ -376,11 +361,11 @@ class _Boxes:
         np.clip(hi, 0, self.nx, out=hi)
         return lo.astype(np.int32), hi.astype(np.int32)
 
-    def ranges(self, r0: int, r1: int, boxes=None):
-        """Rows counted from r0, and the column ranges [il, ih) of every box
-        (or of the sorted indices `boxes`) on every row of [r0, r1) it can
-        reach, one row of il and ih per classification (full, center,
-        touched); ih <= il marks an empty range."""
+    def ranges(self, r0: int, r1: int, boxes):
+        """Rows counted from r0, and the column ranges [il, ih) of the sorted
+        indices `boxes` on every row of [r0, r1) they reach, one row of il
+        and ih per classification (full, center, touched); ih <= il marks an
+        empty range."""
         idx, rows, caps = self._entries(r0, r1, boxes)
         dy = self.ys[r0:r1].take(rows)
         dy -= self.cy.take(idx)
@@ -414,33 +399,28 @@ def _split(solves, r0: int, nx: int):
         i = j
 
 
-def _bands(tables, ny: int, nx: int):
-    """Split [0, ny) into bands of about _BAND_ENTRIES slab solves over all
-    tables (see `_split`)."""
-    return _split(sum(t.row_solves(0, ny) for t in tables), 0, nx)
-
-
 def _painted(tables, ny: int, nx: int):
     """Each table's `ranges` over the boxes its `cull` keeps, band by band.
-    The frame is walked in blocks, each a run of whole `_bands` at least
-    the tables' `block_rows` tall; a block where some box is skipped is
-    split anew into bands of about _BAND_ENTRIES solves of the kept boxes,
-    and any other block is painted in its own bands, as if unculled.
-    Yields each band's first row and its ranges per table."""
+    The frame is walked once, in blocks as tall as the least of the tables'
+    `block_rows` but no shorter than an average band: a block costs a cull
+    and a split whatever its size, so no more blocks are walked than bands
+    painted.  The frame is one block when no table holds more boxes than a
+    block has rows, since the cull could then thin out no block.  Each
+    block is split into bands of about _BAND_ENTRIES solves of the kept
+    boxes.  Yields each band's first row and its ranges per table."""
     rows = min(t.block_rows for t in tables)
-    bands = []
-    for band in _bands(tables, ny, nx):
-        bands.append(band)
-        b0, b1 = bands[0][0], band[1]
-        if b1 - b0 < rows and b1 < ny:
-            continue
+    # Counted in ranges, of which a band holds at most _BAND_ENTRIES, so a
+    # block is at least as tall as an average band.
+    ranges = sum(int((t.r_hi - t.r_lo).sum()) for t in tables)
+    rows = max(rows, ny * _BAND_ENTRIES // max(ranges, 1))
+    if max(len(t.cy) for t in tables) <= rows:
+        rows = ny
+    for b0 in range(0, ny, rows):
+        b1 = min(b0 + rows, ny)
         kept = [t.cull(b0, b1) for t in tables]
-        if any(k is not None for k in kept):
-            bands = _split(sum(t.row_solves(b0, b1, k)
-                               for t, k in zip(tables, kept)), b0, nx)
-        for r0, r1 in bands:
+        for r0, r1 in _split(sum(t.row_solves(b0, b1, k)
+                                 for t, k in zip(tables, kept)), b0, nx):
             yield r0, [t.ranges(r0, r1, k) for t, k in zip(tables, kept)]
-        bands = []
 
 
 def _keys(rows, il, ih, nx: int):

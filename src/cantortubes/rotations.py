@@ -274,6 +274,14 @@ class RotationFamily:
 
     # -- tube families -----------------------------------------------------------
 
+    def _tube_C(self, C) -> Fraction:
+        """The tube constant as a rational, the table's C_tube by default;
+        a negative one is refused."""
+        C = Fraction(C if C is not None else self.cons.table.C_tube)
+        if C < 0:
+            raise ValueError(f"C must be >= 0, got {C}")
+        return C
+
     def tube_family(self, level: int, l: int, C=None, variant: str = "T") -> TubeFamily:
         """Rotated-box family at one grid angle: every level rectangle's
         anchor gets a centered box of half-extents C*theta x C*Delta ("T") or
@@ -282,7 +290,7 @@ class RotationFamily:
         shared, until the memo holds `STAGE_TUBE_CAP` tubes; past that,
         families are built afresh on every call."""
         table = self.cons.table
-        C = Fraction(C if C is not None else table.C_tube)
+        C = self._tube_C(C)
         key = (level, l, C, variant)
         if key in self._families:
             return self._families[key]
@@ -345,7 +353,7 @@ class RotationFamily:
         from mpmath anchors alone.
         """
         table = self.cons.table
-        C = Fraction(C if C is not None else table.C_tube)
+        C = self._tube_C(C)
         res = self.v_limit(theta)
         v, theta = res.point, res.theta
         anchors, paths, e = self._level_anchors(n + 1, n_samples, rng)

@@ -357,15 +357,26 @@ def reference_masks(families, inflate, grid):
     return tuple(np.cumsum(d, axis=1, dtype=dtype)[:, :nx] > 0 for d in diffs)
 
 
+def unculled_walk(tables, ny, nx):
+    """The painter without its cull: the frame split by `raster._split` over
+    the row solves of every box of every table, and each band's first and
+    last row with every table's ranges over all its boxes."""
+    every = [np.arange(len(t.cy)) for t in tables]
+    solves = sum(t.row_solves(0, ny, k) for t, k in zip(tables, every))
+    for r0, r1 in raster._split(solves, 0, nx):
+        yield r0, r1, [t.ranges(r0, r1, k) for t, k in zip(tables, every)]
+
+
 def painted_masks(families, inflate, grid):
     """(full_in, center_in, touched) painted from the [il, ih) ranges the
     band painter solves on `grid`'s frame, band by band, and the bands."""
     boxes = raster._Boxes(families, inflate, grid.x0, grid.y0, grid.cell,
                           grid.nx, grid.ny)
-    bands = list(raster._bands([boxes], grid.ny, grid.nx))
+    bands = []
     diffs = np.zeros((3, grid.ny, grid.nx + 1), dtype=np.int32)
-    for r0, r1 in bands:
-        rows, il_rows, ih_rows = boxes.ranges(r0, r1)
+    for r0, r1, [(rows, il_rows, ih_rows)] in unculled_walk(
+            [boxes], grid.ny, grid.nx):
+        bands.append((r0, r1))
         for diff, il, ih in zip(diffs, il_rows, ih_rows):
             ok = ih > il
             np.add.at(diff, (rows[ok] + r0, il[ok]), 1)
@@ -483,7 +494,7 @@ def test_overlap_loss_matches_reference_masks(l, res, rf):
     # Both families' rows run through several bands.
     tables = [raster._Boxes([f], 0.0, frame.x0, frame.y0, frame.cell,
                             frame.nx, frame.ny) for f in (a, b)]
-    assert len(list(raster._bands(tables, frame.ny, frame.nx))) > 2
+    assert len(list(unculled_walk(tables, frame.ny, frame.nx))) > 2
     full_a, center_a, touched_a = reference_masks([a], 0.0, frame)
     full_b, center_b, touched_b = reference_masks([b], 0.0, frame)
     area = frame.cell_area
@@ -531,9 +542,7 @@ def _two_slab_interval(a, b, w, big: float, flat):
 
 def two_slab_ranges(self, r0: int, r1: int):
     """The oracle: every range solved from both slabs on every row."""
-    start = np.searchsorted(self.r_lo, r0 - self.max_span, side="right")
-    stop = np.searchsorted(self.r_lo, r1, side="left")
-    sel = np.arange(start, stop)[self.r_hi[start:stop] > r0]
+    sel = np.flatnonzero((self.r_lo < r1) & (self.r_hi > r0))
     first = np.maximum(self.r_lo[sel], r0) - r0
     n = np.minimum(self.r_hi[sel], r1) - r0 - first
     idx = np.repeat(sel, n)
@@ -574,8 +583,8 @@ def assert_ranges_match_two_slab(boxes, ny, nx):
         return np.sort((rows.astype(np.int64) * (nx + 1) + il) * (nx + 1)
                        + ih, axis=-1)
 
-    for r0, r1 in raster._bands([boxes], ny, nx):
-        got = keys(*boxes.ranges(r0, r1))
+    for r0, r1, [painted] in unculled_walk([boxes], ny, nx):
+        got = keys(*painted)
         want = keys(*two_slab_ranges(boxes, r0, r1))
         assert np.array_equal(got, want), (r0, r1)
 
@@ -725,10 +734,10 @@ def test_cull_skips_only_boxes_inside_the_kept_full_cover(mirror, rf,
     for b0 in range(0, grid.ny, boxes.block_rows):
         b1 = min(b0 + boxes.block_rows, grid.ny)
         kept = boxes.cull(b0, b1)
-        if kept is None:
+        reaching = np.flatnonzero((boxes.r_lo < b1) & (boxes.r_hi > b0))
+        gone = np.setdiff1d(reaching, kept)
+        if not len(gone):
             continue
-        window = boxes._window(b0, b1)
-        gone = np.setdiff1d(np.arange(window.start, window.stop), kept)
         skipped += len(gone)
         rows, il, ih = boxes.ranges(b0, b1, kept)
         cover = _row_masks(rows, il[0], ih[0], b1 - b0, grid.nx)
@@ -740,16 +749,15 @@ def test_cull_skips_only_boxes_inside_the_kept_full_cover(mirror, rf,
 
 def unculled_counts(families, res, inflate=0.0, minus=()):
     """The oracle: `rasterize`'s counts with every box that reaches a band
-    painted on it, in the bands of `raster._bands`."""
+    painted on it, in the bands of `unculled_walk`."""
     grid = rasterize(families, res, inflate=inflate)
     frame = (grid.x0, grid.y0, grid.cell, grid.nx, grid.ny)
     plus = raster._Boxes(families, inflate, *frame)
     sub = raster._Boxes(minus, inflate, *frame)
     counts = np.zeros(3, dtype=np.int64)
-    for r0, r1 in raster._bands((plus, sub), grid.ny, grid.nx):
-        ps, pe = raster._keys(*plus.ranges(r0, r1), grid.nx)
-        ms, me = (k[::-1] for k in raster._keys(*sub.ranges(r0, r1),
-                                                grid.nx))
+    for _, _, (p, m) in unculled_walk((plus, sub), grid.ny, grid.nx):
+        ps, pe = raster._keys(*p, grid.nx)
+        ms, me = (k[::-1] for k in raster._keys(*m, grid.nx))
         counts += (raster._union_cells(np.concatenate((ps, ms), axis=1),
                                        np.concatenate((pe, me), axis=1))
                    - raster._union_cells(ms, me))
@@ -790,11 +798,50 @@ def clustered_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_culled_counts_equal_unculled_counts(sets, inflate):
     # At cell 1/512 about a third of these sets hold blocks the cull
-    # thins out.
+    # thins out.  As the painter runs, each cull returns, in order, only
+    # boxes that reach its block, and all of them when it may skip none.
     fams, minus = sets
     res = 1 / 512
-    got = rasterize(fams, res, inflate=inflate, minus=minus).counts()
+    cull = raster._Boxes.cull
+
+    def checked(self, r0, r1):
+        kept = cull(self, r0, r1)
+        reaching = np.flatnonzero((self.r_lo < r1) & (self.r_hi > r0))
+        assert (np.diff(kept) > 0).all()
+        assert np.isin(kept, reaching).all()
+        if len(reaching) <= r1 - r0:
+            assert np.array_equal(kept, reaching)
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster._Boxes, "cull", checked)
+        got = rasterize(fams, res, inflate=inflate, minus=minus).counts()
     assert got == unculled_counts(fams, res, inflate, minus)
+
+
+def test_blocks_are_no_shorter_than_an_average_band(monkeypatch):
+    # Near-square boxes turned by about 45 degrees have no middle, so
+    # `block_rows` is one row; the painter still culls no more blocks than
+    # it would paint bands unculled.
+    rng = np.random.default_rng(3)
+    fams = [replace(box_family(0, 0, 0.2, 0.2, angle=0.785 + d),
+                    centers=0.3 + rng.uniform(-0.02, 0.02, (80, 2)))
+            for d in (0.0, 0.1, -0.2)]
+    res, inflate = 1 / 512, 0.01
+    boxes, grid = _boxes_on_frame(fams, res, inflate)
+    assert boxes.block_rows == 1
+    bands = len(list(unculled_walk([boxes], grid.ny, grid.nx)))
+    want = unculled_counts(fams, res, inflate)
+    culled = []
+    cull = raster._Boxes.cull
+
+    def counted_cull(self, r0, r1):
+        culled.append((r0, r1))
+        return cull(self, r0, r1)
+
+    monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
+    assert rasterize(fams, res, inflate=inflate).counts() == want
+    assert 1 < len(culled) <= bands, (len(culled), bands)
 
 
 def test_default_stage2_unions_few_ranges(rf, strict_table, monkeypatch):
@@ -815,24 +862,52 @@ def test_default_stage2_unions_few_ranges(rf, strict_table, monkeypatch):
 
 
 def test_overlap_loss_solves_no_more_than_its_ranges(rf, monkeypatch):
-    # Two families of 16 boxes over hundreds of rows: no block holds more
-    # boxes than rows, so the cull solves nothing of its own.
+    # Two families of 16 boxes over hundreds of rows: no table holds more
+    # boxes than a block has rows, so the frame is one block, culled once
+    # per table, and the cull solves nothing of its own.
     a, b = rf.tube_family(2, 64), rf.tube_family(2, 65)
     res = 1 / 512
     frame = rasterize([a], res)
     tables = [raster._Boxes([f], 0.0, frame.x0, frame.y0, frame.cell,
                             frame.nx, frame.ny) for f in (a, b)]
-    want = sum(int(t.row_solves(0, frame.ny).sum()) for t in tables)
-    solved = []
-    solve = raster._axis_interval
+    want = sum(int(t.row_solves(0, frame.ny, np.arange(len(t.cy))).sum())
+               for t in tables)
+    solved, culled = [], []
+    solve, cull = raster._axis_interval, raster._Boxes.cull
 
     def counted(slab, idx, dy, big):
         solved.append(len(idx))
         return solve(slab, idx, dy, big)
 
+    def counted_cull(self, r0, r1):
+        culled.append((r0, r1))
+        return cull(self, r0, r1)
+
     monkeypatch.setattr(raster, "_axis_interval", counted)
+    monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
     assert pairwise_overlap_loss(a, b, res).cells_on > 0
     assert sum(solved) == want
+    assert culled == [(0, frame.ny)] * 2
+
+
+def test_default_stage2_culls_each_block_once(rf, strict_table,
+                                              monkeypatch):
+    # Counted as the painter runs: 3,932 rows in blocks of 159, each culled
+    # once, the last one 116 rows tall.
+    fams = rf.besicovitch_stage(2)
+    radius = float(strict_table.theta_(2))
+    culled = []
+    cull = raster._Boxes.cull
+
+    def counted_cull(self, r0, r1):
+        culled.append((r0, r1, self.block_rows, len(self.ys)))
+        return cull(self, r0, r1)
+
+    monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
+    assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
+    assert len(culled) == math.ceil(3932 / 159) == 25
+    assert culled == [(b0, min(b0 + 159, 3932), 159, 3932)
+                      for b0 in range(0, 3932, 159)]
 
 
 # -- the union count of row ranges --------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from cantortubes.dyadic import floor_frac
 from cantortubes.errors import OffGridError, PopulationCapError
 from cantortubes.hierarchy import Construction, child_anchor
+from cantortubes.measures import neighborhood_area
 from cantortubes import rotations
 from cantortubes.numerics import frac_to_mpf, workprec
 from cantortubes.rotations import (
@@ -324,6 +325,29 @@ def test_tube_families_built_once(rf):
     stage = rf.besicovitch_stage(2, C=16)
     assert stage[5] is fam
     assert all(f is rf.tube_family(2, l, C=16) for l, f in enumerate(stage))
+
+
+@pytest.mark.parametrize("C", [-1, Fraction(-1, 3)])
+def test_negative_tube_constant_refused(rf, C):
+    # Negative half-extents: the painter would fail on them, and
+    # containment would report a C_min for tubes that do not exist.
+    with pytest.raises(ValueError, match="C must be >= 0"):
+        rf.tube_family(2, 3, C=C)
+    with pytest.raises(ValueError, match="C must be >= 0"):
+        rf.besicovitch_stage(1, C=C)
+    with pytest.raises(ValueError, match="C must be >= 0"):
+        rf.check_containment(0.21, 2, C=C)
+
+
+def test_zero_tube_constant_builds_point_tubes(rf, strict_table):
+    # RunConfig accepts C_tube = 0: every box is a point.
+    fam = rf.tube_family(2, 3, C=0)
+    assert fam.half_width == fam.half_height == 0.0
+    assert len(rf.besicovitch_stage(1, C=0)) == strict_table.family_count(1)
+    rep = rf.check_containment(0.21, 1, C=0)
+    assert rep.C == 0.0 and not rep.contained
+    radius = float(strict_table.theta_(2))
+    assert neighborhood_area([fam], radius, radius / 4).cells_on > 0
 
 
 def test_shared_families_and_level_anchors_are_read_only(rf, cons):
