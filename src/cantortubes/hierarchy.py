@@ -232,6 +232,8 @@ class Construction:
         self._levels = {1: LevelSet(level=1, rects=[root])}
         self._depth: int | None = None
         self._counts: dict[tuple, int] = {}
+        self._N: dict[int, int] = {}
+        self._search_bounds: dict[int, int] = {}
 
     def sol(self, n: int) -> ArcSolution:
         """Arc solution used to subdivide level n, refused (ValueError)
@@ -298,12 +300,16 @@ class Construction:
         return tuple(map(self.count_children_of, self.level(n).rects))
 
     def N(self, n: int) -> int:
-        """Uniform child count at level n (min over the level's parents).
-        Exact while level n itself is materializable."""
-        N = min(self.counts(n))
-        if N == 0:
-            raise ConstructionError(f"a level-{n} parent admits no children")
-        return N
+        """Uniform child count at level n (min over the level's parents),
+        found once per level.  Exact while level n itself is
+        materializable."""
+        if n not in self._N:
+            N = min(self.counts(n))
+            if N == 0:
+                raise ConstructionError(
+                    f"a level-{n} parent admits no children")
+            self._N[n] = N
+        return self._N[n]
 
     def population(self, n: int) -> int:
         """Exact rectangle count of level n (a product of uniform counts,
@@ -433,11 +439,14 @@ class Construction:
     def count_children_of(self, parent: RectNode) -> int:
         """Per-parent child count of a parent rectangle already built (by
         `rect_by_path`), cached by its path: the one count cache, shared by
-        `counts`, `count_children_by_path` and sampled spacing checks."""
+        `counts`, `count_children_by_path` and sampled spacing checks.  The
+        search bound is computed once per level."""
         if parent.path not in self._counts:
-            hi = count_search_bound(self.table, parent.level)
+            n = parent.level
+            if n not in self._search_bounds:
+                self._search_bounds[n] = count_search_bound(self.table, n)
             self._counts[parent.path] = count_children(
-                parent, self.sol(parent.level), hi)
+                parent, self.sol(n), self._search_bounds[n])
         return self._counts[parent.path]
 
     def sample_parent_paths(self, parent_level: int, n_samples: int,
@@ -461,6 +470,51 @@ class Construction:
         return paths
 
 
+def _worst_deviation(bound, centre, values):
+    """min(bound - |centre - v|) over `values` (mpfs), evaluated at their
+    least and greatest only: mpmath rounds every operation correctly, so
+    fl(centre - v) is monotone in v and fl(bound - t) in t, and the minimum
+    is reached there bit for bit."""
+    return min(bound - abs(centre - v) for v in (min(values), max(values)))
+
+
+def _sampled_increments(cons: Construction, n: int, n_samples: int,
+                        rng: random.Random) -> list:
+    """Increments a_{k+1} - a_k between consecutive children of sampled
+    level-n parents, one pair per parent, with k drawn from `rng` after the
+    parent paths (as `sample_parent_paths` draws them).  Run under the
+    construction's precision.
+
+    Each increment is taken in the arc's local frame, about its centre c:
+    d = (a_p - c)*expm1(-i*phi)*exp(-i*(k-1)*phi), with phi one angle step
+    and expm1(-i*phi) = -2*sin(phi/2)**2 - i*sin(phi) formed once without
+    cancellation; (a_p - c)*expm1(-i*phi) and the child count are kept per
+    parent, so a pair costs one `expj` and one product.  Every factor is
+    within a few ulps of its own size, so d is within a few ulps of |d| <= 1
+    of the exact map's increment from the computed parent anchor a_p, where
+    the difference of two anchors would lose |c|*2**-prec to cancellation.
+    An error E in a_p moves d by E*|expm1(-i*phi)|, about E*phi.  Both lie
+    well inside `anchor_error(n + 1)`.
+    """
+    sol = cons.sol(n)
+    c = sol.center_c
+    phi = sol.turn(1)
+    s = mpmath.sin(phi / 2)
+    step = mpmath.mpc(-2 * s * s, -mpmath.sin(phi))
+    frames = {}  # parent path -> ((a_p - c)*step, child count)
+    increments = []
+    for ppath in cons.sample_parent_paths(n, n_samples, rng):
+        if ppath not in frames:
+            parent = cons.rect_by_path(ppath)
+            frames[ppath] = ((parent.anchor - c) * step,
+                             cons.count_children_of(parent))
+        w, cnt = frames[ppath]
+        if cnt >= 1:
+            k = rng.randint(1, cnt)
+            increments.append(w * mpmath.expj(-sol.turn(k - 1)))
+    return increments
+
+
 def verify_spacing(cons: Construction, child_level: int,
                    n_samples: int | None = None,
                    rng: random.Random | None = None) -> VerificationReport:
@@ -470,7 +524,8 @@ def verify_spacing(cons: Construction, child_level: int,
     least three widths.
 
     With `n_samples` unset, every consecutive pair of the materialized level
-    is checked; otherwise pairs are sampled through lazy anchors.
+    is checked; otherwise one pair per sampled parent, its increment taken
+    in the arc's local frame (`_sampled_increments`).
     """
     table = cons.table
     n = child_level - 1  # parent level
@@ -481,7 +536,6 @@ def verify_spacing(cons: Construction, child_level: int,
     delta = table.delta_(child_level)
     stride = table.delta_(n) / table.Delta_(n) * Delta
     c1 = table.c1
-    sol = cons.sol(n)
 
     rep = VerificationReport(
         title=f"spacing of level-{child_level} children "
@@ -495,26 +549,18 @@ def verify_spacing(cons: Construction, child_level: int,
                 if a.path[:-1] == b.path[:-1]:
                     pairs.append((b.anchor - a.anchor))
         else:
-            rng = rng or random.Random(0)
-            parents = cons.sample_parent_paths(n, n_samples, rng)
-            for ppath in parents:
-                parent = cons.rect_by_path(ppath)
-                cnt = cons.count_children_of(parent)
-                if cnt < 1:
-                    continue
-                k = rng.randint(1, cnt)
-                a = child_anchor(parent.anchor, sol, k)
-                b = child_anchor(parent.anchor, sol, k + 1)
-                pairs.append(b - a)
+            pairs = _sampled_increments(cons, n, n_samples,
+                                        rng or random.Random(0))
 
         if not pairs:
             raise ConstructionError("no consecutive child pairs to verify")
         bound_y, bound_x, gap = c1 * theta, 3 * c1 * theta, 3 * delta
         by, bx, g = frac_to_mpf(bound_y), frac_to_mpf(bound_x), frac_to_mpf(gap)
         Dm, Sm = frac_to_mpf(Delta), frac_to_mpf(stride)
-        worst_y = min(by - abs(Dm - d.imag) for d in pairs)
-        worst_x = min(bx - abs(Sm - d.real) for d in pairs)
-        worst_gap = min(d.real - g for d in pairs)
+        xs = [d.real for d in pairs]
+        worst_y = _worst_deviation(by, Dm, [d.imag for d in pairs])
+        worst_x = _worst_deviation(bx, Sm, xs)
+        worst_gap = min(xs) - g
 
     rep.stats = {
         "pairs": len(pairs),

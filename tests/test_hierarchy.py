@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantortubes import hierarchy
 from cantortubes.arcs import solve_table_arcs
@@ -13,6 +14,8 @@ from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
     _certified_transition,
+    _sampled_increments,
+    _worst_deviation,
     child_anchor,
     child_rect,
     count_children,
@@ -27,7 +30,7 @@ from cantortubes.numerics import (
     frac_to_mpf,
     workprec,
 )
-from cantortubes.reports import EXPECTED_FAILURES
+from cantortubes.reports import EXPECTED_FAILURES, classify, to_json_number
 from cantortubes.rotations import RotationFamily
 from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
 
@@ -714,3 +717,164 @@ def test_y_projection_checks_split_siblings_from_cousins(cons):
     cousins = {e.name: e for e in report.entries}[
         "y-projections of different parents' children disjoint"]
     assert cousins.margin > 1e6 * cousins.bound
+
+
+# -- sampled spacing pairs in the arc's local frame ---------------------------
+
+def sampled_pairs(cons, n, n_samples, seed):
+    """(parent, k) of each pair a sampled check draws: the rng replayed."""
+    rng = random.Random(seed)
+    pairs = []
+    for ppath in cons.sample_parent_paths(n, n_samples, rng):
+        parent = cons.rect_by_path(ppath)
+        pairs.append((parent, rng.randint(1, cons.count_children_of(parent))))
+    return pairs
+
+
+def two_anchor_worst(cons, child_level, n_samples, seed):
+    """The former sampled check: each increment the difference of two
+    `child_anchor` calls, each margin a min over every pair.  The oracle for
+    the local-frame increments and the min/max reduction."""
+    table, n = cons.table, child_level - 1
+    sol = cons.sol(n)
+    with workprec(cons.prec):
+        pairs = [child_anchor(p.anchor, sol, k + 1) - child_anchor(p.anchor, sol, k)
+                 for p, k in sampled_pairs(cons, n, n_samples, seed)]
+        by = frac_to_mpf(table.c1 * table.theta_(child_level))
+        Dm = frac_to_mpf(table.Delta_(child_level))
+        Sm = frac_to_mpf(table.delta_(n) / table.Delta_(n)
+                         * table.Delta_(child_level))
+        g = frac_to_mpf(3 * table.delta_(child_level))
+        return [min(by - abs(Dm - d.imag) for d in pairs),
+                min(3 * by - abs(Sm - d.real) for d in pairs),
+                min(d.real - g for d in pairs)]
+
+
+LOCAL_FRAME_CASES = [("cons", 3, 300), ("strict4_cons", 3, 100),
+                     ("strict4_cons", 4, 100)]
+
+
+@pytest.mark.parametrize("name, level, n_samples", LOCAL_FRAME_CASES)
+def test_sampled_increments_within_anchor_error(request, name, level,
+                                                n_samples):
+    # Against the increments of the same parent anchors at 4x precision:
+    # the local frame stays inside the reported error, where the difference
+    # of two anchors of size |c| (|c| = 1.6e4 at level 3, 1.8e16 at strict
+    # depth 4, level 4) does not.
+    cons = request.getfixturevalue(name)
+    n, sol, prec = level - 1, cons.sol(level - 1), 4 * cons.prec
+    with workprec(cons.prec):
+        got = _sampled_increments(cons, n, n_samples, random.Random(level))
+    pairs = sampled_pairs(cons, n, n_samples, level)
+    assert len(got) == len(pairs) == n_samples
+    with workprec(prec):
+        worst = max(abs(d - (child_anchor(p.anchor, sol, k + 1, prec=prec)
+                             - child_anchor(p.anchor, sol, k, prec=prec)))
+                    for d, (p, k) in zip(got, pairs))
+    assert worst <= cons.anchor_error(level), (name, level, worst)
+
+
+@pytest.mark.parametrize("name, level, n_samples",
+                         LOCAL_FRAME_CASES + [("demo4_cons", 4, 50)])
+def test_sampled_spacing_matches_two_anchor_oracle(request, name, level,
+                                                   n_samples):
+    cons = request.getfixturevalue(name)
+    report = verify_spacing(cons, level, n_samples=n_samples,
+                            rng=random.Random(level))
+    err = cons.anchor_error(level)
+    want = two_anchor_worst(cons, level, n_samples, level)
+    checks = report.to_json()["checks"]
+    assert [c["status"] for c in checks] == [classify(w, err) for w in want]
+    assert [c["margin"] for c in checks] == [to_json_number(w) for w in want]
+    assert report.ok
+
+
+@st.composite
+def deviation_data(draw):
+    """(prec, bound, centre, values): mpfs carrying more bits than `prec`,
+    the centre below, above or among the values."""
+    prec = draw(st.integers(24, 300))
+    scale = draw(st.integers(-40, 40))
+    mantissa = st.integers(-2 ** (prec + 24), 2 ** (prec + 24))
+    with workprec(prec + 64):
+        def mpf(m, shift=0):
+            return mpmath.ldexp(mpmath.mpf(m), scale - prec - shift)
+
+        values = [mpf(m) for m in draw(st.lists(mantissa, min_size=1,
+                                                max_size=12))]
+        offset = abs(mpf(draw(mantissa), draw(st.integers(-8, 40))))
+        side = draw(st.sampled_from(["below", "above", "among"]))
+        if side == "below":
+            centre = min(values) - offset
+        elif side == "above":
+            centre = max(values) + offset
+        else:
+            centre = draw(st.sampled_from(values)) + offset * draw(
+                st.sampled_from([-1, 0, 1]))
+        bound = mpf(draw(mantissa), draw(st.integers(-8, 8)))
+    return prec, bound, centre, values
+
+
+@given(deviation_data())
+@settings(max_examples=300, deadline=None)
+def test_worst_deviation_equals_the_per_value_min(data):
+    prec, bound, centre, values = data
+    with workprec(prec):
+        got = _worst_deviation(bound, centre, values)
+        want = min(bound - abs(centre - v) for v in values)
+    assert got == want
+
+
+def test_sampled_spacing_work_at_a_materialized_parent_level(cons,
+                                                             monkeypatch):
+    # Level 2 is built and its counts are known: each pair costs one expj,
+    # and no anchor is evaluated.
+    cons.counts(2)
+    calls = {"child_anchor": 0, "expj": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hierarchy, "child_anchor",
+                        counted("child_anchor", hierarchy.child_anchor))
+    monkeypatch.setattr(mpmath, "expj", counted("expj", mpmath.expj))
+    report = verify_spacing(cons, 3, n_samples=200, rng=random.Random(3))
+    assert report.ok and report.stats["pairs"] == 200
+    assert calls["child_anchor"] == 0
+    assert 0 < calls["expj"] <= 200 + 1
+
+
+def test_per_level_count_constants_found_once(strict_table, strict_arcs,
+                                              monkeypatch):
+    fresh = Construction(strict_table, sols=strict_arcs)
+    bounds, counts = [], []
+
+    def counted_bound(table, n):
+        bounds.append(n)
+        return count_search_bound(table, n)
+
+    def counted_counts(n):
+        counts.append(n)
+        return Construction.counts(fresh, n)
+
+    monkeypatch.setattr(hierarchy, "count_search_bound", counted_bound)
+    monkeypatch.setattr(fresh, "counts", counted_counts)
+    for _ in range(3):
+        assert fresh.N(1) == 16 and fresh.population(3) == 16 * fresh.N(2)
+        fresh.sample_parent_paths(3, 50, random.Random(1))
+    assert counts == [1, 2] and bounds == [1, 2]
+
+    # Failures are not cached: past the cap, or with a childless parent.
+    capped = Construction(strict_table, cap=10, sols=strict_arcs)
+    for _ in range(2):
+        with pytest.raises(PopulationCapError):
+            capped.N(2)
+    monkeypatch.setattr(capped, "counts", lambda n: (0, 5))
+    for _ in range(2):
+        with pytest.raises(ConstructionError, match="admits no children"):
+            capped.N(3)
+    monkeypatch.setattr(capped, "counts", lambda n: (4, 5))
+    assert capped.N(3) == 4

@@ -325,35 +325,41 @@ def _reference_interval(a, b, w, big):
 
 
 def reference_masks(families, inflate, grid):
-    """(full_in, center_in, touched) painted on `grid`'s frame one box at a
-    time: each box's per-row x-interval scatters +-1 into a 2-D difference
-    grid, whose running sum along each row counts the boxes over a cell."""
+    """(full_in, center_in, touched) painted on `grid`'s frame box by box:
+    each box's per-row x-interval scatters +-1 into a 2-D difference grid,
+    whose running sum along each row counts the boxes over a cell.  Boxes
+    are solved in chunks, as (box x row) arrays, and each class scatters
+    once per chunk."""
     cell, nx, ny = grid.cell, grid.nx, grid.ny
     rc = cell * np.sqrt(2.0) / 2.0
     big = (nx + 4) * cell
     ys = grid.y0 + (np.arange(ny) + 0.5) * cell
-    rows = np.arange(ny)
+    chunk = max(1, 2**20 // ny)
     dtype = np.int16 if sum(map(len, families)) <= 32_767 else np.int32
     diffs = [np.zeros((ny, nx + 1), dtype=dtype) for _ in range(3)]
     for fam in families:
         hw, hh = fam.half_width + inflate, fam.half_height + inflate
         ca, sa = float(np.cos(fam.rotation)), float(np.sin(fam.rotation))
-        for cx, cy in fam.centers:
-            dy = ys - cy
+        for i in range(0, len(fam.centers), chunk):
+            cx, cy = fam.centers[i:i + chunk].T
+            dy = ys - cy[:, None]
+            rows = np.broadcast_to(np.arange(ny), dy.shape)
             for diff, grow in zip(diffs, (-rc, 0.0, rc)):
                 w, h = hw + grow, hh + grow
                 if w <= 0 or h <= 0:
                     continue
                 lo1, hi1 = _reference_interval(ca, sa * dy, w, big)
                 lo2, hi2 = _reference_interval(-sa, ca * dy, h, big)
-                lo = np.maximum(lo1, lo2) + (cx - grid.x0)
-                hi = np.minimum(hi1, hi2) + (cx - grid.x0)
+                lo = np.maximum(lo1, lo2) + (cx - grid.x0)[:, None]
+                hi = np.minimum(hi1, hi2) + (cx - grid.x0)[:, None]
                 il = np.clip(np.ceil(lo / cell - 0.5).astype(np.int64), 0, nx)
                 ih = np.clip(np.floor(hi / cell - 0.5).astype(np.int64) + 1,
                              0, nx)
                 ok = ih > il
-                np.add.at(diff, (rows[ok], il[ok]), 1)
-                np.add.at(diff, (rows[ok], ih[ok]), -1)
+                r = rows[ok]
+                np.add.at(diff, (np.concatenate([r, r]),
+                                 np.concatenate([il[ok], ih[ok]])),
+                          np.repeat(np.array([1, -1], dtype=dtype), len(r)))
     return tuple(np.cumsum(d, axis=1, dtype=dtype)[:, :nx] > 0 for d in diffs)
 
 
