@@ -60,6 +60,15 @@ class ArcSolution:
         frac_to_mpf(j*sub_angle)."""
         return mpmath.ldexp(mpmath.mpf(j * self.num), -self.e)
 
+    def expm1_turn(self, j: int):
+        """exp(-i*t) - 1 for t = turn(j), formed without cancellation as
+        -2*sin(t/2)**2 - i*sin(t): a point a moved j steps along its orbit
+        about the centre c moves by (a - c)*expm1_turn(j), each factor within
+        a few ulps of its own size, not of |c|."""
+        t = self.turn(j)
+        s = mpmath.sin(t / 2)
+        return mpmath.mpc(-2 * s * s, -mpmath.sin(t))
+
     def turn_float(self, j: int) -> float:
         """j*sub_angle rounded once to float64 (int true division rounds
         correctly), bit for bit float(j*sub_angle)."""

@@ -478,41 +478,31 @@ def _worst_deviation(bound, centre, values):
     return min(bound - abs(centre - v) for v in (min(values), max(values)))
 
 
-def _sampled_increments(cons: Construction, n: int, n_samples: int,
-                        rng: random.Random) -> list:
-    """Increments a_{k+1} - a_k between consecutive children of sampled
-    level-n parents, one pair per parent, with k drawn from `rng` after the
-    parent paths (as `sample_parent_paths` draws them).  Run under the
-    construction's precision.
+def _sampled_pairs(cons: Construction, n: int, n_samples: int,
+                   rng: random.Random):
+    """(parent, k) of one consecutive-children pair k, k + 1 per sampled
+    level-n parent: all parent paths are drawn from `rng` first, then one k
+    per path whose count is at least 1."""
+    rect = lru_cache(maxsize=None)(cons.rect_by_path)
+    for ppath in cons.sample_parent_paths(n, n_samples, rng):
+        cnt = cons.count_children_of(rect(ppath))
+        if cnt >= 1:
+            yield rect(ppath), rng.randint(1, cnt)
 
-    Each increment is taken in the arc's local frame, about its centre c:
-    d = (a_p - c)*expm1(-i*phi)*exp(-i*(k-1)*phi), with phi one angle step
-    and expm1(-i*phi) = -2*sin(phi/2)**2 - i*sin(phi) formed once without
-    cancellation; (a_p - c)*expm1(-i*phi) and the child count are kept per
-    parent, so a pair costs one `expj` and one product.  Every factor is
-    within a few ulps of its own size, so d is within a few ulps of |d| <= 1
-    of the exact map's increment from the computed parent anchor a_p, where
-    the difference of two anchors would lose |c|*2**-prec to cancellation.
-    An error E in a_p moves d by E*|expm1(-i*phi)|, about E*phi.  Both lie
-    well inside `anchor_error(n + 1)`.
+
+def _increments(cons: Construction, n: int, pairs) -> list:
+    """Increments a_{k+1} - a_k of the (parent, k) `pairs` of level-n
+    parents, taken in the arc's local frame about its centre c, under the
+    construction's precision: w*exp(-i*(k-1)*phi), with phi one angle step
+    and the frame w = (a_p - c)*expm1_turn(1) kept per parent.  Each
+    increment d is within a few ulps of |d| <= 1 of the exact one from the
+    computed a_p, where a difference of two anchors loses |c|*2**-prec; an
+    error E in a_p moves d by about E*phi.  Both lie well inside `anchor_error(n + 1)`.
     """
     sol = cons.sol(n)
-    c = sol.center_c
-    phi = sol.turn(1)
-    s = mpmath.sin(phi / 2)
-    step = mpmath.mpc(-2 * s * s, -mpmath.sin(phi))
-    frames = {}  # parent path -> ((a_p - c)*step, child count)
-    increments = []
-    for ppath in cons.sample_parent_paths(n, n_samples, rng):
-        if ppath not in frames:
-            parent = cons.rect_by_path(ppath)
-            frames[ppath] = ((parent.anchor - c) * step,
-                             cons.count_children_of(parent))
-        w, cnt = frames[ppath]
-        if cnt >= 1:
-            k = rng.randint(1, cnt)
-            increments.append(w * mpmath.expj(-sol.turn(k - 1)))
-    return increments
+    c, step = sol.center_c, sol.expm1_turn(1)
+    frame = lru_cache(maxsize=None)(lambda parent: (parent.anchor - c) * step)
+    return [frame(parent) * mpmath.expj(-sol.turn(k - 1)) for parent, k in pairs]
 
 
 def verify_spacing(cons: Construction, child_level: int,
@@ -524,8 +514,9 @@ def verify_spacing(cons: Construction, child_level: int,
     least three widths.
 
     With `n_samples` unset, every consecutive pair of the materialized level
-    is checked; otherwise one pair per sampled parent, its increment taken
-    in the arc's local frame (`_sampled_increments`).
+    is checked; otherwise one pair per sampled parent (`_sampled_pairs`).
+    Either way each increment is taken in the arc's local frame
+    (`_increments`).
     """
     table = cons.table
     n = child_level - 1  # parent level
@@ -540,30 +531,28 @@ def verify_spacing(cons: Construction, child_level: int,
     rep = VerificationReport(
         title=f"spacing of level-{child_level} children "
               f"({'all pairs' if n_samples is None else f'{n_samples} sampled pairs'})")
-    pairs = []
     err = cons.anchor_error(child_level)
     with workprec(cons.prec):
         if n_samples is None:
-            level = cons.level(child_level)
-            for a, b in zip(level.rects, level.rects[1:]):
-                if a.path[:-1] == b.path[:-1]:
-                    pairs.append((b.anchor - a.anchor))
+            cons.level(child_level)  # refused past the cap
+            pairs = ((parent, k) for parent in cons.level(n).rects
+                     for k in range(1, cons.N(n)))
         else:
-            pairs = _sampled_increments(cons, n, n_samples,
-                                        rng or random.Random(0))
+            pairs = _sampled_pairs(cons, n, n_samples, rng or random.Random(0))
+        increments = _increments(cons, n, pairs)
 
-        if not pairs:
+        if not increments:
             raise ConstructionError("no consecutive child pairs to verify")
         bound_y, bound_x, gap = c1 * theta, 3 * c1 * theta, 3 * delta
         by, bx, g = frac_to_mpf(bound_y), frac_to_mpf(bound_x), frac_to_mpf(gap)
         Dm, Sm = frac_to_mpf(Delta), frac_to_mpf(stride)
-        xs = [d.real for d in pairs]
-        worst_y = _worst_deviation(by, Dm, [d.imag for d in pairs])
+        xs = [d.real for d in increments]
+        worst_y = _worst_deviation(by, Dm, [d.imag for d in increments])
         worst_x = _worst_deviation(bx, Sm, xs)
         worst_gap = min(xs) - g
 
     rep.stats = {
-        "pairs": len(pairs),
+        "pairs": len(increments),
         "child_level": child_level,
         "bound_y": bound_y,
         "bound_x": bound_x,
@@ -571,13 +560,13 @@ def verify_spacing(cons: Construction, child_level: int,
     }
     rep.add_inequality(
         "height increment within c1*theta of the height scale", worst_y, err,
-        detail=f"worst over {len(pairs)} pairs")
+        detail=f"worst over {len(increments)} pairs")
     rep.add_inequality(
         "x-advance within 3*c1*theta of the expected stride", worst_x, err,
-        detail=f"worst over {len(pairs)} pairs")
+        detail=f"worst over {len(increments)} pairs")
     rep.add_inequality(
         "anchor x-gap at least 3x the child width", worst_gap, err,
-        detail=f"worst over {len(pairs)} pairs")
+        detail=f"worst over {len(increments)} pairs")
     return rep
 
 

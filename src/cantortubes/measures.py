@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hierarchy import Construction, child_anchor
+from .hierarchy import Construction
 from .numerics import workprec
 from .raster import RasterResult, rasterize
 
@@ -19,20 +19,16 @@ from .raster import RasterResult, rasterize
 def projection_lengths(cons: Construction, n: int) -> tuple:
     """(len_y, len_x) of level n <= `cons.counted_depth()`, unbuilt.  Siblings
     share y-endpoints and cousins are disjoint (`verify_level_invariants`),
-    so len_y telescopes to one span per parent, from its corner to its
-    (N + 1)-th child anchor; disjoint x-projections give count * width."""
+    so len_y telescopes to one span per parent a_p, to its (N + 1)-th child
+    anchor, taken in the local frame as (a_p - c)*expm1_turn(N) about the
+    arc centre c; disjoint x-projections give count * width."""
     if n == 1:
         return 1.0, 1.0
-    parents = cons.level(n - 1)
-    N = cons.N(n - 1)
     sol = cons.sol(n - 1)
     with workprec(cons.prec):
-        total = 0
-        for parent in parents.rects:
-            top = child_anchor(parent.anchor, sol, N + 1)
-            total += top.imag - parent.anchor.imag
-        len_x = cons.population(n) * cons.table.delta_(n)
-        return total, len_x
+        c, step = sol.center_c, sol.expm1_turn(cons.N(n - 1))
+        len_y = sum(((p.anchor - c) * step).imag for p in cons.level(n - 1).rects)
+        return len_y, cons.population(n) * cons.table.delta_(n)
 
 
 # -- rasterized areas ----------------------------------------------------------

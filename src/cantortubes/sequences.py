@@ -35,6 +35,9 @@ MAX_EXPONENT = 200_000
 
 PROFILES = ("strict", "demo")
 
+#: c1 of every derived table: spacing increments stay within c1*theta.
+C1 = Fraction(2)
+
 
 @dataclass(frozen=True)
 class DimensionSchedule:
@@ -55,11 +58,12 @@ class DimensionSchedule:
         return {"s": str(self.s), "s_n": [str(x) for x in self.s_n]}
 
 
-def check_parameters(s=1, c=Fraction(1, 16), profile: str = "strict",
-                     c1=Fraction(2)) -> None:
-    """Refuse (ValueError) an s, c, profile or c1 the derivation cannot use;
-    `build_schedule`, `derive_sequences` and `RunConfig` all run it."""
-    s, c, c1 = Fraction(s), Fraction(c), Fraction(c1)
+def check_parameters(s=1, c=Fraction(1, 16), profile: str = "strict") -> None:
+    """Refuse (ValueError) an s, c or profile the derivation cannot use;
+    `build_schedule`, `derive_sequences` and `RunConfig` all run it.  A c it
+    accepts is at most 1/16, so C1's constraints hold: c*(1 + 12c) <= 0.11
+    and 6c <= 0.375 (`validate_sequences`)."""
+    s, c = Fraction(s), Fraction(c)
     if not 0 <= s <= 1:
         raise ValueError(f"target dimension must lie in [0, 1], got {s}")
     if profile not in PROFILES:
@@ -70,10 +74,6 @@ def check_parameters(s=1, c=Fraction(1, 16), profile: str = "strict",
         # A general dyadic c breaks the integrality of theta_2/theta_3 and of
         # the level-2 grid ratio: the odd part of 1/c never cancels.
         raise ValueError(f"c must be a reciprocal power of two, got {c}")
-    if not c * (1 + 4 * c * (c1 + 1)) < 1:
-        raise ValueError(f"constant constraint c*(1+4c(c1+1)) < 1 fails for c={c}, c1={c1}")
-    if not 3 * c * c1 < Fraction(1, 2):
-        raise ValueError(f"constant constraint 3*c*c1 < 1/2 fails for c={c}, c1={c1}")
 
 
 def p2_exponent(profile: str, n: int) -> int:
@@ -170,7 +170,6 @@ def derive_sequences(
     schedule: DimensionSchedule,
     c,
     profile: str = "strict",
-    c1=Fraction(2),
     C_tube=Fraction(16),
 ) -> SequenceTable:
     """Greedily derive the largest dyadic sequences satisfying every bound.
@@ -185,8 +184,8 @@ def derive_sequences(
     Raises DepthUnreachableError when an exponent would exceed
     ``MAX_EXPONENT`` bits, reporting the deepest achievable level.
     """
-    c, c1 = Fraction(c), Fraction(c1)
-    check_parameters(c=c, profile=profile, c1=c1)
+    c = Fraction(c)
+    check_parameters(c=c, profile=profile)
 
     depth = schedule.depth
     one = Fraction(1)
@@ -222,7 +221,7 @@ def derive_sequences(
         delta=tuple(delta),
         Delta=tuple(Delta),
         theta=tuple(theta),
-        c1=c1,
+        c1=C1,
         C_tube=Fraction(C_tube),
         profile=profile,
         schedule=schedule,

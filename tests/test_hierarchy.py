@@ -14,7 +14,8 @@ from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
     _certified_transition,
-    _sampled_increments,
+    _increments,
+    _sampled_pairs,
     _worst_deviation,
     child_anchor,
     child_rect,
@@ -211,6 +212,18 @@ def strict4_cons():
 @pytest.fixture(scope="module")
 def demo4_cons(demo_table, demo_arcs):
     return Construction(demo_table, sols=demo_arcs)
+
+
+@pytest.fixture(scope="module")
+def shallow_cons():
+    """A table whose level 3 (3,856 rectangles, 16 parents) materializes,
+    with arc centres far from the anchors: |c| = 4.1e3 at level 2."""
+    c = Fraction(1, 16)
+    return Construction(SequenceTable(
+        c=c, depth=3, delta=(Fraction(1), Fraction(1, 2**8), Fraction(1, 2**40)),
+        Delta=(Fraction(1), Fraction(1, 2**4), Fraction(1, 2**12)),
+        theta=(c, c / 2**4, c / 2**20), c1=Fraction(2), C_tube=Fraction(16),
+        profile="strict", schedule=build_schedule(1, 3)))
 
 
 @pytest.mark.parametrize("name", ["strict4_cons", "demo4_cons"])
@@ -694,7 +707,7 @@ def test_level5_spacing_report_writes_exact_margins(depth5):
             assert abs(margin - want) <= abs(want) / 10, check
 
 
-def test_y_projection_checks_split_siblings_from_cousins(cons):
+def test_y_projection_checks_split_siblings_from_cousins(cons, shallow_cons):
     # Level 2 has one parent: its siblings share endpoints exactly, and no
     # pair has different parents.
     checks = {e.name: e for e in verify_level_invariants(cons, 2).entries}
@@ -704,22 +717,15 @@ def test_y_projection_checks_split_siblings_from_cousins(cons):
     assert checks["rectangles contained in the unit square"].status == "pass"
     # A shallow table whose level 3 (3,856 rectangles) materializes: children
     # of different level-2 parents leave a real gap.
-    c = Fraction(1, 16)
-    table = SequenceTable(
-        c=c, depth=3, delta=(Fraction(1), Fraction(1, 2**8), Fraction(1, 2**40)),
-        Delta=(Fraction(1), Fraction(1, 2**4), Fraction(1, 2**12)),
-        theta=(c, c / 2**4, c / 2**20), c1=Fraction(2), C_tube=Fraction(16),
-        profile="strict", schedule=build_schedule(1, 3))
-    shallow = Construction(table)
-    assert shallow.materializable_depth() == 3
-    report = verify_level_invariants(shallow, 3)
+    assert shallow_cons.materializable_depth() == 3
+    report = verify_level_invariants(shallow_cons, 3)
     assert report.ok, [e.to_json() for e in report.entries if e.status != "pass"]
     cousins = {e.name: e for e in report.entries}[
         "y-projections of different parents' children disjoint"]
     assert cousins.margin > 1e6 * cousins.bound
 
 
-# -- sampled spacing pairs in the arc's local frame ---------------------------
+# -- spacing increments in the arc's local frame ------------------------------
 
 def sampled_pairs(cons, n, n_samples, seed):
     """(parent, k) of each pair a sampled check draws: the rng replayed."""
@@ -731,27 +737,72 @@ def sampled_pairs(cons, n, n_samples, seed):
     return pairs
 
 
-def two_anchor_worst(cons, child_level, n_samples, seed):
-    """The former sampled check: each increment the difference of two
-    `child_anchor` calls, each margin a min over every pair.  The oracle for
-    the local-frame increments and the min/max reduction."""
+def all_pairs(cons, n):
+    """(parent, k) of every pair of consecutive children of the
+    materialized level n + 1, read off the built level."""
+    rects = cons.level(n + 1).rects
+    return [(cons.rect_by_path(a.path[:-1]), a.path[-1])
+            for a, b in zip(rects, rects[1:]) if a.path[:-1] == b.path[:-1]]
+
+
+def reference_increments(cons, n, pairs):
+    """The increments of `pairs` at 4x precision, from the same parent
+    anchors and centre."""
+    sol, prec = cons.sol(n), 4 * cons.prec
+    with workprec(prec):
+        return [child_anchor(p.anchor, sol, k + 1, prec=prec)
+                - child_anchor(p.anchor, sol, k, prec=prec) for p, k in pairs]
+
+
+def worst_margins(cons, child_level, increments):
+    """The three spacing margins of `increments`, each a min over every
+    pair."""
     table, n = cons.table, child_level - 1
-    sol = cons.sol(n)
     with workprec(cons.prec):
-        pairs = [child_anchor(p.anchor, sol, k + 1) - child_anchor(p.anchor, sol, k)
-                 for p, k in sampled_pairs(cons, n, n_samples, seed)]
         by = frac_to_mpf(table.c1 * table.theta_(child_level))
         Dm = frac_to_mpf(table.Delta_(child_level))
         Sm = frac_to_mpf(table.delta_(n) / table.Delta_(n)
                          * table.Delta_(child_level))
         g = frac_to_mpf(3 * table.delta_(child_level))
-        return [min(by - abs(Dm - d.imag) for d in pairs),
-                min(3 * by - abs(Sm - d.real) for d in pairs),
-                min(d.real - g for d in pairs)]
+        return [min(by - abs(Dm - d.imag) for d in increments),
+                min(3 * by - abs(Sm - d.real) for d in increments),
+                min(d.real - g for d in increments)]
+
+
+def two_anchor_worst(cons, child_level, n_samples, seed):
+    """The former sampled check: each increment the difference of two
+    `child_anchor` calls.  The oracle for the local-frame increments and
+    the min/max reduction."""
+    n = child_level - 1
+    sol = cons.sol(n)
+    with workprec(cons.prec):
+        pairs = [child_anchor(p.anchor, sol, k + 1) - child_anchor(p.anchor, sol, k)
+                 for p, k in sampled_pairs(cons, n, n_samples, seed)]
+    return worst_margins(cons, child_level, pairs)
+
+
+def two_anchor_all_pairs_worst(cons, child_level):
+    """The former all-pairs check: each increment the difference of two
+    built anchors, b.anchor - a.anchor.  Its oracle."""
+    rects = cons.level(child_level).rects
+    with workprec(cons.prec):
+        pairs = [b.anchor - a.anchor for a, b in zip(rects, rects[1:])
+                 if a.path[:-1] == b.path[:-1]]
+    return worst_margins(cons, child_level, pairs)
+
+
+def assert_matches_oracle(cons, report, want, level):
+    err = cons.anchor_error(level)
+    checks = report.to_json()["checks"]
+    assert [c["status"] for c in checks] == [classify(w, err) for w in want]
+    assert [c["margin"] for c in checks] == [to_json_number(w) for w in want]
+    assert report.ok
 
 
 LOCAL_FRAME_CASES = [("cons", 3, 300), ("strict4_cons", 3, 100),
                      ("strict4_cons", 4, 100)]
+ALL_PAIRS_CASES = [("cons", 2), ("strict4_cons", 2), ("demo4_cons", 2),
+                   ("shallow_cons", 3)]
 
 
 @pytest.mark.parametrize("name, level, n_samples", LOCAL_FRAME_CASES)
@@ -762,16 +813,43 @@ def test_sampled_increments_within_anchor_error(request, name, level,
     # of two anchors of size |c| (|c| = 1.6e4 at level 3, 1.8e16 at strict
     # depth 4, level 4) does not.
     cons = request.getfixturevalue(name)
-    n, sol, prec = level - 1, cons.sol(level - 1), 4 * cons.prec
+    n = level - 1
     with workprec(cons.prec):
-        got = _sampled_increments(cons, n, n_samples, random.Random(level))
+        got = _increments(cons, n, _sampled_pairs(cons, n, n_samples,
+                                                  random.Random(level)))
     pairs = sampled_pairs(cons, n, n_samples, level)
     assert len(got) == len(pairs) == n_samples
-    with workprec(prec):
-        worst = max(abs(d - (child_anchor(p.anchor, sol, k + 1, prec=prec)
-                             - child_anchor(p.anchor, sol, k, prec=prec)))
-                    for d, (p, k) in zip(got, pairs))
+    with workprec(4 * cons.prec):
+        worst = max(abs(d - r) for d, r
+                    in zip(got, reference_increments(cons, n, pairs)))
     assert worst <= cons.anchor_error(level), (name, level, worst)
+
+
+@pytest.mark.parametrize("name, level", ALL_PAIRS_CASES)
+def test_all_pairs_increments_within_anchor_error(request, name, level):
+    # Every pair of a materialized level, against the same parent anchors
+    # at 4x precision.  At level 3 of the shallow table (|c| = 4.1e3) the
+    # difference of the two built anchors is off by 1.2e-35, against a
+    # reported error of 1.9e-37; the local frame by 1.5e-42.
+    cons = request.getfixturevalue(name)
+    n = level - 1
+    pairs = all_pairs(cons, n)
+    assert len(pairs) == cons.population(n) * (cons.N(n) - 1)
+    with workprec(cons.prec):
+        got = _increments(cons, n, pairs)
+    with workprec(4 * cons.prec):
+        worst = max(abs(d - r) for d, r
+                    in zip(got, reference_increments(cons, n, pairs)))
+    assert worst <= cons.anchor_error(level), (name, level, worst)
+
+
+@pytest.mark.parametrize("name, level", ALL_PAIRS_CASES)
+def test_all_pairs_spacing_matches_two_anchor_oracle(request, name, level):
+    cons = request.getfixturevalue(name)
+    report = verify_spacing(cons, level)
+    assert report.stats["pairs"] == len(all_pairs(cons, level - 1))
+    assert_matches_oracle(cons, report, two_anchor_all_pairs_worst(cons, level),
+                          level)
 
 
 @pytest.mark.parametrize("name, level, n_samples",
@@ -781,12 +859,8 @@ def test_sampled_spacing_matches_two_anchor_oracle(request, name, level,
     cons = request.getfixturevalue(name)
     report = verify_spacing(cons, level, n_samples=n_samples,
                             rng=random.Random(level))
-    err = cons.anchor_error(level)
-    want = two_anchor_worst(cons, level, n_samples, level)
-    checks = report.to_json()["checks"]
-    assert [c["status"] for c in checks] == [classify(w, err) for w in want]
-    assert [c["margin"] for c in checks] == [to_json_number(w) for w in want]
-    assert report.ok
+    assert_matches_oracle(cons, report,
+                          two_anchor_worst(cons, level, n_samples, level), level)
 
 
 @st.composite

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cantortubes.hierarchy import Construction
+import cantortubes
+from cantortubes import hierarchy
+from cantortubes.hierarchy import Construction, child_anchor
 from cantortubes.numerics import workprec
 from cantortubes.measures import (
     AreaEstimate,
@@ -126,6 +130,51 @@ def test_projection_lengths_match_sweep(profile, depth, s, c):
         swept = swept_projection_lengths(cons.level(n), cons.prec)
         assert tuple(map(float, projection_lengths(cons, n))) == \
             tuple(map(float, swept)), n
+
+
+@pytest.mark.parametrize("profile, depth", [
+    ("strict", 3), ("strict", 4), ("demo", 4), ("shallow", 3)])
+def test_projection_spans_within_anchor_error(profile, depth):
+    # len_y against a 4x-precision sum over the same parents of the span
+    # from each corner to its (N + 1)-th child anchor, at every counted
+    # level.  At level 3 the difference of those two anchors, each of the
+    # size of the arc centre, misses the reported error; the local frame
+    # does not.
+    table = (shallow_table() if profile == "shallow" else
+             derive_sequences(build_schedule(1, depth), Fraction(1, 16),
+                              profile=profile))
+    cons = Construction(table)
+    assert cons.counted_depth() == 3
+    for n in range(2, cons.counted_depth() + 1):
+        len_y, _ = projection_lengths(cons, n)
+        sol, N, prec = cons.sol(n - 1), cons.N(n - 1), 4 * cons.prec
+        with workprec(prec):
+            want = sum((child_anchor(p.anchor, sol, N + 1, prec=prec)
+                        - p.anchor).imag for p in cons.level(n - 1).rects)
+            assert abs(len_y - want) <= cons.anchor_error(n), (n, len_y - want)
+
+
+def test_projection_lengths_evaluate_no_child_anchor(cons, monkeypatch):
+    # One product per parent: once the parent levels and their counts are
+    # built, no child anchor is evaluated.  Every module that binds the name
+    # is wrapped, import-time copies included.
+    levels = range(1, cons.counted_depth() + 1)
+    want = [projection_lengths(cons, n) for n in levels]
+    original, calls = hierarchy.child_anchor, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    modules = [cantortubes] + [
+        importlib.import_module(f"cantortubes.{m.name}")
+        for m in pkgutil.iter_modules(cantortubes.__path__)]
+    for mod in modules:
+        if getattr(mod, "child_anchor", None) is original:
+            monkeypatch.setattr(mod, "child_anchor", counted)
+    assert hierarchy.child_anchor is counted
+    assert [projection_lengths(cons, n) for n in levels] == want
+    assert calls == []
 
 
 def test_projection_lazy_matches_materialized(cons):

@@ -263,6 +263,14 @@ MANIFEST_SHA256 = {
                    dict(profile="demo", depth=4, **FAST)),
     "strict4-fast": ("96daf879df99aeeae7a25b5bacc410b971f8f09f340fa560a66eda5184704e6a",
                      dict(depth=4, **FAST)),
+    # The benchmark's own pipeline configs (perfbench/workloads.py), at
+    # seed 1 for the default one so the seed reaches every sampled stage.
+    "strict4-lazy": ("bd3dc3dac0e3638c76164400b0bcaf880ed9aae3da0d364ee8a7e1cb29137c62",
+                     dict(depth=4, neighborhood_radius=Fraction(1, 8),
+                          raster_resolution=Fraction(1, 32),
+                          spacing_samples=300)),
+    "default-seed1": ("899ffe11b467981564d58b2eb0a5377394079e83ff0838e75a7896dd650c83af",
+                      dict(seed=1)),
 }
 
 

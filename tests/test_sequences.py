@@ -144,8 +144,6 @@ def test_c_preconditions():
         derive_sequences(build_schedule(1, 2), Fraction(1, 8))  # c >= 1/10
     with pytest.raises(ValueError):
         derive_sequences(build_schedule(1, 2), Fraction(3, 32))  # not 2^-k
-    with pytest.raises(ValueError):
-        derive_sequences(build_schedule(1, 2), Fraction(1, 16), c1=Fraction(100))
 
 
 def test_depth_unreachable_reports_max():
