@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from _geometry import angle_profile, perp_bisector_axis_crossing
 from cantortubes import build_schedule, derive_sequences, solve_table_arcs
-from cantortubes.arcs import angle_profile, perp_bisector_axis_crossing
 
 table = derive_sequences(build_schedule(1, 3), Fraction(1, 16))
 sols = solve_table_arcs(table)

@@ -11,8 +11,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from _geometry import empirical_v_bounds
 from cantortubes import Construction, RotationFamily, build_schedule, \
-    derive_sequences, empirical_v_bounds
+    derive_sequences
 from cantortubes.render import render_gamma_theta, render_tube_stage
 
 OUT = Path(__file__).parent / "out"
@@ -23,7 +24,7 @@ rf = RotationFamily(cons)
 
 print("=== translation vectors on the angle grid ===")
 table = rf.translation_table(2)
-for e in table.entries[:6]:
+for e in table[:6]:
     print(f"  index {e.index:3d} (theta = {e.index}*2^-8): "
           f"v = ({e.x:+.6f}, {e.y:+.6f})   [{e.case}]")
 print(f"  ... {len(table)} grid entries at level 2")

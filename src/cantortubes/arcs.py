@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath
-import numpy as np
 
 from .dyadic import is_dyadic
 from .errors import BracketError, FeasibilityError
@@ -114,13 +113,6 @@ class ArcSolution:
             }
 
 
-def perp_bisector_axis_crossing(delta_n, Delta_n) -> tuple[Fraction, Fraction]:
-    """Where the perpendicular bisector of (0,0)-(delta, Delta) meets the
-    x-axis: ((delta^2 + Delta^2) / (2 delta), 0), exactly."""
-    d, D = Fraction(delta_n), Fraction(Delta_n)
-    return ((d * d + D * D) / (2 * d), Fraction(0))
-
-
 def _angle_at_center(ax, ay, h):
     """Sub-arc angle from the origin to the line y = h for center (ax, ay).
 
@@ -135,30 +127,6 @@ def _angle_at_center(ax, ay, h):
     xq = ax * u / (1 + mpmath.sqrt(1 - u))
     chord = mpmath.hypot(xq, h)
     return 2 * mpmath.asin(chord / (2 * r)), (xq, h), r
-
-
-def angle_profile(delta_n, Delta_n, Delta_next, ts: np.ndarray) -> np.ndarray:
-    """Float64 sweep of the achieved angle over center offsets `ts`.
-
-    Independent, vectorized view of the same geometry: the angle shrinks
-    monotonically to zero as the center moves outward, so the target angle
-    is met by exactly one center; `ts` are offsets along the bisector
-    measured from its x-axis crossing.
-    """
-    d = float(delta_n)
-    D = float(Delta_n)
-    h = float(Delta_next)
-    L = np.hypot(d, D)
-    mx, my = d / 2.0, D / 2.0
-    ux, uy = D / L, -d / L
-    t_axis = D * L / (2.0 * d)
-    ax = mx + (t_axis + ts) * ux
-    ay = my + (t_axis + ts) * uy
-    r = np.hypot(ax, ay)
-    u = h * (h - 2.0 * ay) / (ax * ax)
-    xq = ax * u / (1.0 + np.sqrt(1.0 - u))
-    chord = np.hypot(xq, h)
-    return 2.0 * np.arcsin(chord / (2.0 * r))
 
 
 def solve_arc(

@@ -23,7 +23,8 @@ from .pipeline import (
     run_stage,
     verify_manifest,
 )
-from .render import render_svg
+from .render import render_arc_diagram, render_gamma_theta, render_level_set, \
+    render_tube_stage
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -91,14 +92,19 @@ def cmd_tubes(args) -> int:
 
 
 def cmd_render(args) -> int:
-    params = {"level": args.level}
     if args.target == "gamma_theta":
         thetas = [float(t) for t in (args.thetas or "0,0.3,0.7").split(",")]
         if not all(map(math.isfinite, thetas)):
             raise ValueError(f"--thetas must be finite angles, got {args.thetas}")
-        params["thetas"] = thetas
     rf = rotation_family(_load_config(args))
-    text = render_svg(args.target, rf.cons, rf, **params)
+    if args.target == "arc_diagram":
+        text = render_arc_diagram(rf.cons, args.level)
+    elif args.target == "level_set":
+        text = render_level_set(rf.cons, args.level)
+    elif args.target == "tube_stage":
+        text = render_tube_stage(rf, args.level)
+    else:
+        text = render_gamma_theta(rf, thetas, args.level)
     _emit(args, f"{args.target}_level_{args.level}.svg", text)
     return EXIT_OK
 

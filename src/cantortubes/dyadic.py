@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+#: Exponents larger than this make downstream extended-precision work
+#: impractically slow; the sequence derivation refuses to cross it, and a
+#: parsed power of two must stay within it.
+MAX_EXPONENT = 200_000
+
 
 def is_dyadic(x: Fraction) -> bool:
     """True if x has a power-of-two denominator (2**0 = 1 included)."""
@@ -66,8 +71,19 @@ def dyadic_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "log2_den": x.denominator.bit_length() - 1}
 
 
+def _exponent(e) -> int:
+    """A parsed power-of-two exponent, refused beyond `MAX_EXPONENT` before
+    anything is shifted by it."""
+    e = int(e)
+    if abs(e) > MAX_EXPONENT:
+        raise ValueError(f"exponent {e} exceeds the bound {MAX_EXPONENT}")
+    return e
+
+
 def dyadic_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), 1 << int(obj["log2_den"]))
+    if not {"num", "log2_den"} <= obj.keys():
+        raise ValueError(f"a dyadic needs keys 'num' and 'log2_den', got {obj}")
+    return Fraction(int(obj["num"]), 1 << _exponent(obj["log2_den"]))
 
 
 def short_repr(x: Fraction) -> str:
@@ -88,7 +104,9 @@ def short_repr(x: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "2^-4", "3/4", "0.25" or plain integers into a Fraction."""
+    """Parse "2^-4", "3/4", "0.25" or plain integers into a Fraction; a
+    malformed value (a zero denominator, a missing key, an exponent past
+    `MAX_EXPONENT`) is a ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -98,9 +116,10 @@ def parse_rational(text) -> Fraction:
     s = str(text).strip()
     if "^" in s:
         base, _, exp = s.partition("^")
-        b = int(base)
-        e = int(exp)
-        if b != 2:
+        if int(base) != 2:
             raise ValueError(f"only base-2 powers supported, got {s!r}")
-        return pow2(e)
-    return Fraction(s)
+        return pow2(_exponent(exp))
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None

@@ -272,7 +272,7 @@ def _projections(run: _Run) -> bool:
 def _vtheta(run: _Run) -> bool:
     for n in range(1, run.rf.grid_depth()):
         lines = ["index,theta_num,theta_log2_den,x,y,case"]
-        for e in run.rf.translation_table(n).entries:
+        for e in run.rf.translation_table(n):
             d = dyadic_to_json(e.theta)
             lines.append(f"{e.index},{d['num']},{d['log2_den']},"
                          f"{e.x!r},{e.y!r},{e.case}")

@@ -237,17 +237,3 @@ def render_gamma_theta(rf: RotationFamily, thetas, level: int,
                     f"theta = {float(th):.6f}", size=0.035, fill=color)
     return canvas.to_string()
 
-
-def render_svg(target: str, cons: Construction,
-               rf: RotationFamily | None = None, **params) -> str:
-    """Dispatch by target name: arc_diagram, level_set, tube_stage,
-    gamma_theta."""
-    if target == "arc_diagram":
-        return render_arc_diagram(cons, **params)
-    if target == "level_set":
-        return render_level_set(cons, **params)
-    if target == "tube_stage":
-        return render_tube_stage(rf or RotationFamily(cons), **params)
-    if target == "gamma_theta":
-        return render_gamma_theta(rf or RotationFamily(cons), **params)
-    raise ValueError(f"unknown render target {target!r}")

@@ -57,16 +57,6 @@ class TranslationEntry:
     case: str
 
 
-@dataclass
-class TranslationTable:
-    level: int
-    grid_step: Fraction
-    entries: list
-
-    def __len__(self):
-        return len(self.entries)
-
-
 @dataclass(frozen=True)
 class TubeFamily:
     """All tubes of one rotation angle: congruent rotated boxes sharing one
@@ -226,9 +216,9 @@ class RotationFamily:
             error_bound=0.0 if on_grid else float(self.tail_bound(level)),
             grid_level=level, evaluations=evals)
 
-    def translation_table(self, level: int) -> TranslationTable:
-        """Materialized v table on a level's full angle grid, refused past
-        `TRANSLATION_TABLE_CAP` entries."""
+    def translation_table(self, level: int) -> list:
+        """Materialized v on a level's full angle grid, one `TranslationEntry`
+        per grid index, refused past `TRANSLATION_TABLE_CAP` entries."""
         step = self.cons.table.theta_(level)
         count = self.cons.table.family_count(level)
         if count > TRANSLATION_TABLE_CAP:
@@ -241,7 +231,7 @@ class RotationFamily:
             entries.append(TranslationEntry(
                 index=idx, theta=th,
                 x=float(point.real), y=float(point.imag), case=case))
-        return TranslationTable(level=level, grid_step=step, entries=entries)
+        return entries
 
     # -- rotated copies --------------------------------------------------------
 
@@ -427,31 +417,6 @@ def _place(anchors: np.ndarray, theta: Fraction, v) -> np.ndarray:
     z = (anchors[:, 0] + 1j * anchors[:, 1]) * np.exp(-1j * float(theta)) \
         + complex(float(v.real), float(v.imag))
     return np.stack([z.real, z.imag], axis=1)
-
-
-def empirical_v_bounds(rf: RotationFamily, n: int, n_samples: int = 400,
-                       rng: random.Random | None = None) -> dict:
-    """Measured constants K_x, K_y with |P_x(v)| <= K_x*theta_n and
-    |P_y(v)| <= K_y*Delta_n over sampled on-grid angles below theta_n."""
-    rng = rng or random.Random(0)
-    table = rf.cons.table
-    theta_n = table.theta_(n)
-    finest = rf.grid_depth()
-    K_x = K_y = 0.0
-    count = 0
-    for m in range(n + 1, finest + 1):
-        step = table.theta_(m)
-        max_idx = int(theta_n / step) - 1
-        if max_idx < 1:
-            continue
-        idxs = {rng.randint(1, max_idx) for _ in range(n_samples // 2)}
-        idxs.update(range(1, min(max_idx, 16) + 1))
-        for idx in sorted(idxs):
-            v = rf.v(idx * step)
-            K_x = max(K_x, abs(float(v.real)) / float(theta_n))
-            K_y = max(K_y, abs(float(v.imag)) / float(table.Delta_(n)))
-            count += 1
-    return {"level": n, "K_x": K_x, "K_y": K_y, "samples": count}
 
 
 def verify_translation_invariants(rf: RotationFamily,

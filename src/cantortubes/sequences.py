@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
+    MAX_EXPONENT,
     ceil_frac,
     dyadic_to_json,
     floor_frac,
@@ -28,10 +29,6 @@ from .dyadic import (
 )
 from .errors import DepthUnreachableError
 from .reports import VerificationReport
-
-#: Exponents larger than this make downstream extended-precision work
-#: impractically slow; the derivation refuses to cross it.
-MAX_EXPONENT = 200_000
 
 PROFILES = ("strict", "demo")
 

@@ -4,15 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from _geometry import angle_profile, perp_bisector_axis_crossing
 from cantortubes.arcs import (
     ArcSolution,
     _angle_at_center,
-    angle_profile,
-    perp_bisector_axis_crossing,
     solve_arc,
     solve_table_arcs,
 )
-from cantortubes.dyadic import pow2
 from cantortubes.errors import FeasibilityError
 from cantortubes.hierarchy import child_anchor
 from cantortubes.numerics import default_precision, frac_to_mpf, workprec
@@ -20,22 +18,6 @@ from cantortubes.sequences import build_schedule, derive_sequences
 
 #: The arc's equidistant points are the orbit of the origin.
 ORIGIN = mpmath.mpc(0, 0)
-
-
-def test_axis_crossing_unit_level():
-    # With delta = Delta = 1 the bisector meets the x-axis at (1, 0).
-    assert perp_bisector_axis_crossing(1, 1) == (Fraction(1), Fraction(0))
-    assert perp_bisector_axis_crossing(Fraction(1, 2), 1) == (Fraction(5, 4), Fraction(0))
-
-
-def test_angle_profile_monotone_to_zero():
-    # Pushing the center outward along the bisector shrinks the sub-arc angle
-    # monotonically toward zero.
-    ts = np.linspace(0.0, 5000.0, 20001)
-    angles = angle_profile(1, 1, pow2(-4), ts)
-    assert np.all(np.diff(angles) < 0)
-    assert angles[-1] < angles[0] * 1e-3
-    assert angles[-1] > 0
 
 
 def brute_force_scan(delta_n, Delta_n, Delta_next, target, t_end, n=1_000_000):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cantortubes.dyadic import (
+    MAX_EXPONENT,
     ceil_frac,
     dyadic_from_json,
     dyadic_to_json,
@@ -62,3 +63,12 @@ def test_parse_rational():
     assert parse_rational({"num": 1, "log2_den": 5}) == Fraction(1, 32)
     with pytest.raises(ValueError):
         parse_rational("3^-2")
+    assert parse_rational(f"2^-{MAX_EXPONENT}") == pow2(-MAX_EXPONENT)
+    # Malformed values are ValueErrors, never a raw arithmetic or key error;
+    # an exponent past the bound is refused before anything is shifted.
+    for bad in ("1/0", "-3/0", {"num": 1}, {"log2_den": 4},
+                {"num": 1, "log2_den": MAX_EXPONENT + 1},
+                f"2^{MAX_EXPONENT + 1}", f"2^-{MAX_EXPONENT + 1}",
+                "2^99999999999999999999", "2^-99999999999999999999"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)

@@ -16,10 +16,13 @@ from cantortubes.errors import BracketError, FeasibilityError, GridTooLargeError
 from cantortubes.pipeline import (
     PipelineError,
     RunConfig,
+    rotation_family,
     run_pipeline,
     run_stage,
     verify_manifest,
 )
+from cantortubes.render import render_arc_diagram, render_gamma_theta, \
+    render_level_set, render_tube_stage
 from cantortubes.reports import EXPECTED_FAILURES, known_shortfall
 
 FAST = dict(
@@ -379,6 +382,28 @@ def test_cli_seq_bad_config():
     assert main(["seq", "derive", "--s", "7", "--depth", "2"]) == 2
 
 
+@pytest.mark.parametrize("flags, blob", [
+    (["--c", "1/0"], {}),
+    (["--s", "1/0"], {}),
+    (["--c", "2^99999999999999999999"], {}),
+    ([], {"C_tube": "1/0"}),
+    ([], {"c": {"num": 1}}),
+], ids=["c-zero-den", "s-zero-den", "c-huge-exponent", "C_tube-zero-den",
+        "c-missing-key"])
+def test_cli_malformed_rational_is_a_config_error(tmp_path, capsys, flags,
+                                                  blob):
+    # A rational that cannot be parsed is a one-line configuration error
+    # (exit 2), never a traceback, and nothing is written.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "seq", "derive",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["seq", "derive"], ["pipeline"]])
 def test_cli_unreachable_depth_is_a_config_error(tmp_path, command, capsys):
     # Depth 8 is past the deepest level the sequences reach.
@@ -402,6 +427,27 @@ def test_cli_build_and_render(tmp_path):
     assert main(["--out", str(tmp_path), "render", "arc_diagram",
                  "--depth", "2"]) == 0
     assert (tmp_path / "arc_diagram_level_1.svg").read_text().startswith("<?xml")
+
+
+@pytest.mark.parametrize("target", ["arc_diagram", "level_set", "tube_stage",
+                                    "gamma_theta"])
+def test_cli_render_writes_what_its_renderer_draws(tmp_path, target):
+    # Each target at its default level (1) and default parameters writes the
+    # same bytes as its renderer called directly on the same construction.
+    assert main(["--out", str(tmp_path), "render", target, "--depth", "2"]) == 0
+    rf = rotation_family(RunConfig(depth=2))
+    want = {
+        "arc_diagram": lambda: render_arc_diagram(rf.cons, 1),
+        "level_set": lambda: render_level_set(rf.cons, 1),
+        "tube_stage": lambda: render_tube_stage(rf, 1),
+        "gamma_theta": lambda: render_gamma_theta(rf, [0.0, 0.3, 0.7], 1),
+    }[target]()
+    assert (tmp_path / f"{target}_level_1.svg").read_bytes() == want.encode()
+
+
+def test_cli_render_unknown_target_is_a_config_error(tmp_path):
+    assert main(["--out", str(tmp_path), "render", "nope"]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_vtheta(tmp_path):

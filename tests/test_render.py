@@ -8,7 +8,6 @@ from cantortubes.render import (
     render_arc_diagram,
     render_gamma_theta,
     render_level_set,
-    render_svg,
     render_tube_stage,
 )
 from cantortubes.rotations import RotationFamily
@@ -70,8 +69,3 @@ def test_gamma_theta_render(rf):
     assert svg.count("<circle") == 2 * len(rf.cons.level(2).rects)
     assert "theta = 0.400000" in svg
 
-
-def test_dispatch(cons, rf):
-    assert render_svg("arc_diagram", cons, level=1).startswith("<?xml")
-    with pytest.raises(ValueError):
-        render_svg("nope", cons)

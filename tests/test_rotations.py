@@ -18,7 +18,6 @@ from cantortubes.rotations import (
     CASE_ROTATION_ONLY,
     ContainmentReport,
     RotationFamily,
-    empirical_v_bounds,
     verify_translation_invariants,
 )
 
@@ -176,24 +175,13 @@ def test_translation_invariants_report(rf):
 def test_translation_table_levels(rf, strict_table):
     t1 = rf.translation_table(1)
     assert len(t1) == 17
-    assert all(e.x == 0 and e.y == 0 for e in t1.entries)
+    assert all(e.x == 0 and e.y == 0 for e in t1)
     t2 = rf.translation_table(2)
     assert len(t2) == 257
-    assert t2.entries[0].case == CASE_ROTATION_ONLY
-    assert t2.entries[1].case == CASE_ANCHOR
+    assert t2[0].case == CASE_ROTATION_ONLY
+    assert t2[1].case == CASE_ANCHOR
     with pytest.raises(PopulationCapError):
         rf.translation_table(3)
-
-
-def test_empirical_v_bounds(rf):
-    b1 = empirical_v_bounds(rf, 1, rng=random.Random(9))
-    # Below the coarsest step v is a unit-square anchor: the x constant is
-    # about 1/theta_1 = 16; record-style check against the frozen ceiling.
-    assert 10 < b1["K_x"] <= 16
-    assert b1["K_y"] <= 2
-    b2 = empirical_v_bounds(rf, 2, rng=random.Random(9))
-    assert b2["K_x"] <= 4  # delta_2/theta_2 = 1/4 plus rotation drift
-    assert b2["K_y"] <= 2
 
 
 def test_gamma_theta_zero_is_identity(rf, cons):
