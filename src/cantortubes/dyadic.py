@@ -11,7 +11,7 @@ from fractions import Fraction
 
 #: Exponents larger than this make downstream extended-precision work
 #: impractically slow; the sequence derivation refuses to cross it, and a
-#: parsed power of two must stay within it.
+#: parsed power of two or decimal exponent must stay within it.
 MAX_EXPONENT = 200_000
 
 
@@ -72,8 +72,8 @@ def dyadic_to_json(x: Fraction) -> dict:
 
 
 def _exponent(e) -> int:
-    """A parsed power-of-two exponent, refused beyond `MAX_EXPONENT` before
-    anything is shifted by it."""
+    """A parsed power-of-two or decimal exponent, refused beyond
+    `MAX_EXPONENT` before anything is shifted or raised by it."""
     e = int(e)
     if abs(e) > MAX_EXPONENT:
         raise ValueError(f"exponent {e} exceeds the bound {MAX_EXPONENT}")
@@ -104,9 +104,9 @@ def short_repr(x: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "2^-4", "3/4", "0.25" or plain integers into a Fraction; a
-    malformed value (a zero denominator, a missing key, an exponent past
-    `MAX_EXPONENT`) is a ValueError."""
+    """Parse "2^-4", "3/4", "0.25", "1e-3" or plain integers into a
+    Fraction; a malformed value (a zero denominator, a missing key, a power
+    of two or decimal exponent past `MAX_EXPONENT`) is a ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -119,6 +119,9 @@ def parse_rational(text) -> Fraction:
         if int(base) != 2:
             raise ValueError(f"only base-2 powers supported, got {s!r}")
         return pow2(_exponent(exp))
+    _, e, exp = s.lower().partition("e")
+    if e and exp.lstrip("+-").replace("_", "").isdecimal():
+        _exponent(exp)  # before Fraction computes 10**abs(exp)
     try:
         return Fraction(s)
     except ZeroDivisionError:

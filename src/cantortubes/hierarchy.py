@@ -21,7 +21,7 @@ from .arcs import ArcSolution, solve_table_arcs
 from .dyadic import ceil_frac
 from .errors import ConstructionError, PopulationCapError
 from .numerics import arith_error, default_precision, frac_to_mpf, workprec
-from .reports import VerificationReport
+from .reports import INCONCLUSIVE, PASS, VerificationReport, classify
 from .sequences import SequenceTable
 
 DEFAULT_MATERIALIZATION_CAP = 2_000_000
@@ -30,8 +30,7 @@ DEFAULT_MATERIALIZATION_CAP = 2_000_000
 @lru_cache(maxsize=64)
 def _width_mpf(width: Fraction, prec: int):
     """frac_to_mpf(width) at `prec` bits, converted once: a level's
-    rectangles share their width, and the count predicates use it at the
-    solution's precision and its doubled retry."""
+    rectangles share their width, and every count predicate uses it."""
     with workprec(prec):
         return frac_to_mpf(width)
 
@@ -86,15 +85,15 @@ class LevelSet:
         return anchors
 
 
-def child_anchor(parent_anchor, sol: ArcSolution, k: int, prec: int | None = None):
+def child_anchor(parent_anchor, sol: ArcSolution, k: int):
     """Anchor of the k-th child: rotate the parent anchor clockwise by
     (k-1) angle steps about the arc center.  k = 1 returns the parent.  Runs
-    at the solution's precision; only `count_children`'s retry passes `prec`."""
+    at the solution's precision, the construction's one working precision."""
     if k < 1:
         raise ValueError(f"child index must be >= 1, got {k}")
     if k == 1:
         return parent_anchor
-    with workprec(prec or sol.prec):
+    with workprec(sol.prec):
         rot = mpmath.expj(-sol.turn(k - 1))
         return sol.center_c * (1 - rot) + rot * parent_anchor
 
@@ -170,7 +169,7 @@ def _certified_transition(pred, hint: int, hi: int) -> int:
     return lo
 
 
-def count_children(parent: RectNode, sol: ArcSolution, hi: int) -> int:
+def count_children(parent: RectNode, sol: ArcSolution, hi: int, err) -> int:
     """Largest m such that children 1..m stay inside the parent, i.e. the
     certified transition pred(m) and not pred(m+1) of the monotone criterion
     pred(k) = "anchor k+1 lies in the parent" (pred(0) holds: anchor 1 is
@@ -184,20 +183,22 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int) -> int:
     `count_search_bound` (the sandwich bound, valid at every level, unlike
     the angle-step ratio which is attained at level 1).  The predicate is
     verified false there before the search is trusted.
-    Containment decisions run at the solution's precision and re-evaluate
-    at doubled precision when the slack is suspiciously close to zero.
-    """
-    def slack(k: int, retry: int | None = None):
-        with workprec(retry or sol.prec):
-            a = child_anchor(parent.anchor, sol, k + 1, prec=retry)
-            return parent.contain_slack(a)
 
+    pred takes the sign of a containment slack by the report rule
+    (`reports.classify`): only when it clears MARGIN_FACTOR * `err`, a bound
+    on its arithmetic error (the child level's `Construction.anchor_error`).
+    An inconclusive slack raises ConstructionError.
+    """
     def pred(k: int) -> bool:
-        s = slack(k)
-        guard = mpmath.mpf(2) ** (-(sol.prec // 2))
-        if abs(s) < guard:
-            s = slack(k, sol.prec * 2)
-        return s >= 0
+        with workprec(sol.prec):
+            s = parent.contain_slack(child_anchor(parent.anchor, sol, k + 1))
+        verdict = classify(s, err)
+        if verdict == INCONCLUSIVE:
+            raise ConstructionError(
+                f"containment slack {mpmath.nstr(s, 5)} of child {k + 1} of "
+                f"level-{parent.level} parent {parent.path} is inconclusive "
+                f"against its error bound {mpmath.nstr(err, 5)}")
+        return verdict == PASS
 
     if pred(hi):
         raise ConstructionError(
@@ -233,7 +234,7 @@ class Construction:
         self._depth: int | None = None
         self._counts: dict[tuple, int] = {}
         self._N: dict[int, int] = {}
-        self._search_bounds: dict[int, int] = {}
+        self._searches: dict[int, tuple] = {}
 
     def sol(self, n: int) -> ArcSolution:
         """Arc solution used to subdivide level n, refused (ValueError)
@@ -244,11 +245,15 @@ class Construction:
         return self.sols[n - 1]
 
     def anchor_error(self, n: int):
-        """Error (mpf) of level-n anchors and their increments: `arith_error`,
-        plus the parent arc's residual, which moves its centre and with it
-        every increment by about residual*radius."""
+        """Error (mpf) of level-n anchors and their increments:
+        `arith_error` at the scale 1 + sum |c_j| over the centres c_1 ..
+        c_{n-1} that a level-n anchor's walk rotates about (each step rounds
+        relative to its centre's magnitude, see `default_precision`), plus
+        the parent arc's residual, which moves its centre and with it every
+        increment by about residual*radius."""
         with workprec(self.prec):
-            err = arith_error(self.prec)
+            scale = 1 + sum(abs(sol.center_c) for sol in self.sols[:n - 1])
+            err = arith_error(self.prec, scale)
             if n >= 2:
                 sol = self.sol(n - 1)
                 err += 4 * sol.residual * sol.radius
@@ -440,13 +445,15 @@ class Construction:
         """Per-parent child count of a parent rectangle already built (by
         `rect_by_path`), cached by its path: the one count cache, shared by
         `counts`, `count_children_by_path` and sampled spacing checks.  The
-        search bound is computed once per level."""
+        search bound and the slack's error, the children's `anchor_error`,
+        are computed once per level."""
         if parent.path not in self._counts:
             n = parent.level
-            if n not in self._search_bounds:
-                self._search_bounds[n] = count_search_bound(self.table, n)
+            if n not in self._searches:
+                self._searches[n] = (count_search_bound(self.table, n),
+                                     self.anchor_error(n + 1))
             self._counts[parent.path] = count_children(
-                parent, self.sol(n), self._search_bounds[n])
+                parent, self.sol(n), *self._searches[n])
         return self._counts[parent.path]
 
     def sample_parent_paths(self, parent_level: int, n_samples: int,

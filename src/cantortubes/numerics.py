@@ -1,6 +1,7 @@
 """Extended-precision helpers shared by the geometric modules.
 
-All transcendental work runs under an explicit mpmath working precision; the
+All transcendental work runs under one mpmath working precision per
+construction, derived from its table alone (`default_precision`); the
 conventions here keep conversions from exact rationals loss-free (dyadic
 inputs convert exactly at any precision) and provide a uniform, conservative
 model for accumulated arithmetic error.
@@ -13,11 +14,27 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
+from .dyadic import floor_log2
+
 
 def default_precision(table) -> int:
-    """Working precision in bits for a sequence table: twice the bits of the
-    finest angle step plus guard bits, floored at 128."""
-    return max(128, 2 * table.min_scale_bits() + 64)
+    """Working precision in bits for a sequence table of depth D:
+    bits(theta_D) + max over the arcs n of bits(2/(c*delta_n)) + 64, with
+    bits(x) = ceil(log2(x)).
+
+    theta_D is the finest angle step.  Every orbit step of arc n rotates
+    about its centre c_n, so it rounds relative to |c_n|, the radius (the
+    circle passes through the origin): chord/(2*sin(t/2)) for the chord to
+    the height line Delta_{n+1}, which subtends t = theta_{n+1} =
+    c*Delta_{n+1}*delta_n.  The arc bends clockwise from the origin to
+    (delta_n, Delta_n), so that chord is at least as steep as
+    Delta_n/delta_n >= 1 and at most sqrt(2)*Delta_{n+1} long; with
+    2*sin(t/2) > t/sqrt(2), |c_n| < 2/(c*delta_n).  64 bits guard the rest.
+    """
+    centres = (-floor_log2(table.c * table.delta_(n) / 2)
+               for n in range(1, table.depth))
+    return (-floor_log2(table.theta_(table.depth)) + max(centres, default=0)
+            + 64)
 
 
 def frac_to_mpf(x: Fraction):

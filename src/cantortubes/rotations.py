@@ -23,7 +23,7 @@ import numpy as np
 from .dyadic import floor_frac
 from .errors import OffGridError, PopulationCapError
 from .hierarchy import Construction, child_anchor
-from .numerics import arith_error, frac_to_mpf, workprec
+from .numerics import frac_to_mpf, workprec
 from .reports import VerificationReport
 from .sequences import p2_exponent
 
@@ -444,7 +444,9 @@ def verify_translation_invariants(rf: RotationFamily,
                 # Refining by one level moves the value by at most the bound
                 # certified after evaluating at level m.
                 honesty.append(frac_to_mpf(rf.tail_bound(m)) - inc)
-        err = arith_error(cons.prec)
+        # v at grid level m is built from child-anchor orbit points about
+        # the centres of arcs 1..m - 1, as a level-m anchor is.
+        err = cons.anchor_error(depth)
         rep.add_inequality("grid-refinement increments within 2*Delta_m",
                            min(incs), err, detail=f"{n_thetas} random angles")
         rep.add_inequality("certified bound dominates the observed refinement",

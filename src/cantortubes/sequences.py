@@ -144,10 +144,6 @@ class SequenceTable:
         0..floor(1/theta_n)."""
         return floor_frac(1 / self.theta_(n)) + 1
 
-    def min_scale_bits(self) -> int:
-        """Bits needed to resolve the finest scale in the table."""
-        return -floor_log2(self.theta[-1])
-
     def to_json(self) -> dict:
         return {
             "profile": self.profile,

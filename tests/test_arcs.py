@@ -122,7 +122,7 @@ def test_infeasible_angle_rejected(strict_table):
 
 def test_turn_is_the_fraction_step_bit_for_bit():
     # The integer step against the Fraction product it replaces, at the
-    # solution's precision and the doubled retry precision, for step counts
+    # solution's precision and at twice it, for step counts
     # up to the deep ones (> 2**64) of lazily reached levels and past the
     # solution's precision (3**400 has 634 bits), where j*num is rounded.
     for table in (derive_sequences(build_schedule(1, 4), Fraction(1, 16)),
@@ -136,6 +136,31 @@ def test_turn_is_the_fraction_step_bit_for_bit():
                 for prec in (sol.prec, 2 * sol.prec):
                     with workprec(prec):
                         assert sol.turn(j) == frac_to_mpf(angle), (prec, j)
+
+
+CENTRE_TABLES = {
+    **{f"strict-{d}": (1, Fraction(1, 16), d, "strict") for d in (2, 3, 4, 5)},
+    **{f"demo-{d}": (1, Fraction(1, 16), d, "demo") for d in (3, 4, 5, 6)},
+    "s-half": (Fraction(1, 2), Fraction(1, 16), 4, "strict"),
+    "s-zero": (0, Fraction(1, 16), 4, "strict"),
+    "c-2^-5": (1, Fraction(1, 32), 4, "strict"),
+}
+
+
+@pytest.mark.parametrize("name", list(CENTRE_TABLES))
+def test_arc_centres_within_the_precision_rule(name):
+    # `default_precision` budgets bits(2/(c*delta_n)) for the centre of arc
+    # n.  Every solved centre stays within that, and the factor 2 is needed:
+    # at level 1 the centre lies beyond 1/(c*delta_1).
+    s, c, depth, profile = CENTRE_TABLES[name]
+    table = derive_sequences(build_schedule(s, depth), c, profile=profile)
+    sols = solve_table_arcs(table)
+    for sol in sols:
+        with workprec(sol.prec):
+            bound = 2 / (c * table.delta_(sol.level))
+            assert abs(sol.center_c) <= frac_to_mpf(bound), (name, sol.level)
+    with workprec(sols[0].prec):
+        assert abs(sols[0].center_c) > frac_to_mpf(1 / (c * table.delta_(1)))
 
 
 def test_arc_point_range_errors(strict_arcs):

@@ -59,16 +59,23 @@ def test_parse_rational():
     assert parse_rational("2^-4") == Fraction(1, 16)
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("0.25") == Fraction(1, 4)
+    assert parse_rational("1e-3") == Fraction(1, 1000)
+    assert parse_rational("2.5E+2") == Fraction(250)
     assert parse_rational(2) == Fraction(2)
     assert parse_rational({"num": 1, "log2_den": 5}) == Fraction(1, 32)
     with pytest.raises(ValueError):
         parse_rational("3^-2")
     assert parse_rational(f"2^-{MAX_EXPONENT}") == pow2(-MAX_EXPONENT)
+    assert parse_rational(f"1e-{MAX_EXPONENT}") \
+        == Fraction(1, 10**MAX_EXPONENT)
     # Malformed values are ValueErrors, never a raw arithmetic or key error;
-    # an exponent past the bound is refused before anything is shifted.
+    # an exponent past the bound is refused before anything is shifted or
+    # raised to it (Fraction would compute 10**999999999).
     for bad in ("1/0", "-3/0", {"num": 1}, {"log2_den": 4},
                 {"num": 1, "log2_den": MAX_EXPONENT + 1},
                 f"2^{MAX_EXPONENT + 1}", f"2^-{MAX_EXPONENT + 1}",
-                "2^99999999999999999999", "2^-99999999999999999999"):
+                "2^99999999999999999999", "2^-99999999999999999999",
+                f"1e{MAX_EXPONENT + 1}", "1e-999999999", "1E999999999",
+                "1e-1_000_000_000", "1ex"):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantortubes import hierarchy
 from cantortubes.arcs import solve_table_arcs
-from cantortubes.dyadic import ceil_frac
+from cantortubes.dyadic import ceil_frac, floor_log2
 from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
@@ -31,7 +31,12 @@ from cantortubes.numerics import (
     frac_to_mpf,
     workprec,
 )
-from cantortubes.reports import EXPECTED_FAILURES, classify, to_json_number
+from cantortubes.reports import (
+    EXPECTED_FAILURES,
+    MARGIN_FACTOR,
+    classify,
+    to_json_number,
+)
 from cantortubes.rotations import RotationFamily
 from cantortubes.sequences import SequenceTable, build_schedule, derive_sequences
 
@@ -83,9 +88,9 @@ def test_rotation_identity_exact_algebra(cons):
             p = parents[rng.randrange(len(parents))].anchor
             k = rng.randint(1, 1 << 29)
             l = rng.randint(1, 1 << 29)
-            lhs = child_anchor(p, sol, k + l, prec=cons.prec)
+            lhs = child_anchor(p, sol, k + l)
             rot = mpmath.expj(-frac_to_mpf(l * sol.sub_angle))
-            rhs = rot * child_anchor(p, sol, k, prec=cons.prec) \
+            rhs = rot * child_anchor(p, sol, k) \
                 + arc_point(sol, l + 1)
             assert abs(lhs - rhs) < 1e-12
 
@@ -118,13 +123,13 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
     with workprec(cons.prec):
         kept = 0
         for k in range(1, 33):
-            a = child_anchor(parent.anchor, sol, k + 1, prec=cons.prec)
+            a = child_anchor(parent.anchor, sol, k + 1)
             if parent.contain_slack(a) >= 0:
                 kept = k
             else:
                 break
     hi = count_search_bound(strict_table, 1)
-    assert count_children(parent, sol, hi) == kept
+    assert count_children(parent, sol, hi, cons.anchor_error(2)) == kept
     assert cons.N(1) == kept
 
 
@@ -153,12 +158,13 @@ def test_count_search_bound_from_the_sandwich(profile, depth):
 
 def reference_count(parent, sol, hi, prec):
     """The plain binary search over [1, hi] on the containment criterion,
-    with its own doubled-precision retry: the oracle for the closed-form
-    start of `count_children`."""
+    with its own doubled-precision retry, through the test-local anchor
+    formula `fraction_child_anchor`: the oracle for the closed-form start
+    and the gated predicate of `count_children`."""
     def pred(k):
         def slack(p):
             with workprec(p):
-                a = child_anchor(parent.anchor, sol, k + 1, prec=p)
+                a = fraction_child_anchor(parent.anchor, sol, k + 1, prec=p)
                 return parent.contain_slack(a)
         s = slack(prec)
         if abs(s) < mpmath.mpf(2) ** (-(prec // 2)):
@@ -179,13 +185,13 @@ def reference_count(parent, sol, hi, prec):
 
 
 def assert_counts_match_reference(cons, parents, monkeypatch):
-    # Also counts the predicate's anchor evaluations at the construction's
-    # precision: the closed-form start keeps a search to a few of them.
+    # Also counts the predicate's anchor evaluations: the closed-form start
+    # keeps a search to a few of them.
     evals = []
 
-    def counted(parent_anchor, sol, k, prec=None):
-        evals.append((prec or sol.prec) == cons.prec)
-        return child_anchor(parent_anchor, sol, k, prec)
+    def counted(parent_anchor, sol, k):
+        evals.append(k)
+        return child_anchor(parent_anchor, sol, k)
 
     for parent in parents:
         sol = cons.sol(parent.level)
@@ -193,8 +199,9 @@ def assert_counts_match_reference(cons, parents, monkeypatch):
         evals.clear()
         with monkeypatch.context() as m:
             m.setattr(hierarchy, "child_anchor", counted)
-            got = count_children(parent, sol, hi)
-        assert sum(evals) <= 4, parent.path
+            got = count_children(parent, sol, hi,
+                                 cons.anchor_error(parent.level + 1))
+        assert len(evals) <= 4, parent.path
         assert got == reference_count(parent, sol, hi, cons.prec), parent.path
 
 
@@ -241,7 +248,7 @@ def walk_from_origin(cons, path):
     with workprec(cons.prec):
         p = mpmath.mpc(0, 0)
         for i, k in enumerate(path):
-            p = child_anchor(p, cons.sol(i + 1), k, prec=cons.prec)
+            p = child_anchor(p, cons.sol(i + 1), k)
         return p
 
 
@@ -284,7 +291,9 @@ def test_anchors_float64_within_derived_bound(request, name, level):
 
 def fraction_child_anchor(parent_anchor, sol, k: int, prec: int | None = None):
     """The child-anchor map with its angle as the Fraction product
-    (k - 1)*sub_angle: the oracle for `child_anchor`'s integer step."""
+    (k - 1)*sub_angle, at `prec` bits (the solution's by default): the
+    oracle for `child_anchor`'s integer step, and the anchor formula of the
+    references that run above the construction's precision."""
     if k == 1:
         return parent_anchor
     with workprec(prec or sol.prec):
@@ -327,9 +336,8 @@ def test_integer_step_matches_fraction_step_bit_for_bit(strict4_cons):
         a = mpmath.mpc(0, 0)
         for j, k in enumerate(path):
             sol = cons.sol(j + 1)
-            for prec in (None, 2 * sol.prec):  # the count's retry doubles
-                assert child_anchor(a, sol, k, prec=prec) \
-                    == fraction_child_anchor(a, sol, k, prec=prec), (path, j)
+            assert child_anchor(a, sol, k) \
+                == fraction_child_anchor(a, sol, k), (path, j)
             a = fraction_child_anchor(a, sol, k)
         assert cons.anchor_by_path(path) == a
     got, e = cons.anchors_float64(paths)
@@ -379,7 +387,63 @@ def test_count_children_rejects_undersized_bound(cons):
     parent = cons.level(1).rects[0]
     with pytest.raises(ConstructionError,
                        match="monotone-exit assumption violated"):
-        count_children(parent, cons.sol(1), cons.N(1))
+        count_children(parent, cons.sol(1), cons.N(1), cons.anchor_error(2))
+
+
+def test_count_predicate_decides_by_the_report_rule(cons, monkeypatch):
+    # A slack decides its anchor only when it clears MARGIN_FACTOR times
+    # the error passed in; one inside that gate refuses the count.
+    parent = cons.level(1).rects[0]
+    sol, err = cons.sol(1), cons.anchor_error(2)
+    hi = count_search_bound(cons.table, 1)
+
+    def count_at(factor):
+        slack = mpmath.fmul(factor, err, exact=True)
+        monkeypatch.setattr(hierarchy.RectNode, "contain_slack",
+                            lambda self, z: slack)
+        return count_children(parent, sol, hi, err)
+
+    assert count_at(-MARGIN_FACTOR) == 0  # every anchor decided outside
+    with pytest.raises(ConstructionError, match="monotone-exit"):
+        count_at(MARGIN_FACTOR)  # every anchor decided inside, hi included
+    for factor in (-MARGIN_FACTOR + 1, 0, MARGIN_FACTOR - 1):
+        with pytest.raises(ConstructionError, match="inconclusive"):
+            count_at(factor)
+
+
+def cached_counts_and_verdicts(cons, n_samples):
+    """The count cache after the verify stage's spacing checks (every pair
+    where the child level is materialized, `n_samples` sampled pairs
+    beyond) and the counts of every materialized parent level, with those
+    checks' statuses."""
+    mat, depth = cons.materializable_depth(), cons.table.depth
+    reports = [verify_spacing(cons, child) for child in range(2, mat + 1)]
+    reports += [verify_spacing(cons, child, n_samples=n_samples,
+                               rng=random.Random(child))
+                for child in range(mat + 1, depth + 1)]
+    for n in range(1, min(mat, depth - 1) + 1):
+        cons.counts(n)
+    return cons._counts, [(e.name, e.status)
+                          for r in reports for e in r.entries]
+
+
+@pytest.mark.parametrize("profile, depth", [
+    ("strict", 3), ("strict", 4), ("demo", 4)])
+def test_counts_at_the_derived_precision_match_the_former_rule(profile, depth):
+    # The former precision rule, twice the finest step's bits plus 64 and at
+    # least 128, spends more bits than the derived one; every cached count
+    # and every spacing verdict comes out the same (300 samples per lazy
+    # level).
+    table = derive_sequences(build_schedule(1, depth), Fraction(1, 16),
+                             profile=profile)
+    former = max(128, 2 * -floor_log2(table.theta_(depth)) + 64)
+    derived = Construction(table)
+    assert derived.prec < former
+    counts, verdicts = cached_counts_and_verdicts(derived, 300)
+    # The 17 parents of levels 1 and 2, and 300 sampled level-3 parents.
+    assert len(counts) == 17 + (300 if depth == 4 else 0)
+    assert (counts, verdicts) == cached_counts_and_verdicts(
+        Construction(table, sols=solve_table_arcs(table, former)), 300)
 
 
 def test_count_sandwich_and_angle_bound(cons):
@@ -518,7 +582,7 @@ def reference_level(cons, n):
     rects = []
     with workprec(cons.prec):
         for parent in cons.level(n - 1).rects:
-            anchors = [child_anchor(parent.anchor, sol, k, prec=cons.prec)
+            anchors = [child_anchor(parent.anchor, sol, k)
                        for k in range(1, N + 2)]
             for k in range(1, N + 1):
                 rects.append(child_rect(anchors[k - 1], anchors[k],
@@ -750,8 +814,9 @@ def reference_increments(cons, n, pairs):
     anchors and centre."""
     sol, prec = cons.sol(n), 4 * cons.prec
     with workprec(prec):
-        return [child_anchor(p.anchor, sol, k + 1, prec=prec)
-                - child_anchor(p.anchor, sol, k, prec=prec) for p, k in pairs]
+        return [fraction_child_anchor(p.anchor, sol, k + 1, prec=prec)
+                - fraction_child_anchor(p.anchor, sol, k, prec=prec)
+                for p, k in pairs]
 
 
 def worst_margins(cons, child_level, increments):

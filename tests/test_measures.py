@@ -6,13 +6,14 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cantortubes
 from cantortubes import hierarchy
-from cantortubes.hierarchy import Construction, child_anchor
+from cantortubes.hierarchy import Construction
 from cantortubes.numerics import workprec
 from cantortubes.measures import (
     AreaEstimate,
@@ -149,7 +150,8 @@ def test_projection_spans_within_anchor_error(profile, depth):
         len_y, _ = projection_lengths(cons, n)
         sol, N, prec = cons.sol(n - 1), cons.N(n - 1), 4 * cons.prec
         with workprec(prec):
-            want = sum((child_anchor(p.anchor, sol, N + 1, prec=prec)
+            rot = mpmath.expj(-sol.turn(N))
+            want = sum((sol.center_c * (1 - rot) + rot * p.anchor
                         - p.anchor).imag for p in cons.level(n - 1).rects)
             assert abs(len_y - want) <= cons.anchor_error(n), (n, len_y - want)
 

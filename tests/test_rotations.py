@@ -198,8 +198,8 @@ def test_gamma_anchor_map_identity(rf, cons, strict_table):
     k = 7
     with workprec(cons.prec):
         parent = cons.level(2).rects[4].anchor
-        p_l = child_anchor(parent, sol, 3, prec=cons.prec)
-        p_lk = child_anchor(parent, sol, 3 + k, prec=cons.prec)
+        p_l = child_anchor(parent, sol, 3)
+        p_lk = child_anchor(parent, sol, 3 + k)
         moved = mpmath.expj(-frac_to_mpf(k * t3)) * p_l + rf.v(k * t3)
         assert abs(moved - p_lk) < 1e-12
 
@@ -288,9 +288,9 @@ def test_tube_center_identity(rf, cons, strict_table):
             k = rng.randint(1, 10**6)
             l = rng.randint(1, 10**6)
             parent = cons.level(2).rects[j].anchor
-            p_k = child_anchor(parent, sol, k, prec=cons.prec)
+            p_k = child_anchor(parent, sol, k)
             center = mpmath.expj(-frac_to_mpf(l * t3)) * p_k + rf.v(l * t3)
-            p_kl = child_anchor(parent, sol, k + l, prec=cons.prec)
+            p_kl = child_anchor(parent, sol, k + l)
             assert abs(center - p_kl) < 1e-12
 
 
