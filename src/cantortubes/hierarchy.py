@@ -109,28 +109,47 @@ def child_rect(a_k, a_k1, delta_next: Fraction, level: int, path: tuple) -> Rect
                     width=Fraction(delta_next), height=a_k1.imag - a_k.imag)
 
 
-def _exit_step(parent: RectNode, sol: ArcSolution) -> int:
+def _exit_step(parent: RectNode, sol: ArcSolution, z, hi: int) -> int:
     """Closed-form estimate of the child count: the number of whole angle
-    steps before the child orbit leaves the parent.
+    steps before the child orbit leaves the parent, solved in the arc's
+    local frame z = parent.anchor - c = X + iY.
 
-    Anchor k+1 is c + R*exp(i(psi - k*phi)) with z = parent.anchor - c =
-    R*exp(i*psi); it climbs up and to the right, crossing the parent's right
-    edge at rotation psi - acos((x + w - c.x)/R) and its top edge (when the
-    circle reaches that high) at psi - (pi - asin((y + h - c.y)/R)).  A right
-    edge beyond the circle is taken at the orbit's rightmost point.  The
+    Rotating the parent's corner clockwise by t moves it by
+    z*(exp(-i*t) - 1) = (X*(cos t - 1) + Y*sin t) + i*(Y*(cos t - 1) - X*sin t).
+    With s = tan(t/2), cos t - 1 = -2s**2/(1 + s**2) and sin t =
+    2s/(1 + s**2), so reaching the right edge (real part w, the width) and
+    the top edge (imaginary part h, the height) are the quadratics
+        (2X + w)*s**2 - 2Y*s + w = 0,   (2Y + h)*s**2 + 2X*s + h = 0,
+    whose least positive roots, written without cancellation, are
+        s = w/(Y + sqrt(Y**2 + (-2X - w)*w)),
+        s = h/(-X + sqrt(X**2 - (2Y + h)*h)),
+    both positive as X < 0 < Y (the centre lies below and right of every
+    parent).  A negative discriminant means the orbit does not cross that
+    edge; with neither crossed, the estimate is hi.  The orbit leaves at
+    t = 2*atan(min s), and the estimate is floor(t/phi) for the angle step
+    phi.
+
+    Precision: every term above adds quantities of one sign or divides, so
+    t comes out within a few ulps relative.  t/phi is at most hi, so its
+    absolute error is about hi*2**-p, and p = bits(hi) + 64 leaves it below
+    2**-60: a floor only misses when t/phi lies that close to an integer.
+    The global-frame angle difference psi - acos(...) needed the precision
+    of 1/phi instead, since it subtracts two angles of size one.  The
     estimate only seeds the search; `count_children` certifies the result.
     """
-    with workprec(sol.prec):
-        c = sol.center_c
-        z = parent.anchor - c
-        R, psi = abs(z), mpmath.arg(z)
-        right = (parent.anchor.real + _width_mpf(parent.width, sol.prec)
-                 - c.real) / R
-        exits = [psi - mpmath.acos(min(right, 1))]
-        top = (parent.anchor.imag + parent.height - c.imag) / R
-        if top <= 1:
-            exits.append(psi - (mpmath.pi - mpmath.asin(top)))
-        return int(mpmath.floor(min(exits) / sol.turn(1)))
+    with workprec((hi - 1).bit_length() + 64):
+        X, Y = +z.real, +z.imag
+        w, h = _width_mpf(parent.width, mpmath.mp.prec), +parent.height
+        roots = []
+        disc = Y * Y + (-2 * X - w) * w
+        if disc >= 0:
+            roots.append(w / (Y + mpmath.sqrt(disc)))
+        disc = X * X - (2 * Y + h) * h
+        if disc >= 0:
+            roots.append(h / (-X + mpmath.sqrt(disc)))
+        if not roots:
+            return hi
+        return int(2 * mpmath.atan(min(roots)) / sol.turn(1))  # floor: t > 0
 
 
 def _certified_transition(pred, hint: int, hi: int) -> int:
@@ -169,7 +188,8 @@ def _certified_transition(pred, hint: int, hi: int) -> int:
     return lo
 
 
-def count_children(parent: RectNode, sol: ArcSolution, hi: int, err) -> int:
+def count_children(parent: RectNode, sol: ArcSolution, hi: int, err,
+                   step_factor=None, bound_factor=None) -> int:
     """Largest m such that children 1..m stay inside the parent, i.e. the
     certified transition pred(m) and not pred(m+1) of the monotone criterion
     pred(k) = "anchor k+1 lies in the parent" (pred(0) holds: anchor 1 is
@@ -184,14 +204,41 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int, err) -> int:
     the angle-step ratio which is attained at level 1).  The predicate is
     verified false there before the search is trusted.
 
-    pred takes the sign of a containment slack by the report rule
-    (`reports.classify`): only when it clears MARGIN_FACTOR * `err`, a bound
-    on its arithmetic error (the child level's `Construction.anchor_error`).
-    An inconclusive slack raises ConstructionError.
+    pred(k) is decided in the arc's local frame: with z = a_p - c formed
+    once per parent, anchor k+1 is a_p + d_k with the displacement
+    d_k = z*expm1_turn(k).  pred(hi) uses `bound_factor` = expm1_turn(hi),
+    and pred(k+1) right after pred(k) costs one product: with E_j =
+    expm1_turn(j), E_{k+1} = (E_k + 1)*(E_1 + 1) - 1 = E_k + (1 + E_k)*E_1,
+    so d_{k+1} = d_k + (z + d_k)*`step_factor` (= E_1).  Any other pred(k)
+    costs one expm1_turn(k); d_0 = 0 seeds the chain.  Both factors are per
+    level (`Construction._searches`); they are computed here when not given.
+
+    pred takes the sign of `parent.contain_slack(a_p + d_k)` by the report
+    rule (`reports.classify`): only when it clears MARGIN_FACTOR * `err`, a
+    bound on its arithmetic error (the child level's
+    `Construction.anchor_error`).  An inconclusive slack raises
+    ConstructionError.  This slack's error is no larger than that of the
+    global-frame anchor c*(1 - exp(-i*t)) + exp(-i*t)*a_p (`child_anchor`),
+    whose term c*(1 - exp(-i*t)) rounds at about |c|*2**-prec.  Here z is
+    one rounding from a_p - c, a few ulps relative, and E_k is within a few
+    ulps of its size, so d_k is within a few ulps of |d_k| <= 2 (a product
+    step adds a few ulps of |z + d_k|*|E_1|, about |d_1|); a_p + d_k and the
+    slack's subtractions round at the scale of the unit square.  So the
+    slack is within a few 2**-prec of its value from the computed a_p,
+    against |c|*2**-prec before, and `err` is 64*2**-prec scaled by
+    1 + sum |c_j|, this arc's centre c among the c_j.
     """
     def pred(k: int) -> bool:
-        with workprec(sol.prec):
-            s = parent.contain_slack(child_anchor(parent.anchor, sol, k + 1))
+        nonlocal last
+        j, d = last
+        if k == hi:
+            d = z * bound_factor
+        elif k == j + 1:
+            d = d + (z + d) * step_factor
+        else:
+            d = z * sol.expm1_turn(k)
+        last = (k, d)
+        s = parent.contain_slack(parent.anchor + d)
         verdict = classify(s, err)
         if verdict == INCONCLUSIVE:
             raise ConstructionError(
@@ -200,11 +247,18 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int, err) -> int:
                 f"against its error bound {mpmath.nstr(err, 5)}")
         return verdict == PASS
 
-    if pred(hi):
-        raise ConstructionError(
-            f"containment did not terminate below the angle-ratio bound {hi}; "
-            "monotone-exit assumption violated")
-    return _certified_transition(pred, _exit_step(parent, sol), hi)
+    with workprec(sol.prec):
+        if step_factor is None:
+            step_factor = sol.expm1_turn(1)
+        if bound_factor is None:
+            bound_factor = sol.expm1_turn(hi)
+        z = parent.anchor - sol.center_c
+        last = (0, mpmath.mpc(0))  # (k, d_k) of the previous pred; d_0 = 0
+        if pred(hi):
+            raise ConstructionError(
+                f"containment did not terminate below the angle-ratio bound "
+                f"{hi}; monotone-exit assumption violated")
+        return _certified_transition(pred, _exit_step(parent, sol, z, hi), hi)
 
 
 def count_search_bound(table: SequenceTable, n: int) -> int:
@@ -446,12 +500,15 @@ class Construction:
         `rect_by_path`), cached by its path: the one count cache, shared by
         `counts`, `count_children_by_path` and sampled spacing checks.  The
         search bound and the slack's error, the children's `anchor_error`,
-        are computed once per level."""
+        and the count predicate's two orbit factors (`count_children`) are
+        computed once per level."""
         if parent.path not in self._counts:
             n = parent.level
             if n not in self._searches:
-                self._searches[n] = (count_search_bound(self.table, n),
-                                     self.anchor_error(n + 1))
+                sol, hi = self.sol(n), count_search_bound(self.table, n)
+                with workprec(self.prec):
+                    self._searches[n] = (hi, self.anchor_error(n + 1),
+                                         sol.expm1_turn(1), sol.expm1_turn(hi))
             self._counts[parent.path] = count_children(
                 parent, self.sol(n), *self._searches[n])
         return self._counts[parent.path]

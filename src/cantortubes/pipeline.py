@@ -327,6 +327,10 @@ def _containment(run: _Run) -> bool:
     cfg = run.config
     # Checking level n samples level n + 1, so the deepest level is skipped.
     levels = [n for n in sorted({1, run.stage_level}) if n < run.table.depth]
+    # Each level's anchors are drawn once and shared by its checks.
+    samples = {n: run.rf.level_anchors(n + 1, cfg.containment_anchors,
+                                       random.Random(cfg.seed + 3))
+               for n in levels}
     rng = random.Random(cfg.seed + 2)
     checks = []
     worst = {}
@@ -334,9 +338,7 @@ def _containment(run: _Run) -> bool:
     for _ in range(cfg.containment_thetas):
         th = Fraction(rng.random()).limit_denominator(10**12)
         for n in levels:
-            rep = run.rf.check_containment(
-                th, n, n_samples=cfg.containment_anchors,
-                rng=random.Random(cfg.seed + 3))
+            rep = run.rf.check_containment(th, n, sample=samples[n])
             checks.append(rep.to_json())
             worst[n] = max(worst.get(n, 0.0), rep.C_min)
             if not rep.contained:

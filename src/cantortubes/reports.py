@@ -40,10 +40,12 @@ def known_shortfall(level: int, C_min: float) -> bool:
 
 
 def exact(x) -> Fraction:
-    """A margin or bound (Fraction, int, float or mpf) as an exact Fraction."""
+    """A margin or bound (Fraction, int, float or mpf) as an exact Fraction;
+    an mpf's value is (-1)**sign * man * 2**exp, built by a shift."""
     if isinstance(x, mpmath.mpf):
-        man, exp = x.man_exp  # the magnitude's
-        return Fraction(man) * Fraction(2) ** exp * (-1 if x < 0 else 1)
+        sign, man, exp, _ = x._mpf_
+        man = -man if sign else man
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return Fraction(x)
 
 

@@ -247,14 +247,15 @@ class RotationFamily:
         """
         res = self.v_limit(theta)
         v, theta = res.point, res.theta
-        anchors, paths, _ = self._level_anchors(level, n_samples, rng)
+        anchors, paths, _ = self.level_anchors(level, n_samples, rng)
         return _place(anchors, theta, v), v, res.error_bound, paths is not None
 
-    def _level_anchors(self, level: int, n_samples: int | None,
-                       rng: random.Random | None) -> tuple:
+    def level_anchors(self, level: int, n_samples: int | None,
+                      rng: random.Random | None) -> tuple:
         """(unrotated (m, 2) anchors, sampled paths or None, error bound):
-        the materialized level exactly, else float64 anchors of sampled
-        lazy paths."""
+        the materialized level exactly (read-only), else float64 anchors of
+        `n_samples` lazy paths drawn from `rng`.  One draw can serve every
+        containment check of the level (`check_containment`'s `sample`)."""
         if n_samples is None or level <= self.cons.materializable_depth():
             return self.cons.level(level).anchors_float(), None, 0.0
         paths = self.cons.sample_parent_paths(
@@ -322,7 +323,8 @@ class RotationFamily:
 
     def check_containment(self, theta, n: int, C=None,
                           n_samples: int = 1000,
-                          rng: random.Random | None = None) -> ContainmentReport:
+                          rng: random.Random | None = None,
+                          sample: tuple | None = None) -> ContainmentReport:
         """Is the rotated level-(n+1) approximant inside the level-n tube
         union?  Reports the minimal sufficient C: each anchor is matched with
         the cheapest tube of the angle's own family, and the scan widens to
@@ -341,12 +343,18 @@ class RotationFamily:
         screened unless the screened maximum lies more than delta below C.
         The maxima, the argmax anchor and every reported number then come
         from mpmath anchors alone.
+
+        `sample` is the level-(n+1) draw `level_anchors(n + 1, n_samples,
+        rng)`, made here when not given (then from `n_samples` and `rng`);
+        a caller checking several angles passes one draw to each.  Refined
+        anchors go into this check's own copy, so no refinement carries over
+        from one check to the next.
         """
         table = self.cons.table
         C = self._tube_C(C)
         res = self.v_limit(theta)
         v, theta = res.point, res.theta
-        anchors, paths, e = self._level_anchors(n + 1, n_samples, rng)
+        anchors, paths, e = sample or self.level_anchors(n + 1, n_samples, rng)
         theta_n, Delta_n = float(table.theta_(n)), float(table.Delta_(n))
         n_fam = table.family_count(n)
         i0 = min(floor_frac(theta / table.theta_(n)), n_fam - 1)
@@ -386,6 +394,7 @@ class RotationFamily:
             if single.max() > float(C) - d_own:
                 best = widest(pts, single)
                 refine |= best >= best.max() - 2 * delta([own] + others)
+            anchors = anchors.copy()
             for j in np.flatnonzero(refine):
                 a = self.cons.anchor_by_path(paths[j])
                 anchors[j] = (float(a.real), float(a.imag))

@@ -33,7 +33,9 @@ from cantortubes.numerics import (
 )
 from cantortubes.reports import (
     EXPECTED_FAILURES,
+    FAIL,
     MARGIN_FACTOR,
+    PASS,
     classify,
     to_json_number,
 )
@@ -1017,3 +1019,76 @@ def test_per_level_count_constants_found_once(strict_table, strict_arcs,
             capped.N(3)
     monkeypatch.setattr(capped, "counts", lambda n: (4, 5))
     assert capped.N(3) == 4
+
+
+# -- the count search in the arc's local frame ---------------------------------
+
+def sampled_parents(cons, level, n, seed):
+    paths = cons.sample_parent_paths(level, n, random.Random(seed))
+    return [cons.rect_by_path(p) for p in paths]
+
+
+@pytest.fixture(scope="module")
+def strict5_cons():
+    return Construction(derive_sequences(build_schedule(1, 5), Fraction(1, 16)))
+
+
+@pytest.mark.parametrize("name, level", [
+    ("cons", 2), ("strict4_cons", 3), ("demo4_cons", 3)])
+def test_local_frame_exit_hint_equals_the_certified_count(request, name,
+                                                          level):
+    # The tan-half-angle hint, solved at bits(hi) + 64, lands on the count
+    # itself, so a search certifies it with pred(m) and pred(m + 1).
+    cons = request.getfixturevalue(name)
+    sol, hi = cons.sol(level), count_search_bound(cons.table, level)
+    for parent in sampled_parents(cons, level, 200, 24):
+        with workprec(cons.prec):
+            z = parent.anchor - sol.center_c
+        assert z.real < 0 < z.imag  # the frame the docstring assumes
+        assert hierarchy._exit_step(parent, sol, z, hi) == \
+            cons.count_children_of(parent), parent.path
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_deep_counts_against_an_independent_containment_oracle(strict5_cons,
+                                                               level):
+    # Each returned m: child m + 1 decided inside and child m + 2 outside,
+    # each from its own global-frame anchor (`child_anchor`), its slack and
+    # the report rule at the child level's error.
+    cons = strict5_cons
+    sol, err = cons.sol(level), cons.anchor_error(level + 1)
+    for parent in sampled_parents(cons, level, 20, 5):
+        m = cons.count_children_of(parent)
+        with workprec(cons.prec):
+            inside, outside = (parent.contain_slack(
+                child_anchor(parent.anchor, sol, k)) for k in (m + 1, m + 2))
+        assert classify(inside, err) == PASS, parent.path
+        assert classify(outside, err) == FAIL, parent.path
+
+
+@pytest.mark.parametrize("name, level", [("strict4_cons", 3),
+                                         ("demo4_cons", 3)])
+def test_count_search_work_guard(request, name, level, monkeypatch):
+    # A search makes no child_anchor call and at most two expm1_turn calls
+    # per parent; the bound factor expm1_turn(hi) and the step factor
+    # expm1_turn(1) are made once per level.
+    cons = request.getfixturevalue(name)
+    fresh = Construction(cons.table, sols=cons.sols)
+    parents = sampled_parents(fresh, level, 60, 3)
+    assert level not in fresh._searches
+    turns, anchors = [], []
+    expm1_turn = type(fresh.sol(level)).expm1_turn
+
+    def counted_turn(sol, j):
+        turns.append(j)
+        return expm1_turn(sol, j)
+
+    monkeypatch.setattr(type(fresh.sol(level)), "expm1_turn", counted_turn)
+    monkeypatch.setattr(hierarchy, "child_anchor",
+                        lambda *args: anchors.append(args))
+    counts = [fresh.count_children_of(parent) for parent in parents]
+    hi = count_search_bound(fresh.table, level)
+    assert anchors == []
+    assert turns.count(hi) == 1 and turns.count(1) <= 1
+    assert len(turns) <= 2 * len(parents) + 2
+    assert counts == [cons.count_children_of(p) for p in parents]

@@ -24,6 +24,7 @@ from cantortubes.pipeline import (
 from cantortubes.render import render_arc_diagram, render_gamma_theta, \
     render_level_set, render_tube_stage
 from cantortubes.reports import EXPECTED_FAILURES, known_shortfall
+from cantortubes.rotations import RotationFamily
 
 FAST = dict(
     # Coarse raster and small samples keep the full pipeline quick; the
@@ -566,3 +567,20 @@ def test_cli_config_sweep(s, c, depth, profile, **samples):
             assert manifest["ok"] == (rc == 0)
             verify = json.loads((out / "verify.json").read_text())
             assert set(verify["expected_failures"]) <= EXPECTED_FAILURES
+
+
+def test_containment_draws_each_level_once(tmp_path, monkeypatch):
+    # Every angle's check of a level reads that level's one draw.
+    draws = []
+    level_anchors = RotationFamily.level_anchors
+
+    def counted(rf, level, *args):
+        draws.append(level)
+        return level_anchors(rf, level, *args)
+
+    monkeypatch.setattr(RotationFamily, "level_anchors", counted)
+    cfg = RunConfig(**FAST)
+    run_stage(cfg, "containment", tmp_path)
+    blob = json.loads((tmp_path / "containment.json").read_text())
+    assert len(blob["checks"]) == 2 * cfg.containment_thetas
+    assert sorted(draws) == [2, 3]

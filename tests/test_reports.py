@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cantortubes.numerics import arith_error
 from cantortubes.reports import (
@@ -15,6 +16,7 @@ from cantortubes.reports import (
     PASS,
     VerificationReport,
     classify,
+    exact,
     to_json_number,
 )
 
@@ -89,3 +91,23 @@ def test_report_writes_exact_values_once():
     assert exact["bound"] is None and isinstance(exact["margin"], str)
     assert blob["stats"]["pairs"] == 30 and blob["stats"]["N"] == {"1": 16}
     assert isinstance(blob["stats"]["bound_y"], str)
+
+
+def former_exact(x) -> Fraction:
+    """The former conversion through a Fraction power."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp * (-1 if x < 0 else 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign=st.sampled_from([1, -1]), man=st.integers(0, 2**4000),
+       exp=st.one_of(st.integers(-5000, 5000), st.sampled_from([0, -1, 1])))
+@example(sign=-1, man=0, exp=-5000)
+@example(sign=-1, man=2**4000 - 1, exp=5000)
+@example(sign=1, man=3, exp=-5000)
+def test_exact_by_shift_equals_the_fraction_power(sign, man, exp):
+    # Zero, both signs, wide mantissas and exponents far either side.
+    with mpmath.workprec(4100):
+        x = mpmath.ldexp(mpmath.mpf(sign * man), exp)
+    assert exact(x) == former_exact(x)
+    assert exact(x) == sign * man * Fraction(2) ** exp

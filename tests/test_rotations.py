@@ -572,3 +572,21 @@ def test_containment_screen_holds_at_its_bound(request, monkeypatch, name, n,
     for theta, C in cases:
         got = report(RotationFamily.check_containment, theta, C)
         assert got == report(reference_containment, theta, C), (theta, C)
+
+
+def test_containment_checks_share_one_level_draw(rf):
+    # One draw of a level's anchors serves every angle: each check equals
+    # the one that draws for itself from the same seed, and refinements go
+    # into the check's own copy (the shifted rows would otherwise be
+    # overwritten by the mpmath anchors the refinement reads).
+    anchors, paths, e = rf.level_anchors(3, 120, random.Random(8))
+    assert paths is not None
+    shifted = anchors + 1e-9
+    kept = shifted.copy()
+    for th in (Fraction(1, 5), Fraction(2, 7), Fraction(5, 9)):
+        shared = rf.check_containment(th, 2, sample=(anchors, paths, e))
+        drawn = rf.check_containment(th, 2, n_samples=120,
+                                     rng=random.Random(8))
+        assert shared == drawn
+        rf.check_containment(th, 2, sample=(shifted, paths, e))
+        assert np.array_equal(shifted, kept)
