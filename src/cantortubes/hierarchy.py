@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from .arcs import ArcSolution, solve_table_arcs
-from .dyadic import ceil_frac
+from .dyadic import ceil_frac, floor_log2
 from .errors import ConstructionError, PopulationCapError
 from .numerics import arith_error, default_precision, frac_to_mpf, workprec
 from .reports import INCONCLUSIVE, PASS, VerificationReport, classify
@@ -46,16 +46,14 @@ class RectNode:
     width: Fraction
     height: object  # mpf
 
-    def contain_slack(self, z):
-        """Smallest signed distance of z to the four sides; >= 0 iff z lies
-        in the closed rectangle.  Evaluate under a working precision."""
+    def contain_slack(self, d):
+        """Smallest signed distance of the point anchor + d to the four
+        sides, from its displacement d from the anchor; >= 0 iff the point
+        lies in the closed rectangle.  Evaluate under a working precision:
+        each side is one subtraction at the scale of max(|d|, width,
+        height), never at that of the anchor."""
         w = _width_mpf(self.width, mpmath.mp.prec)
-        return min(
-            z.real - self.anchor.real,
-            self.anchor.real + w - z.real,
-            z.imag - self.anchor.imag,
-            self.anchor.imag + self.height - z.imag,
-        )
+        return min(d.real, w - d.real, d.imag, self.height - d.imag)
 
     def corners_float(self) -> tuple:
         x0, y0 = float(self.anchor.real), float(self.anchor.imag)
@@ -213,20 +211,15 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int, err,
     costs one expm1_turn(k); d_0 = 0 seeds the chain.  Both factors are per
     level (`Construction._searches`); they are computed here when not given.
 
-    pred takes the sign of `parent.contain_slack(a_p + d_k)` by the report
-    rule (`reports.classify`): only when it clears MARGIN_FACTOR * `err`, a
-    bound on its arithmetic error (the child level's
-    `Construction.anchor_error`).  An inconclusive slack raises
-    ConstructionError.  This slack's error is no larger than that of the
-    global-frame anchor c*(1 - exp(-i*t)) + exp(-i*t)*a_p (`child_anchor`),
-    whose term c*(1 - exp(-i*t)) rounds at about |c|*2**-prec.  Here z is
-    one rounding from a_p - c, a few ulps relative, and E_k is within a few
-    ulps of its size, so d_k is within a few ulps of |d_k| <= 2 (a product
-    step adds a few ulps of |z + d_k|*|E_1|, about |d_1|); a_p + d_k and the
-    slack's subtractions round at the scale of the unit square.  So the
-    slack is within a few 2**-prec of its value from the computed a_p,
-    against |c|*2**-prec before, and `err` is 64*2**-prec scaled by
-    1 + sum |c_j|, this arc's centre c among the c_j.
+    pred takes the sign of `parent.contain_slack(d_k)` by the report rule
+    (`reports.classify`): only when it clears MARGIN_FACTOR * `err`, a bound
+    on its arithmetic error (the child level's `Construction.anchor_error`).
+    An inconclusive slack raises ConstructionError.  z is one rounding from
+    a_p - c and E_k is within a few ulps of its size, so d_k is within a few
+    ulps of |d_k| <= 2 (a product step adds a few ulps of |z + d_k|*|E_1|,
+    about |d_1|), and the slack subtracts d_k from the width and height
+    directly: it is within a few 2**-prec of max(|d_k|, w, h) of its value
+    from the computed a_p, far inside `err` = 64*2**-prec*(1 + sum |c_j|).
     """
     def pred(k: int) -> bool:
         nonlocal last
@@ -238,7 +231,7 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int, err,
         else:
             d = z * sol.expm1_turn(k)
         last = (k, d)
-        s = parent.contain_slack(parent.anchor + d)
+        s = parent.contain_slack(d)
         verdict = classify(s, err)
         if verdict == INCONCLUSIVE:
             raise ConstructionError(
@@ -569,6 +562,89 @@ def _increments(cons: Construction, n: int, pairs) -> list:
     return [frame(parent) * mpmath.expj(-sol.turn(k - 1)) for parent, k in pairs]
 
 
+def _extreme_pairs(cons: Construction, n: int, pairs: list) -> list:
+    """The (parent, k) `pairs` of level-n parents whose increment (as
+    `_increments` evaluates it) can reach the minimum or the maximum of
+    either coordinate over all of `pairs`, screened in float64.
+
+    Raw increments agree to far below float64's resolution at deep levels
+    (to about 1e-27 relative at strict depth 4, level 4), so the screen
+    reads each one's deviation from the reference increment w_ref of the
+    first pair's parent a_ref.  With E_1 = `expm1_turn(1)`, w_p =
+    (a_p - c)*E_1 = w_ref + (a_p - a_ref)*E_1 and t = (k - 1)*phi,
+        d - w_ref = (a_p - a_ref)*E_1 + w_p*(exp(-i*t) - 1),
+    exactly; the last factor is -2*sin(t/2)**2 - i*sin(t) at t =
+    `turn_float(k - 1)`, as in `anchors_float64`.  Every term is scaled by
+    2**E, E = -floor(log2(Delta_{n+1})), so increments are of order one and
+    nothing underflows at deep levels.
+
+    Bound.  With u = 2**-53 and v = 2**-prec (the working precision), each
+    input enters within r = u + 8v relative: expm1_turn(1), D = a_p - a_ref
+    and w_ref are mpmath values within 8 ulps, each rounded once to float64
+    (scaling by 2**E is exact).  Then, per pair, operation by operation:
+      - P = D*E_1 is within eP = |D|*|E_1|*(2r + 2*sqrt(2)*u), the complex
+        product rounding within 2*sqrt(2)*u of its size;
+      - w_p = w_ref + P is within ew = r*|w_ref| + eP + u*|w_p|;
+      - the factor m is within u*t*(3 + 3t) (`anchors_float64`);
+      - Q = w_p*m is within |m|*ew + |w_p|*u*t*(3 + 3t) +
+        2*sqrt(2)*u*|w_p|*|m|;
+      - X = P + Q rounds within u*|X|.
+    The increment `_increments` evaluates (five roundings and two
+    transcendental factors at the working precision) lies within
+    64v*(|w_p| + ew) of the exact one, scaled.  An operation whose result is
+    subnormal (a tiny t, a tiny component of E_1) rounds within 2**-1075
+    absolute instead, and the pair's few dozen operations pass that on with
+    factors at most 1 + |w_p| + |D|: 2**-1069*(1 + |w_p| + |D|) covers them.
+    e is the largest per-pair sum, times 1 + 2**-20 for second-order terms
+    and the rounding of the bound's own arithmetic.  So a screened
+    coordinate X_p lies within e of x_p, the same coordinate of the
+    computed increment, scaled, less one constant common to every pair (the
+    exact w_ref, scaled).
+
+    Keep rule.  If pair q attains the least x and pair r the least X, then
+    X_q <= x_q + e <= x_r + e <= X_r + 2e: every pair within 2e of the
+    least X is kept, and likewise at the greatest.  So the kept pairs hold
+    every pair that attains an extreme, and the extremes over them are the
+    extremes over all pairs, the same mpfs bit for bit.  When any scaled
+    quantity is not finite, every pair is kept.  `pairs` must not be empty.
+    """
+    sol = cons.sol(n)
+    E = -floor_log2(cons.table.Delta_(n + 1))
+    ref = pairs[0][0].anchor
+
+    def scaled(z) -> complex:
+        return complex(mpmath.ldexp(z.real, E), mpmath.ldexp(z.imag, E))
+
+    with workprec(cons.prec):
+        step = sol.expm1_turn(1)
+        E1, w_ref = scaled(step), scaled((ref - sol.center_c) * step)
+        diff = lru_cache(maxsize=None)(
+            lambda parent: complex(parent.anchor - ref))
+        D = np.array([diff(parent) for parent, _ in pairs])
+    t = np.array([sol.turn_float(k - 1) for _, k in pairs])
+    u, v = 2.0 ** -53, 2.0 ** -min(cons.prec, 1000)  # v >= 2**-prec
+    r, cross = u + 8 * v, 2 * np.sqrt(2) * u
+    with np.errstate(all="ignore"):
+        s = np.sin(0.5 * t)
+        m = -2 * s * s - 1j * np.sin(t)
+        P = D * E1
+        w = w_ref + P
+        X = P + w * m
+        Dabs, W, M = np.abs(D), np.abs(w), np.abs(m)
+        eP = Dabs * abs(E1) * (2 * r + cross)
+        ew = r * abs(w_ref) + eP + u * W
+        eX = (eP + M * ew + W * u * t * (3 + 3 * t) + cross * W * M
+              + u * np.abs(X) + 64 * v * (W + ew)
+              + 2.0 ** -1069 * (1 + W + Dabs))
+        e = np.max(eX) * (1 + 2.0 ** -20)
+        if not (np.isfinite(e) and np.isfinite(X).all()):
+            return pairs
+        keep = np.zeros(len(pairs), dtype=bool)
+        for x in (X.real, X.imag):
+            keep |= (x <= x.min() + 2 * e) | (x >= x.max() - 2 * e)
+    return [pair for pair, kept in zip(pairs, keep) if kept]
+
+
 def verify_spacing(cons: Construction, child_level: int,
                    n_samples: int | None = None,
                    rng: random.Random | None = None) -> VerificationReport:
@@ -580,7 +656,9 @@ def verify_spacing(cons: Construction, child_level: int,
     With `n_samples` unset, every consecutive pair of the materialized level
     is checked; otherwise one pair per sampled parent (`_sampled_pairs`).
     Either way each increment is taken in the arc's local frame
-    (`_increments`).
+    (`_increments`), and only for the pairs the float64 screen
+    `_extreme_pairs` keeps: the checks read only the extremes of the
+    increments, and those are the same mpfs over the kept pairs as over all.
     """
     table = cons.table
     n = child_level - 1  # parent level
@@ -599,14 +677,15 @@ def verify_spacing(cons: Construction, child_level: int,
     with workprec(cons.prec):
         if n_samples is None:
             cons.level(child_level)  # refused past the cap
-            pairs = ((parent, k) for parent in cons.level(n).rects
-                     for k in range(1, cons.N(n)))
+            pairs = [(parent, k) for parent in cons.level(n).rects
+                     for k in range(1, cons.N(n))]
         else:
-            pairs = _sampled_pairs(cons, n, n_samples, rng or random.Random(0))
-        increments = _increments(cons, n, pairs)
-
-        if not increments:
+            pairs = list(_sampled_pairs(cons, n, n_samples,
+                                        rng or random.Random(0)))
+        if not pairs:
             raise ConstructionError("no consecutive child pairs to verify")
+        increments = _increments(cons, n, _extreme_pairs(cons, n, pairs))
+
         bound_y, bound_x, gap = c1 * theta, 3 * c1 * theta, 3 * delta
         by, bx, g = frac_to_mpf(bound_y), frac_to_mpf(bound_x), frac_to_mpf(gap)
         Dm, Sm = frac_to_mpf(Delta), frac_to_mpf(stride)
@@ -616,7 +695,7 @@ def verify_spacing(cons: Construction, child_level: int,
         worst_gap = min(xs) - g
 
     rep.stats = {
-        "pairs": len(increments),
+        "pairs": len(pairs),
         "child_level": child_level,
         "bound_y": bound_y,
         "bound_x": bound_x,
@@ -624,13 +703,13 @@ def verify_spacing(cons: Construction, child_level: int,
     }
     rep.add_inequality(
         "height increment within c1*theta of the height scale", worst_y, err,
-        detail=f"worst over {len(increments)} pairs")
+        detail=f"worst over {len(pairs)} pairs")
     rep.add_inequality(
         "x-advance within 3*c1*theta of the expected stride", worst_x, err,
-        detail=f"worst over {len(increments)} pairs")
+        detail=f"worst over {len(pairs)} pairs")
     rep.add_inequality(
         "anchor x-gap at least 3x the child width", worst_gap, err,
-        detail=f"worst over {len(increments)} pairs")
+        detail=f"worst over {len(pairs)} pairs")
     return rep
 
 

@@ -3,17 +3,20 @@ of the construction's known first-level failures.
 
 A numerical inequality is only declared to hold when its margin clears ten
 times the accumulated arithmetic error; narrower margins are reported as
-inconclusive rather than silently trusted.  Margins and errors stay exact
-(Fractions or mpfs): verdicts compare them exactly, `to_json_number` writes.
+inconclusive rather than silently trusted, and so are margins and errors
+that are not finite.  Margins and errors stay exact (Fractions or mpfs):
+verdicts compare them exactly, `to_json_number` writes.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fzero, from_int, mpf_cmp, mpf_mul, mpf_neg
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -39,9 +42,20 @@ def known_shortfall(level: int, C_min: float) -> bool:
     return level == 1 and C_min <= FIRST_LEVEL_C_CEILING
 
 
+def _finite(x) -> bool:
+    """Is a margin or bound a finite number?  mpmath writes its special
+    values (inf, -inf, nan) as a zero mantissa with a nonzero exponent."""
+    if isinstance(x, mpmath.mpf):
+        return bool(x._mpf_[1]) or x._mpf_ == fzero
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def exact(x) -> Fraction:
-    """A margin or bound (Fraction, int, float or mpf) as an exact Fraction;
-    an mpf's value is (-1)**sign * man * 2**exp, built by a shift."""
+    """A finite margin or bound (Fraction, int, float or mpf) as an exact
+    Fraction; an mpf's value is (-1)**sign * man * 2**exp, built by a shift.
+    A value that is not finite is refused (ValueError)."""
+    if not _finite(x):
+        raise ValueError(f"{x} has no exact value")
     if isinstance(x, mpmath.mpf):
         sign, man, exp, _ = x._mpf_
         man = -man if sign else man
@@ -51,7 +65,19 @@ def exact(x) -> Fraction:
 
 def classify(margin, err_bound) -> str:
     """pass / fail / inconclusive for an inequality with the given slack,
-    comparing the exact values."""
+    comparing the exact values; a margin or bound that is not finite decides
+    nothing.  Two mpfs compare without Fractions: the gate
+    MARGIN_FACTOR * err_bound is an exact product (`mpf_mul` with no
+    precision), and `mpf_cmp` compares exactly."""
+    if not (_finite(margin) and _finite(err_bound)):
+        return INCONCLUSIVE
+    if isinstance(margin, mpmath.mpf) and isinstance(err_bound, mpmath.mpf):
+        gate = mpf_mul(err_bound._mpf_, from_int(MARGIN_FACTOR))
+        if mpf_cmp(margin._mpf_, gate) >= 0:
+            return PASS
+        if mpf_cmp(margin._mpf_, mpf_neg(gate)) <= 0:
+            return FAIL
+        return INCONCLUSIVE
     margin, gate = exact(margin), MARGIN_FACTOR * exact(err_bound)
     if margin >= gate:
         return PASS
@@ -63,12 +89,15 @@ def classify(margin, err_bound) -> str:
 def to_json_number(x):
     """JSON form of a margin, bound or statistic: a number when float64 holds
     it as a normal number (or it is 0), else a 17-significant-digit decimal
-    string, so nothing underflows to 0 or overflows to inf.  Ints, strings
-    and None pass through; dicts convert value by value."""
+    string, so nothing underflows to 0 or overflows to inf.  A value that
+    is not finite is written as the string "inf", "-inf" or "nan".  Ints,
+    strings and None pass through; dicts convert value by value."""
     if isinstance(x, dict):
         return {k: to_json_number(v) for k, v in x.items()}
     if x is None or isinstance(x, (bool, int, str)):
         return x
+    if not _finite(x):
+        return str(float(x))
     q = exact(x)
     if q == 0 or sys.float_info.min <= abs(q) <= sys.float_info.max:
         return float(q)
@@ -125,7 +154,12 @@ class VerificationReport:
         """Equality check: holds when the difference is within the tracked
         arithmetic error (there is no slack to demand a margin from)."""
         diff = abs(diff)
-        status = PASS if exact(diff) <= MARGIN_FACTOR * exact(err_bound) else FAIL
+        if not (_finite(diff) and _finite(err_bound)):
+            status = INCONCLUSIVE
+        elif exact(diff) <= MARGIN_FACTOR * exact(err_bound):
+            status = PASS
+        else:
+            status = FAIL
         self.entries.append(CheckResult(name, status, -diff, err_bound, detail))
 
     def to_json(self) -> dict:

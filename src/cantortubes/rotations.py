@@ -125,6 +125,8 @@ class RotationFamily:
     def __init__(self, cons: Construction):
         self.cons = cons
         self._memo: dict[Fraction, tuple] = {}
+        self._orbit: dict[tuple, object] = {}   # (n, k): origin's anchor k + 1
+        self._coarse: dict[tuple, object] = {}  # (n, j): exp(-i*j*theta_n)
         self._families: dict[tuple, TubeFamily] = {}
         self._family_tubes = 0
 
@@ -163,6 +165,13 @@ class RotationFamily:
         return self._memo[theta]
 
     def _v_recursion(self, theta: Fraction) -> tuple:
+        """v at theta = j*theta_n + (q*N_n + k)*theta_m, m = n + 1 its grid
+        level.  The origin's orbit point child_anchor(0, sol_n, k + 1) is
+        kept per (n, k), and the coarse rotation exp(-i*j*theta_n) per
+        (n, j): a level's table meets each of them once per j or k, not once
+        per entry.  Each is built once by the expression it replaces, at the
+        construction's precision, so every v is bit for bit the one built
+        without them."""
         m = self.grid_level_of(theta)
         if m == 1:  # theta = 0 included
             return mpmath.mpc(0, 0), CASE_ROTATION_ONLY
@@ -178,14 +187,18 @@ class RotationFamily:
         q, k = divmod(int(K), N_n)
         sol = self.cons.sol(n)
         with workprec(self.cons.prec):
-            base = child_anchor(mpmath.mpc(0, 0), sol, k + 1)
+            if (n, k) not in self._orbit:
+                self._orbit[n, k] = child_anchor(mpmath.mpc(0, 0), sol, k + 1)
+            base = self._orbit[n, k]
             case = CASE_ANCHOR
             if q:
                 base = mpmath.expj(-sol.turn(q * N_n)) * base
                 case = CASE_ROTATED_ANCHOR
             if j:
                 coarse, _ = self._v_tagged(j * theta_n)
-                base = mpmath.expj(-frac_to_mpf(j * theta_n)) * base + coarse
+                if (n, j) not in self._coarse:
+                    self._coarse[n, j] = mpmath.expj(-frac_to_mpf(j * theta_n))
+                base = self._coarse[n, j] * base + coarse
                 case = CASE_COMPOSED
         return base, case
 

@@ -14,6 +14,7 @@ from cantortubes.errors import ConstructionError, PopulationCapError
 from cantortubes.hierarchy import (
     Construction,
     _certified_transition,
+    _extreme_pairs,
     _increments,
     _sampled_pairs,
     _worst_deviation,
@@ -126,7 +127,7 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
         kept = 0
         for k in range(1, 33):
             a = child_anchor(parent.anchor, sol, k + 1)
-            if parent.contain_slack(a) >= 0:
+            if parent.contain_slack(a - parent.anchor) >= 0:
                 kept = k
             else:
                 break
@@ -138,12 +139,13 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
 def test_contain_slack_converts_the_width_at_the_working_precision():
     # The width is converted once per (width, precision): a width that is
     # not a binary fraction shows a conversion made at another precision.
-    node = hierarchy.RectNode(level=2, path=(1,), anchor=mpmath.mpc(0, 0),
+    # The slack reads the displacement d from the anchor, never the anchor.
+    node = hierarchy.RectNode(level=2, path=(1,), anchor=mpmath.mpc(5, 7),
                               width=Fraction(1, 3), height=mpmath.mpf(1))
     for prec in (53, 200, 53, 400):
         with workprec(prec):
-            z = mpmath.mpc(mpmath.mpf(3) / 10, mpmath.mpf(1) / 2)
-            assert node.contain_slack(z) == frac_to_mpf(Fraction(1, 3)) - z.real
+            d = mpmath.mpc(mpmath.mpf(3) / 10, mpmath.mpf(1) / 2)
+            assert node.contain_slack(d) == frac_to_mpf(Fraction(1, 3)) - d.real
 
 
 @pytest.mark.parametrize("profile, depth", [
@@ -167,7 +169,7 @@ def reference_count(parent, sol, hi, prec):
         def slack(p):
             with workprec(p):
                 a = fraction_child_anchor(parent.anchor, sol, k + 1, prec=p)
-                return parent.contain_slack(a)
+                return parent.contain_slack(a - parent.anchor)
         s = slack(prec)
         if abs(s) < mpmath.mpf(2) ** (-(prec // 2)):
             s = slack(prec * 2)
@@ -1061,7 +1063,8 @@ def test_deep_counts_against_an_independent_containment_oracle(strict5_cons,
         m = cons.count_children_of(parent)
         with workprec(cons.prec):
             inside, outside = (parent.contain_slack(
-                child_anchor(parent.anchor, sol, k)) for k in (m + 1, m + 2))
+                child_anchor(parent.anchor, sol, k) - parent.anchor)
+                for k in (m + 1, m + 2))
         assert classify(inside, err) == PASS, parent.path
         assert classify(outside, err) == FAIL, parent.path
 
@@ -1092,3 +1095,72 @@ def test_count_search_work_guard(request, name, level, monkeypatch):
     assert turns.count(hi) == 1 and turns.count(1) <= 1
     assert len(turns) <= 2 * len(parents) + 2
     assert counts == [cons.count_children_of(p) for p in parents]
+
+
+# -- the float64 screen of spacing extremes ------------------------------------
+
+SCREEN_CASES = [("cons", 3, 2000), ("strict4_cons", 3, 300),
+                ("strict4_cons", 4, 300), ("demo4_cons", 4, 300),
+                ("strict5_cons", 5, 4), ("cons", 2, None)]
+
+
+def screened_pairs(cons, level, n_samples):
+    """The (parent, k) pairs `verify_spacing` checks at `level`: every pair
+    (n_samples None) or one per parent sampled from Random(level)."""
+    n = level - 1
+    if n_samples is None:
+        return [(p, k) for p in cons.level(n).rects for k in range(1, cons.N(n))]
+    return list(_sampled_pairs(cons, n, n_samples, random.Random(level)))
+
+
+@pytest.mark.parametrize("name, level, n_samples", SCREEN_CASES)
+def test_screen_keeps_every_pair_that_attains_an_extreme(request, name, level,
+                                                         n_samples):
+    # The oracle: the mpmath increments of every pair.  Each pair attaining
+    # the least or greatest of either coordinate is kept.
+    cons = request.getfixturevalue(name)
+    n = level - 1
+    pairs = screened_pairs(cons, level, n_samples)
+    with workprec(cons.prec):
+        kept = {id(pair) for pair in _extreme_pairs(cons, n, pairs)}
+        increments = _increments(cons, n, pairs)
+    for values in ([d.real for d in increments], [d.imag for d in increments]):
+        for extreme in (min(values), max(values)):
+            attaining = [pair for pair, v in zip(pairs, values) if v == extreme]
+            assert attaining and all(id(pair) in kept for pair in attaining)
+
+
+@pytest.mark.parametrize("name, level, n_samples", SCREEN_CASES)
+def test_screen_work_guard(request, name, level, n_samples, monkeypatch):
+    # verify_spacing evaluates the increments of at most 8 pairs, and still
+    # reports every pair it checked.
+    cons = request.getfixturevalue(name)
+    evaluated = []
+
+    def counted(cons, n, pairs):
+        evaluated.append(len(pairs))
+        return _increments(cons, n, pairs)
+
+    monkeypatch.setattr(hierarchy, "_increments", counted)
+    report = verify_spacing(cons, level, n_samples=n_samples,
+                            rng=random.Random(level))
+    total = len(screened_pairs(cons, level, n_samples))
+    assert report.stats["pairs"] == total
+    assert all(c["detail"] == f"worst over {total} pairs"
+               for c in report.to_json()["checks"])
+    assert len(evaluated) == 1 and 1 <= evaluated[0] <= 8, evaluated
+
+
+@pytest.mark.parametrize("force", ["far parent", "huge scale"])
+def test_screen_keeps_every_pair_when_a_value_is_not_finite(cons, force,
+                                                            monkeypatch):
+    pairs = screened_pairs(cons, 2, None)
+    if force == "far parent":  # a - a_ref overflows float64
+        far = hierarchy.RectNode(level=1, path=(2,),
+                                 anchor=mpmath.mpc(mpmath.ldexp(1, 2000), 0),
+                                 width=Fraction(1), height=mpmath.mpf(1))
+        pairs.append((far, 1))
+    else:  # the scale 2**E overflows every scaled value
+        monkeypatch.setattr(hierarchy, "floor_log2", lambda x: -2000)
+    with workprec(cons.prec):
+        assert _extreme_pairs(cons, 1, pairs) == pairs

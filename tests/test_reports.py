@@ -13,6 +13,7 @@ from cantortubes.numerics import arith_error
 from cantortubes.reports import (
     FAIL,
     INCONCLUSIVE,
+    MARGIN_FACTOR,
     PASS,
     VerificationReport,
     classify,
@@ -111,3 +112,82 @@ def test_exact_by_shift_equals_the_fraction_power(sign, man, exp):
         x = mpmath.ldexp(mpmath.mpf(sign * man), exp)
     assert exact(x) == former_exact(x)
     assert exact(x) == sign * man * Fraction(2) ** exp
+
+
+NAN, INF = mpmath.mpf("nan"), mpmath.mpf("inf")
+
+
+@pytest.mark.parametrize("margin, err", [
+    (mpmath.mpf(1), NAN),        # read as a zero error, it passed
+    (mpmath.mpf(-1), INF),       # read as a zero error, it failed
+    (INF, TINY), (-INF, TINY), (NAN, TINY), (NAN, NAN),
+    (Fraction(1), NAN), (16, INF),
+    (float("nan"), 1.0),         # a raw ValueError before
+    (1.0, float("inf")), (float("-inf"), TINY),
+])
+def test_non_finite_margins_decide_nothing(margin, err):
+    assert classify(margin, err) == INCONCLUSIVE
+    rep = VerificationReport("special values")
+    rep.add_equality("not finite", margin, err)
+    assert rep.entries[0].status == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("value", [INF, -INF, NAN, float("inf"), float("nan")])
+def test_exact_refuses_non_finite_values(value):
+    # mpmath keeps inf and nan as a zero mantissa: they read as 0 before.
+    with pytest.raises(ValueError, match="no exact value"):
+        exact(value)
+
+
+@pytest.mark.parametrize("value, written", [
+    (INF, "inf"), (-INF, "-inf"), (NAN, "nan"),
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+])
+def test_non_finite_values_are_written_as_strings(value, written):
+    assert to_json_number(value) == written
+    assert json.loads(json.dumps(to_json_number({"margin": value}))) == \
+        {"margin": written}
+
+
+def fraction_classify(margin, err) -> str:
+    """The comparison through exact Fractions: the oracle for the mpf
+    gate."""
+    margin, gate = exact(margin), MARGIN_FACTOR * exact(err)
+    if margin >= gate:
+        return PASS
+    return FAIL if margin <= -gate else INCONCLUSIVE
+
+
+def wide_mpf(sign, man, exp):
+    with mpmath.workprec(300):
+        return mpmath.ldexp(mpmath.mpf(sign * man), exp)
+
+
+wide_mpfs = st.builds(wide_mpf, st.sampled_from([1, -1]),
+                      st.one_of(st.integers(0, 2**256), st.sampled_from([0, 1])),
+                      st.integers(-5000, 5000))
+
+
+@settings(max_examples=400, deadline=None)
+@given(margin=wide_mpfs, err=wide_mpfs,
+       tie=st.sampled_from([None, None, 1, -1]),
+       nudge=st.sampled_from([0, 1, -1]))
+@example(margin=mpmath.mpf(0), err=mpmath.mpf(0), tie=None, nudge=0)
+@example(margin=mpmath.mpf(0), err=TINY, tie=None, nudge=0)
+@example(margin=TINY, err=mpmath.mpf(0), tie=None, nudge=0)
+@example(margin=TINY, err=TINY, tie=1, nudge=-1)
+@example(margin=TINY, err=TINY, tie=-1, nudge=1)
+@example(margin=TINY, err=-TINY, tie=1, nudge=0)
+def test_mpf_gate_equals_the_fraction_comparison(margin, err, tie, nudge):
+    # Zero, both signs, exponents to +-5,000, and exact ties at
+    # +-MARGIN_FACTOR*err, also moved by one unit in their last place.
+    if tie is not None:
+        margin = mpmath.fmul(tie * MARGIN_FACTOR, err, exact=True)
+        if nudge and margin:
+            sign, man, exp, _ = margin._mpf_
+            with mpmath.workprec(600):
+                margin = mpmath.ldexp(
+                    mpmath.mpf((-man if sign else man) * 2**4 + nudge), exp - 4)
+        assert (exact(margin) == tie * MARGIN_FACTOR * exact(err)) == \
+            (not nudge or not margin)
+    assert classify(margin, err) == fraction_classify(margin, err)

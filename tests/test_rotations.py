@@ -590,3 +590,50 @@ def test_containment_checks_share_one_level_draw(rf):
         assert shared == drawn
         rf.check_containment(th, 2, sample=(shifted, paths, e))
         assert np.array_equal(shifted, kept)
+
+
+def former_v(rf, theta):
+    """The recursion with every orbit point and rotation formed afresh: the
+    oracle for the factors `_v_recursion` keeps."""
+    m = rf.grid_level_of(theta)
+    if m == 1:
+        return mpmath.mpc(0, 0)
+    cons, n = rf.cons, m - 1
+    theta_n = cons.table.theta_(n)
+    j = floor_frac(theta / theta_n)
+    q, k = divmod(int((theta - j * theta_n) / cons.table.theta_(m)), cons.N(n))
+    sol = cons.sol(n)
+    with workprec(cons.prec):
+        base = child_anchor(mpmath.mpc(0, 0), sol, k + 1)
+        if q:
+            base = mpmath.expj(-sol.turn(q * cons.N(n))) * base
+        if j:
+            base = (mpmath.expj(-frac_to_mpf(j * theta_n)) * base
+                    + former_v(rf, j * theta_n))
+    return base
+
+
+def test_kept_orbit_factors_give_v_bit_for_bit(cons, monkeypatch):
+    # The level-2 table forms its 15 orbit points and 15 coarse rotations
+    # once each; every v, on the level-2 and the level-3 grid, equals the
+    # former recursion's exactly.  Level-3 angles repeat orbit indices k
+    # across coarse indices j, so the kept points are read back.
+    fresh = RotationFamily(cons)
+    calls = []
+    monkeypatch.setattr(rotations, "child_anchor",
+                        lambda *args: calls.append(args) or child_anchor(*args))
+    fresh.translation_table(2)
+    assert len(calls) == 15
+    assert sorted(fresh._orbit) == [(1, k) for k in range(1, 16)]
+    assert sorted(fresh._coarse) == [(1, j) for j in range(1, 16)]
+    table, rng = cons.table, random.Random(25)
+    t2, t3 = table.theta_(2), table.theta_(3)
+    thetas = [rng.randrange(table.family_count(2)) * t2 for _ in range(30)]
+    for _ in range(20):
+        theta = rng.randrange(1 << 48) * t3
+        thetas += [theta, theta + t2, theta - t2]
+    thetas = [th for th in thetas if 0 <= th <= 1]
+    for theta in thetas:
+        assert fresh.v(theta) == former_v(fresh, theta), theta
+    assert any(key[0] == 2 for key in fresh._orbit)
+    assert len(fresh._orbit) < 15 + len(thetas)
