@@ -60,13 +60,13 @@ class ArcSolution:
         return mpmath.ldexp(mpmath.mpf(j * self.num), -self.e)
 
     def expm1_turn(self, j: int):
-        """exp(-i*t) - 1 for t = turn(j), formed without cancellation as
-        -2*sin(t/2)**2 - i*sin(t): a point a moved j steps along its orbit
-        about the centre c moves by (a - c)*expm1_turn(j), each factor within
-        a few ulps of its own size, not of |c|."""
-        t = self.turn(j)
-        s = mpmath.sin(t / 2)
-        return mpmath.mpc(-2 * s * s, -mpmath.sin(t))
+        """exp(-i*t) - 1 for t = turn(j), without cancellation: -2*s*s -
+        2i*s*c from one (c, s) = cos_sin(t/2), each within one ulp; -2*s is
+        exact, so each component is one rounded product, within 2.5 ulps (5*
+        2**-prec relative).  A point a moved j steps along its orbit about
+        the centre c moves by (a - c)*expm1_turn(j), not at the scale of |c|."""
+        c, s = mpmath.cos_sin(self.turn(j) / 2)
+        return mpmath.mpc(-2 * s * s, -2 * s * c)
 
     def turn_float(self, j: int) -> float:
         """j*sub_angle rounded once to float64 (int true division rounds

@@ -2,14 +2,15 @@
 
 Level 1 is the unit square; every next level places children along the
 level's circular arc by rotating the parent's bottom-left corner about the
-arc center in equal angle steps.  Shallow levels are materialized outright;
-deep levels (populations run into the billions) are reached lazily through
-closed-form anchors indexed by child paths.
+arc center in equal angle steps (`child_anchor`), each rectangle built from
+its parent (`Construction.child_rect`).  Shallow levels are materialized
+outright; deep ones (populations in the billions) are reached by path.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -84,27 +85,18 @@ class LevelSet:
 
 
 def child_anchor(parent_anchor, sol: ArcSolution, k: int):
-    """Anchor of the k-th child: rotate the parent anchor clockwise by
-    (k-1) angle steps about the arc center.  k = 1 returns the parent.  Runs
-    at the solution's precision, the construction's one working precision."""
+    """Anchor of the k-th child, the one mpmath orbit map: the parent anchor
+    a rotated clockwise by k-1 angle steps about the arc centre c, in the
+    local frame a + (a - c)*expm1_turn(k - 1), at the solution's precision.
+    Its move d is within 7*2**-prec*|d| (a - c, the factor and the product
+    each round at their own size), the sum within 2**-prec*|a_k|."""
     if k < 1:
         raise ValueError(f"child index must be >= 1, got {k}")
     if k == 1:
         return parent_anchor
     with workprec(sol.prec):
-        rot = mpmath.expj(-sol.turn(k - 1))
-        return sol.center_c * (1 - rot) + rot * parent_anchor
-
-
-def child_rect(a_k, a_k1, delta_next: Fraction, level: int, path: tuple) -> RectNode:
-    """Child rectangle spanning delta_next in x from a_k and reaching up to
-    the next anchor's height.  The next anchor must lie strictly up-right."""
-    if not (a_k1.real > a_k.real and a_k1.imag > a_k.imag):
-        raise ConstructionError(
-            f"next anchor {a_k1} is not strictly above and to the right of "
-            f"{a_k}; spacing assumption violated at level {level}, path {path}")
-    return RectNode(level=level, path=path, anchor=a_k,
-                    width=Fraction(delta_next), height=a_k1.imag - a_k.imag)
+        a = parent_anchor
+        return a + (a - sol.center_c) * sol.expm1_turn(k - 1)
 
 
 def _exit_step(parent: RectNode, sol: ArcSolution, z, hi: int) -> int:
@@ -187,7 +179,7 @@ def _certified_transition(pred, hint: int, hi: int) -> int:
 
 
 def count_children(parent: RectNode, sol: ArcSolution, hi: int, err,
-                   step_factor=None, bound_factor=None) -> int:
+                   step_factor, bound_factor) -> int:
     """Largest m such that children 1..m stay inside the parent, i.e. the
     certified transition pred(m) and not pred(m+1) of the monotone criterion
     pred(k) = "anchor k+1 lies in the parent" (pred(0) holds: anchor 1 is
@@ -209,7 +201,7 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int, err,
     expm1_turn(j), E_{k+1} = (E_k + 1)*(E_1 + 1) - 1 = E_k + (1 + E_k)*E_1,
     so d_{k+1} = d_k + (z + d_k)*`step_factor` (= E_1).  Any other pred(k)
     costs one expm1_turn(k); d_0 = 0 seeds the chain.  Both factors are per
-    level (`Construction._searches`); they are computed here when not given.
+    level (`Construction._constants`).
 
     pred takes the sign of `parent.contain_slack(d_k)` by the report rule
     (`reports.classify`): only when it clears MARGIN_FACTOR * `err`, a bound
@@ -241,10 +233,6 @@ def count_children(parent: RectNode, sol: ArcSolution, hi: int, err,
         return verdict == PASS
 
     with workprec(sol.prec):
-        if step_factor is None:
-            step_factor = sol.expm1_turn(1)
-        if bound_factor is None:
-            bound_factor = sol.expm1_turn(hi)
         z = parent.anchor - sol.center_c
         last = (0, mpmath.mpc(0))  # (k, d_k) of the previous pred; d_0 = 0
         if pred(hi):
@@ -281,7 +269,7 @@ class Construction:
         self._depth: int | None = None
         self._counts: dict[tuple, int] = {}
         self._N: dict[int, int] = {}
-        self._searches: dict[int, tuple] = {}
+        self._consts: dict[int, tuple] = {}
 
     def sol(self, n: int) -> ArcSolution:
         """Arc solution used to subdivide level n, refused (ValueError)
@@ -310,7 +298,7 @@ class Construction:
         """Level n, materialized on first use; past `materializable_depth()`
         its population exceeds the cap and `PopulationCapError` is raised.
         Its rectangles are the first N(n - 1) children (the uniform count)
-        of every level-(n - 1) rectangle, each built by `rect_by_path`, in
+        of every level-(n - 1) rectangle, each built by `child_rect`, in
         path order, which must be anchor-x order."""
         self.table.check_level(n)
         if n not in self._levels:
@@ -319,7 +307,7 @@ class Construction:
                 raise PopulationCapError(level=n, population=population,
                                          cap=self.cap)
             ks = range(1, self.N(n - 1) + 1)
-            rects = [self.rect_by_path(parent.path + (k,))
+            rects = [self.child_rect(parent, k)
                      for parent in self.level(n - 1).rects for k in ks]
             xs = [float(r.anchor.real) for r in rects]
             if any(a >= b for a, b in zip(xs, xs[1:])):
@@ -374,12 +362,8 @@ class Construction:
     # -- lazy access by path -------------------------------------------------
 
     def anchor_by_path(self, path) -> object:
-        """Anchor of the level-(len(path)+1) rectangle addressed by child
-        indices; composes the child-anchor map level by level, starting from
-        the deepest materialized level the path's leading indices address."""
-        path = self._checked(path)
-        i, node = self._materialized_prefix(path)
-        return self._walk(path, i, node.anchor)
+        """Anchor of the rectangle `path` addresses (`rect_by_path`)."""
+        return self.rect_by_path(path).anchor
 
     def _checked(self, path) -> tuple:
         """`path` as a tuple, refused past the table or at an index below 1."""
@@ -405,13 +389,6 @@ class Construction:
             rank = rank * N + path[i] - 1
             i += 1
         return i, self._levels[i + 1].rects[rank]
-
-    def _walk(self, path: tuple, i: int, anchor) -> object:
-        """Compose the child-anchor maps of path[i:] onto `anchor`, the
-        anchor path[:i] addresses."""
-        for j in range(i, len(path)):
-            anchor = child_anchor(anchor, self.sols[j], path[j])
-        return anchor
 
     def anchors_float64(self, paths) -> tuple:
         """Anchors addressed by `paths` (all of one length) as an (m, 2)
@@ -465,21 +442,35 @@ class Construction:
         return np.stack([a.real, a.imag], axis=1), float(e) * (1 + 2.0 ** -20)
 
     def rect_by_path(self, path) -> RectNode:
-        """The level-(len(path)+1) rectangle addressed by child indices: the
-        built one when its level is materialized, else the last child step
-        from its parent's anchor, which the walk reaches as `anchor_by_path`
-        does.  This is the one place rectangles past level 1 are built."""
+        """The level-(len(path)+1) rectangle addressed by child indices: one
+        `child_rect` per index past the deepest materialized one on it."""
         path = self._checked(path)
-        i, node = self._materialized_prefix(path)
-        if i == len(path):
-            return node
-        sol, k = self.sols[len(path) - 1], path[-1]
+        i, rect = self._materialized_prefix(path)
+        for k in path[i:]:
+            rect = self.child_rect(rect, k)
+        return rect
+
+    def child_rect(self, parent: RectNode, k: int) -> RectNode:
+        """Child k of `parent`, the one place rectangles past level 1 are
+        built: anchored at a_k, of the child width, and as high as the step
+        to its next sibling (`_child`), which must point strictly up-right."""
+        a, step = self._child(parent, k)
+        path = parent.path + (k,)
+        if not (step.real > 0 and step.imag > 0):
+            raise ConstructionError(
+                f"step {step} to the next sibling is not strictly up-right; "
+                f"spacing assumption violated at level {len(path) + 1}, path {path}")
+        return RectNode(len(path) + 1, path, a, self.table.delta_(len(path) + 1),
+                        step.imag)
+
+    def _child(self, parent: RectNode, k: int) -> tuple:
+        """(a_k, a_{k+1} - a_k) of child k: `child_anchor`, and the step
+        (a_k - c)*E_1 within a few ulps of max(|step|, |a_k|*|E_1|), where
+        two anchors' difference would lose |c|*2**-prec."""
+        sol = self.sol(parent.level)
+        a = child_anchor(parent.anchor, sol, k)
         with workprec(self.prec):
-            parent = self._walk(path[:-1], i, node.anchor)
-            a = child_anchor(parent, sol, k)
-            a2 = child_anchor(parent, sol, k + 1)
-            return child_rect(a, a2, self.table.delta_(len(path) + 1),
-                              level=len(path) + 1, path=path)
+            return a, (a - sol.center_c) * self._constants(parent.level)[2]
 
     def count_children_by_path(self, path) -> int:
         """Per-parent child count of the parent `path` addresses."""
@@ -491,37 +482,42 @@ class Construction:
     def count_children_of(self, parent: RectNode) -> int:
         """Per-parent child count of a parent rectangle already built (by
         `rect_by_path`), cached by its path: the one count cache, shared by
-        `counts`, `count_children_by_path` and sampled spacing checks.  The
-        search bound and the slack's error, the children's `anchor_error`,
-        and the count predicate's two orbit factors (`count_children`) are
-        computed once per level."""
+        `counts`, `count_children_by_path` and sampled spacing checks."""
         if parent.path not in self._counts:
-            n = parent.level
-            if n not in self._searches:
-                sol, hi = self.sol(n), count_search_bound(self.table, n)
-                with workprec(self.prec):
-                    self._searches[n] = (hi, self.anchor_error(n + 1),
-                                         sol.expm1_turn(1), sol.expm1_turn(hi))
             self._counts[parent.path] = count_children(
-                parent, self.sol(n), *self._searches[n])
+                parent, self.sol(parent.level), *self._constants(parent.level))
         return self._counts[parent.path]
+
+    def _constants(self, n: int) -> tuple:
+        """(hi, err, E_1, E_hi) of level-n parents, once per level: the count
+        search bound, the children's `anchor_error`, and expm1_turn of one
+        angle step (each child's step, `_child`) and of hi."""
+        if n not in self._consts:
+            sol, hi = self.sol(n), count_search_bound(self.table, n)
+            with workprec(self.prec):
+                self._consts[n] = (hi, self.anchor_error(n + 1),
+                                   sol.expm1_turn(1), sol.expm1_turn(hi))
+        return self._consts[n]
 
     def sample_parent_paths(self, parent_level: int, n_samples: int,
                             rng: random.Random) -> list:
         """Uniformly sampled paths addressing level-`parent_level` parents.
         Uses the exact uniform counts of the materializable levels,
-        per-parent counts beyond."""
+        per-parent counts beyond, read off the rectangle each draw carries
+        down its path: each lazy prefix is built once."""
         self.table.check_level(parent_level)
         exact = [self.N(lvl) for lvl in
                  range(1, min(parent_level, self.counted_depth()))]
         paths = []
         for _ in range(n_samples):
-            path = []
+            path, rect = [], None
             for i in range(parent_level - 1):
                 if i < len(exact):
                     bound = exact[i]
                 else:
-                    bound = self.count_children_by_path(tuple(path))
+                    rect = (self.rect_by_path(path) if rect is None
+                            else self.child_rect(rect, path[-1]))
+                    bound = self.count_children_of(rect)
                 path.append(rng.randint(1, bound))
             paths.append(tuple(path))
         return paths
@@ -549,17 +545,9 @@ def _sampled_pairs(cons: Construction, n: int, n_samples: int,
 
 def _increments(cons: Construction, n: int, pairs) -> list:
     """Increments a_{k+1} - a_k of the (parent, k) `pairs` of level-n
-    parents, taken in the arc's local frame about its centre c, under the
-    construction's precision: w*exp(-i*(k-1)*phi), with phi one angle step
-    and the frame w = (a_p - c)*expm1_turn(1) kept per parent.  Each
-    increment d is within a few ulps of |d| <= 1 of the exact one from the
-    computed a_p, where a difference of two anchors loses |c|*2**-prec; an
-    error E in a_p moves d by about E*phi.  Both lie well inside `anchor_error(n + 1)`.
-    """
-    sol = cons.sol(n)
-    c, step = sol.center_c, sol.expm1_turn(1)
-    frame = lru_cache(maxsize=None)(lambda parent: (parent.anchor - c) * step)
-    return [frame(parent) * mpmath.expj(-sol.turn(k - 1)) for parent, k in pairs]
+    parents: each child's step, whose imaginary part is its height
+    (`Construction._child`).  An error E in a_p moves one by about E*phi."""
+    return [cons._child(parent, k)[1] for parent, k in pairs]
 
 
 def _extreme_pairs(cons: Construction, n: int, pairs: list) -> list:
@@ -579,9 +567,9 @@ def _extreme_pairs(cons: Construction, n: int, pairs: list) -> list:
     nothing underflows at deep levels.
 
     Bound.  With u = 2**-53 and v = 2**-prec (the working precision), each
-    input enters within r = u + 8v relative: expm1_turn(1), D = a_p - a_ref
-    and w_ref are mpmath values within 8 ulps, each rounded once to float64
-    (scaling by 2**E is exact).  Then, per pair, operation by operation:
+    input enters within r = u + 8v relative: E_1, D = a_p - a_ref and w_ref
+    are mpmath values within 8 ulps, each rounded once to float64 (scaling
+    by 2**E is exact).  Then, per pair, operation by operation:
       - P = D*E_1 is within eP = |D|*|E_1|*(2r + 2*sqrt(2)*u), the complex
         product rounding within 2*sqrt(2)*u of its size;
       - w_p = w_ref + P is within ew = r*|w_ref| + eP + u*|w_p|;
@@ -589,12 +577,13 @@ def _extreme_pairs(cons: Construction, n: int, pairs: list) -> list:
       - Q = w_p*m is within |m|*ew + |w_p|*u*t*(3 + 3t) +
         2*sqrt(2)*u*|w_p|*|m|;
       - X = P + Q rounds within u*|X|.
-    The increment `_increments` evaluates (five roundings and two
-    transcendental factors at the working precision) lies within
-    64v*(|w_p| + ew) of the exact one, scaled.  An operation whose result is
-    subnormal (a tiny t, a tiny component of E_1) rounds within 2**-1075
-    absolute instead, and the pair's few dozen operations pass that on with
-    factors at most 1 + |w_p| + |D|: 2**-1069*(1 + |w_p| + |D|) covers them.
+    The increment `_increments` evaluates (five roundings and two factors
+    within 5v) lies within v*(23*|w_p| + |a_p|*|E_1|) of the exact one, and
+    64v*(|w_p| + ew + (|a_ref| + |D|)*|E_1|) covers it, scaled.  An operation
+    whose result is subnormal (a tiny t, a tiny component of E_1) rounds
+    within 2**-1075 absolute instead, and the pair's few dozen operations
+    pass that on with factors at most 1 + |w_p| + |D|: 2**-1069*(1 + |w_p| +
+    |D|) covers them.
     e is the largest per-pair sum, times 1 + 2**-20 for second-order terms
     and the rounding of the bound's own arithmetic.  So a screened
     coordinate X_p lies within e of x_p, the same coordinate of the
@@ -610,14 +599,13 @@ def _extreme_pairs(cons: Construction, n: int, pairs: list) -> list:
     """
     sol = cons.sol(n)
     E = -floor_log2(cons.table.Delta_(n + 1))
-    ref = pairs[0][0].anchor
 
     def scaled(z) -> complex:
         return complex(mpmath.ldexp(z.real, E), mpmath.ldexp(z.imag, E))
 
     with workprec(cons.prec):
-        step = sol.expm1_turn(1)
-        E1, w_ref = scaled(step), scaled((ref - sol.center_c) * step)
+        ref, w_ref = cons._child(pairs[0][0], 1)  # a_ref, (a_ref - c)*E_1
+        E1, w_ref = scaled(cons._constants(n)[2]), scaled(w_ref)
         diff = lru_cache(maxsize=None)(
             lambda parent: complex(parent.anchor - ref))
         D = np.array([diff(parent) for parent, _ in pairs])
@@ -633,8 +621,8 @@ def _extreme_pairs(cons: Construction, n: int, pairs: list) -> list:
         Dabs, W, M = np.abs(D), np.abs(w), np.abs(m)
         eP = Dabs * abs(E1) * (2 * r + cross)
         ew = r * abs(w_ref) + eP + u * W
-        eX = (eP + M * ew + W * u * t * (3 + 3 * t) + cross * W * M
-              + u * np.abs(X) + 64 * v * (W + ew)
+        eX = (eP + M * ew + W * u * t * (3 + 3 * t) + cross * W * M + u * np.abs(X)
+              + 64 * v * (W + ew + (abs(complex(ref)) + Dabs) * abs(E1))
               + 2.0 ** -1069 * (1 + W + Dabs))
         e = np.max(eX) * (1 + 2.0 ** -20)
         if not (np.isfinite(e) and np.isfinite(X).all()):
@@ -776,6 +764,14 @@ def verify_level_invariants(cons: Construction, n: int) -> VerificationReport:
     return rep
 
 
+def _six_digits(x: Fraction) -> str:
+    """x as f"{float(x):.6g}" writes it, also past float64's range."""
+    if abs(x) <= sys.float_info.max:
+        return f"{float(x):.6g}"
+    with workprec(80):
+        return mpmath.nstr(frac_to_mpf(x), 6)
+
+
 def verify_counts(cons: Construction, max_parent_level: int) -> VerificationReport:
     """Exact rational checks on the child counts: the two-sided sandwich
     around the height-scale ratio (with width scale delta_0 := 1 at the first
@@ -788,16 +784,16 @@ def verify_counts(cons: Construction, max_parent_level: int) -> VerificationRepo
         rep.stats["N"][n] = N
         lo, hi = table.count_sandwich(n)
         rep.add(f"N_{n} sandwich lower bound", N >= lo,
-                margin=N - lo, detail=f"N={N}, bound={float(lo):.6g}")
+                margin=N - lo, detail=f"N={N}, bound={_six_digits(lo)}")
         rep.add(f"N_{n} sandwich upper bound", N <= hi,
-                margin=hi - N, detail=f"N={N}, bound={float(hi):.6g}")
+                margin=hi - N, detail=f"N={N}, bound={_six_digits(hi)}")
         # The strict angle-ratio bound genuinely fails at n = 1, where the
         # first level's unit width removes all headroom and the count equals
         # the ratio exactly; it holds with huge margin from n = 2 on.
         angle_ratio = table.theta_(n) / table.theta_(n + 1)
         rep.add(f"N_{n} below the angle-step ratio", N < angle_ratio,
                 margin=angle_ratio - N,
-                detail=f"N={N}, ratio={float(angle_ratio):.6g}")
+                detail=f"N={N}, ratio={_six_digits(angle_ratio)}")
         per_parent = cons.counts(n)
         rep.add(f"level-{n} per-parent counts within the same sandwich",
                 all(lo <= m <= hi for m in per_parent),

@@ -41,10 +41,13 @@ def frac_to_mpf(x: Fraction):
     """Fraction -> mpf at the current working precision.
 
     Exact whenever numerator and denominator fit the precision; all dyadic
-    table entries are powers of two times small integers, hence exact.
-    """
+    table entries are powers of two times small integers, hence exact.  A
+    denominator 2**k, whose conversion costs mpmath time quadratic in k, is
+    applied by ldexp instead: the same value."""
     x = Fraction(x)
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    if x.denominator & (x.denominator - 1):
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return mpmath.ldexp(mpmath.mpf(x.numerator), 1 - x.denominator.bit_length())
 
 
 def arith_error(prec: int, scale=1, ops: int = 64):

@@ -19,7 +19,6 @@ from cantortubes.hierarchy import (
     _sampled_pairs,
     _worst_deviation,
     child_anchor,
-    child_rect,
     count_children,
     count_search_bound,
     verify_counts,
@@ -49,18 +48,44 @@ def cons(strict_table, strict_arcs):
     return Construction(strict_table, sols=strict_arcs)
 
 
-def arc_point(sol, k: int):
+def arc_point(sol, k: int, prec: int | None = None):
     """The former closed form of the k-th equidistant point of a solved
     circle, 1-based: the origin rotated clockwise by (k-1) sub-arc angles
-    about the center.  The oracle for `child_anchor` from the origin."""
+    about the center, at `prec` bits (the solution's by default).  At 4x
+    the working precision, the oracle for `child_anchor` from the origin."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     phi = (k - 1) * sol.sub_angle
     if float(phi) > 6.283185307179587:
         raise ValueError(f"k = {k} winds beyond a full turn")
-    with workprec(sol.prec):
-        alpha = sol.center_c
+    with workprec(prec or sol.prec):
+        alpha = mpmath.mpc(*sol.center)
         return alpha * (1 - mpmath.expj(-frac_to_mpf(phi)))
+
+
+def local_step_bound(parent_anchor, sol, a_k):
+    """Bound on the distance of a_k = child_anchor(parent_anchor, sol, k)
+    from the exact orbit point of the same parent anchor, from the local
+    frame's arithmetic (`child_anchor`): 7*2**-prec*|d| for the move
+    d = a_k - a and 2**-prec*|a_k| for the sum, doubled for second-order
+    terms, plus the world-form oracle's own rounding at 4x the precision,
+    a few 2**(-4*prec) of |c|."""
+    with workprec(4 * sol.prec):
+        d, c = abs(a_k - parent_anchor), abs(mpmath.mpc(*sol.center))
+        return mpmath.ldexp(14 * d + 2 * abs(a_k), -sol.prec) \
+            + mpmath.ldexp(16 * (c + 1), -4 * sol.prec)
+
+
+def assert_child_anchor_within_bound(parent_anchor, sol, k):
+    """child_anchor(parent_anchor, sol, k) against the world-form map at 4x
+    the working precision (`fraction_child_anchor`), from the same parent
+    anchor, centre and exact angle."""
+    a_k = child_anchor(parent_anchor, sol, k)
+    want = fraction_child_anchor(parent_anchor, sol, k, prec=4 * sol.prec)
+    with workprec(4 * sol.prec):
+        assert abs(a_k - want) <= local_step_bound(parent_anchor, sol, a_k), \
+            (sol.level, k, abs(a_k - want))
+    return a_k
 
 
 def test_child_anchor_k1_is_parent(cons):
@@ -70,15 +95,39 @@ def test_child_anchor_k1_is_parent(cons):
 
 
 def test_child_anchor_of_origin_is_arc_point(request):
-    # Bit for bit, at every level: k = 1, 2 and the first parent's count N
-    # and N + 1 (the anchor that leaves the parent).
+    # At every level, against the closed form at 4x the precision: k = 1, 2
+    # and the first parent's count N and N + 1 (the anchor that leaves the
+    # parent).
     for name in ("cons", "strict4_cons", "demo4_cons"):
         cons = request.getfixturevalue(name)
         for n in range(1, cons.table.depth):
+            sol = cons.sol(n)
             N = cons.count_children_by_path((1,) * (n - 1))
             for k in (1, 2, N, N + 1):
-                a = child_anchor(mpmath.mpc(0, 0), cons.sol(n), k)
-                assert a == arc_point(cons.sol(n), k), (name, n, k)
+                a = child_anchor(mpmath.mpc(0, 0), sol, k)
+                with workprec(4 * cons.prec):
+                    miss = abs(a - arc_point(sol, k, 4 * cons.prec))
+                    assert miss <= local_step_bound(0, sol, a), (name, n, k)
+
+
+@pytest.mark.parametrize("name", ["cons", "strict4_cons", "demo4_cons"])
+def test_child_anchor_against_the_world_form_at_4x(request, name):
+    # Every level's orbit map, from built and sampled lazy parents, for the
+    # first, a second, a random, the last and the first leaving child,
+    # against the world form at 4x the precision.  The world form at the
+    # working precision rounds at |c|*2**-prec (4e-35 off at strict depth 3,
+    # level 2), far outside the local frame's bound (a few 2**-127).
+    cons = request.getfixturevalue(name)
+    rng = random.Random(26)
+    for n in range(1, cons.table.depth):
+        sol = cons.sol(n)
+        parents = (cons.level(n).rects if n <= cons.materializable_depth()
+                   else [cons.rect_by_path(p) for p in
+                         cons.sample_parent_paths(n, 10, rng)])
+        for parent in parents[:20]:
+            m = cons.count_children_of(parent)
+            for k in (1, 2, rng.randint(1, m), m, m + 1):
+                assert_child_anchor_within_bound(parent.anchor, sol, k)
 
 
 def test_rotation_identity_exact_algebra(cons):
@@ -98,13 +147,19 @@ def test_rotation_identity_exact_algebra(cons):
             assert abs(lhs - rhs) < 1e-12
 
 
-def test_child_rect_rejects_degenerate():
-    with pytest.raises(ConstructionError):
-        a = mpmath.mpc(0, 0)
-        child_rect(a, a, Fraction(1, 4), level=2, path=(1,))
-    with pytest.raises(ConstructionError):
-        child_rect(mpmath.mpc(0, 1), mpmath.mpc(1, 0), Fraction(1, 4),
-                   level=2, path=(1,))
+def test_child_rect_rejects_degenerate(cons):
+    # The step to the next sibling must point strictly up and right: it
+    # points straight down from a parent anchored one unit right of the arc
+    # centre, and down-left half a turn along the orbit from the origin.
+    sol, root = cons.sol(1), cons.level(1).rects[0]
+    with workprec(cons.prec):
+        right_of_c = hierarchy.RectNode(
+            level=1, path=(), anchor=sol.center_c + 1, width=Fraction(1),
+            height=mpmath.mpf(1))
+    half_turn = 1 + int(3.14159 / float(sol.sub_angle))
+    for parent, k in ((right_of_c, 1), (root, half_turn)):
+        with pytest.raises(ConstructionError, match="spacing assumption"):
+            cons.child_rect(parent, k)
 
 
 def test_first_child_rect_height_is_height_scale(cons, strict_table):
@@ -116,6 +171,13 @@ def test_first_child_rect_height_is_height_scale(cons, strict_table):
         diff = abs(float(r.height - frac_to_mpf(strict_table.Delta_(2))))
     sol = cons.sol(1)
     assert diff <= float(sol.residual) * float(sol.radius) * 4 + 1e-30
+
+
+def orbit_factors(sol, hi) -> tuple:
+    """The count predicate's step and bound factors, expm1_turn(1) and
+    expm1_turn(hi)."""
+    with workprec(sol.prec):
+        return sol.expm1_turn(1), sol.expm1_turn(hi)
 
 
 def test_count_children_matches_enumeration_oracle(cons, strict_table):
@@ -132,7 +194,8 @@ def test_count_children_matches_enumeration_oracle(cons, strict_table):
             else:
                 break
     hi = count_search_bound(strict_table, 1)
-    assert count_children(parent, sol, hi, cons.anchor_error(2)) == kept
+    assert count_children(parent, sol, hi, cons.anchor_error(2),
+                          *orbit_factors(sol, hi)) == kept
     assert cons.N(1) == kept
 
 
@@ -204,7 +267,8 @@ def assert_counts_match_reference(cons, parents, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(hierarchy, "child_anchor", counted)
             got = count_children(parent, sol, hi,
-                                 cons.anchor_error(parent.level + 1))
+                                 cons.anchor_error(parent.level + 1),
+                                 *orbit_factors(sol, hi))
         assert len(evals) <= 4, parent.path
         assert got == reference_count(parent, sol, hi, cons.prec), parent.path
 
@@ -260,14 +324,19 @@ def walk_from_origin(cons, path):
 def test_anchor_by_path_from_materialized_prefix(request, name):
     # Walks that start at the materialized level 2 give the origin walk's
     # values exactly; indices beyond a level's count fall back to the walk.
+    # An index that winds the orbit past the top of its circle addresses no
+    # rectangle: its step to the next sibling points down, and it is
+    # refused.
     cons = request.getfixturevalue(name)
     cons.level(2)
     built = set(cons._levels)
-    N1 = cons.N(1)
+    N1, N2 = cons.N(1), cons.N(2)
     paths = cons.sample_parent_paths(3, 30, random.Random(17))
-    paths += [(), (1,), (N1,), (N1, 1), (N1 + 1, 5), (3, 10**30)]
+    paths += [(), (1,), (N1,), (N1, 1), (N1 + 1, 5), (3, N2 + 1)]
     for p in paths:
         assert cons.anchor_by_path(p) == walk_from_origin(cons, p), p
+    with pytest.raises(ConstructionError, match="spacing assumption"):
+        cons.anchor_by_path((3, 10**30))
     assert set(cons._levels) == built
 
 
@@ -333,16 +402,17 @@ def fraction_anchors_float64(cons, paths) -> tuple:
 
 def test_integer_step_matches_fraction_step_bit_for_bit(strict4_cons):
     # Strict depth 4, level-4 sampled paths: the last indices pass 2**64.
+    # Each mpmath step, on its integer angle, lies within the local frame's
+    # bound of the world form on the Fraction angle at 4x the precision, and
+    # the lazy anchor is that walk; the float64 anchors and bound equal the
+    # Fraction-step oracle's bit for bit.
     cons = strict4_cons
     paths = cons.sample_parent_paths(4, 20, random.Random(4))
     assert max(p[-1] for p in paths) > 2**64
     for path in paths:
         a = mpmath.mpc(0, 0)
         for j, k in enumerate(path):
-            sol = cons.sol(j + 1)
-            assert child_anchor(a, sol, k) \
-                == fraction_child_anchor(a, sol, k), (path, j)
-            a = fraction_child_anchor(a, sol, k)
+            a = assert_child_anchor_within_bound(a, cons.sol(j + 1), k)
         assert cons.anchor_by_path(path) == a
     got, e = cons.anchors_float64(paths)
     ref, e_ref = fraction_anchors_float64(cons, paths)
@@ -391,7 +461,8 @@ def test_count_children_rejects_undersized_bound(cons):
     parent = cons.level(1).rects[0]
     with pytest.raises(ConstructionError,
                        match="monotone-exit assumption violated"):
-        count_children(parent, cons.sol(1), cons.N(1), cons.anchor_error(2))
+        count_children(parent, cons.sol(1), cons.N(1), cons.anchor_error(2),
+                       *orbit_factors(cons.sol(1), cons.N(1)))
 
 
 def test_count_predicate_decides_by_the_report_rule(cons, monkeypatch):
@@ -405,7 +476,7 @@ def test_count_predicate_decides_by_the_report_rule(cons, monkeypatch):
         slack = mpmath.fmul(factor, err, exact=True)
         monkeypatch.setattr(hierarchy.RectNode, "contain_slack",
                             lambda self, z: slack)
-        return count_children(parent, sol, hi, err)
+        return count_children(parent, sol, hi, err, *orbit_factors(sol, hi))
 
     assert count_at(-MARGIN_FACTOR) == 0  # every anchor decided outside
     with pytest.raises(ConstructionError, match="monotone-exit"):
@@ -553,10 +624,13 @@ def test_product_lower_bound(cons, strict_table):
 
 
 def test_anchor_by_path_basics(cons):
-    with workprec(cons.prec):
-        assert cons.anchor_by_path([1, 1]) == 0
-        for k in (2, 7, 16):
-            assert abs(cons.anchor_by_path([k]) - arc_point(cons.sol(1), k)) < 1e-40
+    sol = cons.sol(1)
+    assert cons.anchor_by_path([1, 1]) == 0
+    for k in (2, 7, 16):
+        a = cons.anchor_by_path([k])
+        with workprec(4 * cons.prec):
+            assert abs(a - arc_point(sol, k, 4 * cons.prec)) \
+                <= local_step_bound(0, sol, a)
 
 
 def test_anchor_by_path_matches_stepwise_composition(cons):
@@ -580,18 +654,21 @@ def test_anchor_by_path_matches_stepwise_composition(cons):
 
 
 def reference_level(cons, n):
-    """The former `build_level` loop: the first N(n - 1) children of every
-    level-(n - 1) rectangle from one shared list of child anchors."""
-    sol, N = cons.sol(n - 1), cons.N(n - 1)
+    """The former `build_level` loop at 4x the working precision:
+    (level, path, width, anchor, height) of the first N(n - 1) children of
+    every level-(n - 1) rectangle, from one shared list of world-form child
+    anchors of the built parent, each height the difference of two of
+    them."""
+    sol, N, prec = cons.sol(n - 1), cons.N(n - 1), 4 * cons.prec
     rects = []
-    with workprec(cons.prec):
+    with workprec(prec):
         for parent in cons.level(n - 1).rects:
-            anchors = [child_anchor(parent.anchor, sol, k)
+            anchors = [fraction_child_anchor(parent.anchor, sol, k, prec=prec)
                        for k in range(1, N + 2)]
             for k in range(1, N + 1):
-                rects.append(child_rect(anchors[k - 1], anchors[k],
-                                        cons.table.delta_(n), level=n,
-                                        path=parent.path + (k,)))
+                rects.append((n, parent.path + (k,), cons.table.delta_(n),
+                              anchors[k - 1],
+                              anchors[k].imag - anchors[k - 1].imag))
     return rects
 
 
@@ -601,11 +678,27 @@ def rect_fields(r):
 
 @pytest.mark.parametrize("name", ["cons", "strict4_cons", "demo4_cons"])
 def test_level_matches_reference_loop(request, name):
+    # Paths and widths exactly; anchors within the local frame's bound, and
+    # heights, Im((a_k - c)*E_1), within |E_1| times it plus their own
+    # product's rounding (`child_anchor`'s analysis with one more product).
     cons = request.getfixturevalue(name)
     ref = reference_level(cons, 2)
-    assert len(ref) == 16
-    assert list(map(rect_fields, cons.level(2).rects)) == \
-        list(map(rect_fields, ref))
+    rects = cons.level(2).rects
+    assert len(ref) == len(rects) == 16
+    sol, parent = cons.sol(1), cons.level(1).rects[0]
+    with workprec(4 * cons.prec):
+        E1 = abs(sol.expm1_turn(1))
+        # The reference height subtracts two anchors, each within a few
+        # 2**(-4*prec) of |c|.
+        oracle = mpmath.ldexp(32 * (abs(mpmath.mpc(*sol.center)) + 1),
+                              -4 * cons.prec)
+        for r, (level, path, width, anchor, height) in zip(rects, ref):
+            assert (r.level, r.path, r.width) == (level, path, width)
+            bound = local_step_bound(parent.anchor, sol, r.anchor)
+            assert abs(r.anchor - anchor) <= bound, path
+            step_bound = (E1 * bound + mpmath.ldexp(16 * height, -cons.prec)
+                          + oracle)
+            assert abs(r.height - height) <= step_bound, path
 
 
 def test_by_path_reads_return_the_built_rect(strict_table, strict_arcs,
@@ -780,7 +873,7 @@ def test_y_projection_checks_split_siblings_from_cousins(cons, shallow_cons):
     # pair has different parents.
     checks = {e.name: e for e in verify_level_invariants(cons, 2).entries}
     siblings = checks["y-projections of siblings share an endpoint"]
-    assert siblings.status == "pass" and siblings.margin == 0
+    assert siblings.status == "pass" and abs(siblings.margin) <= siblings.bound
     assert "y-projections of different parents' children disjoint" not in checks
     assert checks["rectangles contained in the unit square"].status == "pass"
     # A shallow table whose level 3 (3,856 rectangles) materializes: children
@@ -970,8 +1063,8 @@ def test_worst_deviation_equals_the_per_value_min(data):
 
 def test_sampled_spacing_work_at_a_materialized_parent_level(cons,
                                                              monkeypatch):
-    # Level 2 is built and its counts are known: each pair costs one expj,
-    # and no anchor is evaluated.
+    # Level 2 is built and its counts are known: each pair the screen keeps
+    # costs one child anchor, and no expj is made.
     cons.counts(2)
     calls = {"child_anchor": 0, "expj": 0}
 
@@ -986,8 +1079,8 @@ def test_sampled_spacing_work_at_a_materialized_parent_level(cons,
     monkeypatch.setattr(mpmath, "expj", counted("expj", mpmath.expj))
     report = verify_spacing(cons, 3, n_samples=200, rng=random.Random(3))
     assert report.ok and report.stats["pairs"] == 200
-    assert calls["child_anchor"] == 0
-    assert 0 < calls["expj"] <= 200 + 1
+    assert 1 <= calls["child_anchor"] <= 8
+    assert calls["expj"] == 0
 
 
 def test_per_level_count_constants_found_once(strict_table, strict_arcs,
@@ -1069,6 +1162,49 @@ def test_deep_counts_against_an_independent_containment_oracle(strict5_cons,
         assert classify(outside, err) == FAIL, parent.path
 
 
+def counted_child_anchor(monkeypatch) -> list:
+    """Record every `child_anchor` call made through the hierarchy module."""
+    calls = []
+    monkeypatch.setattr(hierarchy, "child_anchor",
+                        lambda *args: calls.append(args) or child_anchor(*args))
+    return calls
+
+
+def test_lazy_rect_builds_one_child_anchor_per_lazy_index(strict5_cons,
+                                                         monkeypatch):
+    # Level 2 is built, so a path's first index reads a built rectangle and
+    # each later one costs one orbit point: the height needs no second one.
+    cons = Construction(strict5_cons.table, sols=strict5_cons.sols)
+    cons.level(2)
+    paths = cons.sample_parent_paths(5, 10, random.Random(8))
+    paths += [p[:j] for p in paths[:3] for j in range(4)]
+    paths += [(cons.N(1) + 1, 1), (cons.N(1) + 1,)]  # past the built level
+    calls = counted_child_anchor(monkeypatch)
+    for p in paths:
+        lazy = len(p) - 1 if p and 1 <= p[0] <= cons.N(1) else len(p)
+        calls.clear()
+        cons.rect_by_path(p)
+        assert len(calls) == lazy, p
+
+
+@pytest.mark.parametrize("parent_level", [3, 4, 5])
+def test_sample_parent_paths_builds_each_lazy_prefix_once(strict5_cons,
+                                                         parent_level,
+                                                         monkeypatch):
+    # Strict depth 5 counts levels 1 and 2 exactly; each index drawn from a
+    # per-parent count (parent_level - 3 per path) costs one orbit point,
+    # from the rectangle the draw carries down its path.  A second draw from
+    # the same seed, every count now cached, gives the same paths.
+    cons = Construction(strict5_cons.table, sols=strict5_cons.sols)
+    cons.level(2)
+    cons.counted_depth()
+    calls = counted_child_anchor(monkeypatch)
+    paths = cons.sample_parent_paths(parent_level, 20, random.Random(6))
+    assert len(calls) == 20 * (parent_level - 3)
+    assert paths == cons.sample_parent_paths(parent_level, 20,
+                                             random.Random(6))
+
+
 @pytest.mark.parametrize("name, level", [("strict4_cons", 3),
                                          ("demo4_cons", 3)])
 def test_count_search_work_guard(request, name, level, monkeypatch):
@@ -1078,7 +1214,7 @@ def test_count_search_work_guard(request, name, level, monkeypatch):
     cons = request.getfixturevalue(name)
     fresh = Construction(cons.table, sols=cons.sols)
     parents = sampled_parents(fresh, level, 60, 3)
-    assert level not in fresh._searches
+    assert level not in fresh._consts
     turns, anchors = [], []
     expm1_turn = type(fresh.sol(level)).expm1_turn
 
