@@ -103,6 +103,21 @@ def short_repr(x: Fraction) -> str:
     return f"{sign}~2^{floor_log2(mag)}"
 
 
+def exact_str(x) -> str:
+    """str(x) of a rational wherever Python writes it, within its limit on
+    the decimal digits of an int (`sys.get_int_max_str_digits()`, 4,300 by
+    default).  Past that limit a reciprocal power of two, as every width and
+    angle step of a table is, is written exactly as 2^-k, the form
+    `parse_rational` reads; any other rational still raises ValueError."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        if not is_pow2_reciprocal(x):
+            raise
+    return short_repr(x)
+
+
 def parse_rational(text) -> Fraction:
     """Parse "2^-4", "3/4", "0.25", "1e-3" or plain integers into a
     Fraction; a malformed value (a zero denominator, a missing key, a power

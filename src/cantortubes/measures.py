@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dyadic import exact_str
 from .hierarchy import Construction
 from .numerics import workprec
 from .raster import RasterResult, rasterize
@@ -97,7 +98,8 @@ class DimensionEstimate:
     def to_json(self) -> dict:
         return {
             "levels": list(self.levels),
-            "scales": [{"delta": str(d), "count": c} for d, c in self.scales],
+            "scales": [{"delta": exact_str(d), "count": c}
+                       for d, c in self.scales],
             "covering_sums": list(self.covering_sums),
             "slope": self.slope,
             "target": self.target,
@@ -157,7 +159,7 @@ def dimension_bound_report(cons: Construction, n: int,
     }
     if n + 1 <= table.depth:
         ratio = table.Delta_(n + 1) / table.Delta_(n)
-        out["neighborhood_radius"] = str(table.theta_(n + 1))
+        out["neighborhood_radius"] = exact_str(table.theta_(n + 1))
         out["bound_ratio"] = float(ratio)
         if measured is not None:
             out["measured_area"] = measured.value

@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
-from .dyadic import dyadic_to_json, parse_rational
+from .dyadic import dyadic_to_json, exact_str, parse_rational
 from .errors import CantorTubesError
 from .hierarchy import (
     DEFAULT_MATERIALIZATION_CAP,
@@ -318,7 +318,7 @@ def _dimension(run: _Run) -> bool:
     })
     lines = ["level,scale,count,covering_sum,slope"]
     for p, (d, cnt), s in zip(dim.levels, dim.scales, dim.covering_sums):
-        lines.append(f"{p},{d},{cnt},{s!r},{dim.slope!r}")
+        lines.append(f"{p},{exact_str(d)},{cnt},{s!r},{dim.slope!r}")
     run.write("dimension.csv", "\n".join(lines) + "\n")
     return True
 

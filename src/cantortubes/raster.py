@@ -18,12 +18,13 @@ and every range is bit-identical to solving both slabs on every row.
 
 In a dense fan of tubes most ranges land on cells that other boxes cover
 on every row anyway.  The painter walks the frame once, in blocks of rows.
-In each block it skips the boxes whose ranges there all lie in cells that
-the boxes spanning the block cover on each of its rows (`_Boxes.cull`),
-then paints the kept boxes band by band.  A block is no shorter than an
-average band, and a set too small to thin out any block is walked as one
-block.  Each set's union, hence every count, is unchanged cell for cell,
-and work grows with the kept ranges.
+In each block it keeps the fewest boxes spanning the block that cover,
+on each of its rows, what all the spanning boxes cover there (a greedy
+minimal interval cover), skips every other box whose ranges there all lie
+in those cells (`_Boxes.cull`), then paints the kept boxes band by band.
+A block is no shorter than an average band, and a set too small to thin
+out any block is walked as one block.  Each set's union, hence every
+count, is unchanged cell for cell, and work grows with the kept ranges.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ MAX_CELLS = 80_000_000
 # stage 2), against 177 bytes a range when both slabs were solved on every
 # row, so a band takes under 0.7 MB, as 4,096 two-slab ranges did.  A band
 # holds whole rows, and its run bookkeeping covers every kept box it
-# crosses; unculled, in the middle of the default stage 2, 8,192 gives two
-# rows of about 3,600 ranges against some 4,000 boxes, where 4,096 gave one
-# row and left the split no faster than solving both slabs everywhere.
+# crosses; in the middle of the default stage 2 a band holds some 26 rows,
+# about 7,500 ranges of the 270 or so boxes the cull keeps there.
 _BAND_ENTRIES = 1 << 13
 
 
@@ -187,16 +187,18 @@ class _Boxes:
     covers, in the full class, I = [max il, min ih) of its ranges at the
     block's two end rows on every row of the block.  Swept in order of
     start, the ranges I that reach past the running maximum (U) have the
-    union K of them all.  A box's hull, [min il, max ih) of its first slab's
-    touched ranges at its first and last row in the block, holds every range
-    it paints there in every class: the touched half-width is the widest,
-    the second slab only narrows a range, and a class shrunk to nothing
-    paints nothing.  So a box outside U whose hull lies in one component of
-    K paints only cells that U covers on the same row in the full class,
-    hence in its own; skipping it leaves each set's union as it is.  The
-    cull's bounds come from the same `_axis_interval` and `_columns` calls
-    as `ranges` (the middle's one-slab ranges being bit-identical), so no
-    rounding margin is needed.  A flat first slope, whose bound leaves the
+    union K of them all, and so does a greedy minimal cover G of K drawn
+    from U (`_cover`), often a small part of it.  A box's hull,
+    [min il, max ih) of its first slab's touched ranges at its first and
+    last row in the block, holds every range it paints there in every
+    class: the touched half-width is the widest, the second slab only
+    narrows a range, and a class shrunk to nothing paints nothing.  So a
+    box outside G whose hull lies in one component of K paints only cells
+    that G covers on the same row in the full class, hence in its own;
+    skipping it leaves each set's union as it is.  The cull's bounds come
+    from the same `_axis_interval` and `_columns` calls as `ranges` (the
+    middle's one-slab ranges being bit-identical), so no rounding margin is
+    needed.  A flat first slope, whose bound leaves the
     hull open as it is not monotone, or a bound that is not finite keeps a
     box out of the cull (`_family_slabs` puts a flat slope second, so the
     first is not flat in practice).  A block reached by no more boxes than
@@ -314,19 +316,10 @@ class _Boxes:
         if not len(span):
             return box
         span = span[np.argsort(cl[span], kind="stable")]
-        cl, ch = cl[span], ch[span]
-        reach = np.maximum.accumulate(ch)
-        # Components of the cover start where a range starts past the reach
-        # of those before it; U holds the ranges that extend the reach.
-        new = np.ones(len(span), dtype=bool)
-        new[1:] = cl[1:] > reach[:-1]
-        extends = new.copy()
-        extends[1:] |= ch[1:] > reach[:-1]
-        first = np.flatnonzero(new)
-        k_lo, k_hi = cl[first], reach[np.append(first[1:] - 1, len(span) - 1)]
+        chosen, k_lo, k_hi = _cover(cl[span], ch[span])
         k = np.searchsorted(k_lo, hl, side="right") - 1
         skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
-        skip[span[extends]] = False
+        skip[span[chosen]] = False
         return box[~skip]
 
     def _entries(self, r0: int, r1: int, boxes):
@@ -381,6 +374,36 @@ class _Boxes:
         if self.gone is not None:
             ih[self.gone.take(idx, axis=1)] = 0
         return rows, il, ih
+
+
+def _cover(cl, ch):
+    """A greedy minimal cover G of the union K of the integer ranges
+    [cl, ch), cl < ch, sorted by cl: the indices of G, and the start and
+    end of each component of K.  The ranges that extend the running reach
+    (U) have the union K, and their ends increase, so among the ranges that
+    start at or before a column the last such in U reaches farthest.  On
+    each component, from its start, G takes that range at the current
+    reach until the reach is the component's end: the classic greedy
+    interval cover, minimal per component, and a subset of U."""
+    reach = np.maximum.accumulate(ch)
+    extends = np.ones(len(cl), dtype=bool)
+    extends[1:] = ch[1:] > reach[:-1]
+    u = np.flatnonzero(extends)
+    cl, ch = cl[u], ch[u]
+    # A component starts where a range starts past the reach before it.
+    first = np.flatnonzero(cl[1:] > ch[:-1]) + 1
+    last = np.append(first - 1, len(u) - 1)
+    first = np.insert(first, 0, 0)
+    # after[j]: the last range of U that starts at or before ch[j].
+    after = (np.searchsorted(cl, ch, side="right") - 1).tolist()
+    starts = np.searchsorted(cl, cl[first], side="right") - 1
+    chosen = []
+    for j, end in zip(starts.tolist(), last.tolist()):
+        chosen.append(j)
+        while j != end:
+            j = after[j]
+            chosen.append(j)
+    return u[chosen], cl[first], ch[last]
 
 
 def _split(solves, r0: int, nx: int):

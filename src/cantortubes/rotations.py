@@ -127,6 +127,7 @@ class RotationFamily:
         self._memo: dict[Fraction, tuple] = {}
         self._orbit: dict[tuple, object] = {}   # (n, k): origin's anchor k + 1
         self._coarse: dict[tuple, object] = {}  # (n, j): exp(-i*j*theta_n)
+        self._tails: dict[int, Fraction] = {}   # m: tail_bound(m)
         self._families: dict[tuple, TubeFamily] = {}
         self._family_tubes = 0
 
@@ -206,12 +207,15 @@ class RotationFamily:
         """Certified bound on ||v(theta) - v(Theta_m)||: the increment chain
         2*Delta_j from level m through the table depth, plus the geometric
         tail beyond the table (next height scale is at most c*delta_D^e and
-        the scales at least halve)."""
-        table = self.cons.table
-        D = table.depth
-        tail = sum((2 * table.Delta_(j) for j in range(m, D + 1)), Fraction(0))
-        beyond = table.c * table.delta_(D) ** p2_exponent(table.profile, D)
-        return tail + 4 * beyond
+        the scales at least halve); formed once per m."""
+        if m not in self._tails:
+            table = self.cons.table
+            D = table.depth
+            tail = sum((2 * table.Delta_(j) for j in range(m, D + 1)),
+                       Fraction(0))
+            beyond = table.c * table.delta_(D) ** p2_exponent(table.profile, D)
+            self._tails[m] = tail + 4 * beyond
+        return self._tails[m]
 
     def v_limit(self, theta) -> VLimitResult:
         """v at any angle in [0, 1] as the left limit: evaluate at the grid
@@ -457,15 +461,17 @@ def verify_translation_invariants(rf: RotationFamily,
 
     incs, honesty = [], []
     with workprec(cons.prec):
+        # Per level m: twice the height scale, and the bound certified after
+        # evaluating at level m, which refining by one level stays within.
+        bounds = [(frac_to_mpf(2 * table.Delta_(m)),
+                   frac_to_mpf(rf.tail_bound(m))) for m in range(1, depth)]
         for _ in range(n_thetas):
             theta = Fraction(rng.random()).limit_denominator(10**12)
             evals = dict(rf.v_limit(theta).evaluations)
-            for m in range(1, depth):
+            for m, (scale, tail) in enumerate(bounds, start=1):
                 inc = abs(evals[m + 1] - evals[m])
-                incs.append(frac_to_mpf(2 * table.Delta_(m)) - inc)
-                # Refining by one level moves the value by at most the bound
-                # certified after evaluating at level m.
-                honesty.append(frac_to_mpf(rf.tail_bound(m)) - inc)
+                incs.append(scale - inc)
+                honesty.append(tail - inc)
         # v at grid level m is built from child-anchor orbit points about
         # the centres of arcs 1..m - 1, as a level-m anchor is.
         err = cons.anchor_error(depth)

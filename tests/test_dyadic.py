@@ -8,6 +8,7 @@ from cantortubes.dyadic import (
     ceil_frac,
     dyadic_from_json,
     dyadic_to_json,
+    exact_str,
     floor_frac,
     floor_log2,
     is_dyadic,
@@ -79,3 +80,20 @@ def test_parse_rational():
                 "1e-1_000_000_000", "1ex"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_exact_str_is_str_within_the_digit_limit(x):
+    assert exact_str(x) == str(x)
+
+
+def test_exact_str_past_the_digit_limit():
+    # str() raises here: the denominator has 30,005 decimal digits, past
+    # the 4,300 that Python converts.
+    x = pow2(-99_674)
+    with pytest.raises(ValueError):
+        str(x)
+    assert exact_str(x) == "2^-99674"
+    assert parse_rational(exact_str(x)) == x
+    with pytest.raises(ValueError):
+        exact_str(3 * x)

@@ -1074,3 +1074,60 @@ def test_overlap_bracket_holds_exact_difference_area(seed):
         - exact_union_area(boxes_b)
     assert est.lower <= exact <= est.upper
     assert exact > 0
+
+
+def test_default_stage2_unions_a_tenth_of_its_ranges(rf, strict_table,
+                                                     monkeypatch):
+    # The cull keeps a minimal cover of each block's spanning ranges, so
+    # the painter unions under a tenth of the 7,388,595 (box, row) ranges.
+    fams = rf.besicovitch_stage(2)
+    radius = float(strict_table.theta_(2))
+    unioned = []
+    union = raster._union_cells
+
+    def counted(starts, ends):
+        unioned.append(starts.shape[-1])
+        return union(starts, ends)
+
+    monkeypatch.setattr(raster, "_union_cells", counted)
+    assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
+    assert sum(unioned) <= 0.1 * 7388595
+
+
+@st.composite
+def integer_ranges(draw):
+    """Up to 9 ranges [cl, ch) on three stretches 20 columns apart: short
+    and few enough that starts tie, ends touch starts and the union falls
+    into several components."""
+    picks = draw(st.lists(st.tuples(st.sampled_from([0, 20, 40]),
+                                    st.integers(0, 8), st.integers(1, 6)),
+                          min_size=1, max_size=9))
+    ranges = sorted(((base + a, base + a + n) for base, a, n in picks),
+                    key=lambda r: r[0])
+    return tuple(np.array(v, dtype=np.int32) for v in zip(*ranges))
+
+
+@given(integer_ranges())
+@settings(max_examples=300, deadline=None)
+@example((np.array([0, 0, 2, 3, 3, 9]), np.array([2, 3, 3, 5, 4, 10])))
+def test_cover_is_a_minimal_cover_drawn_from_the_reach_extenders(ranges):
+    cl, ch = ranges
+    n = len(cl)
+    chosen, k_lo, k_hi = raster._cover(cl, ch)
+
+    def cells(idx):
+        return set().union(*(range(cl[i], ch[i]) for i in idx))
+
+    union = cells(range(n))
+    assert cells(chosen) == union
+    assert len(set(chosen.tolist())) == len(chosen)
+    # The components: disjoint, apart, ordered, and together the union.
+    assert (k_lo < k_hi).all() and (k_lo[1:] > k_hi[:-1]).all()
+    assert set().union(*map(range, k_lo, k_hi)) == union
+    # The ranges that extend the running reach, swept in order of start.
+    extenders = {i for i in range(n) if i == 0 or ch[i] > ch[:i].max()}
+    assert set(chosen.tolist()) <= extenders
+    fewest = next(k for k in range(1, n + 1)
+                  if any(cells(c) == union
+                         for c in itertools.combinations(range(n), k)))
+    assert len(chosen) == fewest

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantortubes import errors, hierarchy
 from cantortubes.cli import main
+from cantortubes.dyadic import parse_rational
 from cantortubes.errors import BracketError, FeasibilityError, GridTooLargeError
 from cantortubes.pipeline import (
     PipelineError,
@@ -579,6 +580,28 @@ def test_cli_config_sweep(s, c, depth, profile, **samples):
             assert manifest["ok"] == (rc == 0)
             verify = json.loads((out / "verify.json").read_text())
             assert set(verify["expected_failures"]) <= EXPECTED_FAILURES
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--s", "1/64", "--c", "2^-4", "--depth", "3"],
+     RunConfig(s=Fraction(1, 64), depth=3)),
+    (["--s", "1/100", "--profile", "demo"],
+     RunConfig(s=Fraction(1, 100), profile="demo")),
+])
+def test_cli_writes_widths_past_the_int_digit_limit(tmp_path, args, config):
+    # delta_3's denominator has 30,005 (strict) and 48,648 (demo) decimal
+    # digits, past what str() converts; the dimension stage writes it
+    # exactly, and every width both files give parses back to the table's.
+    assert main(["--out", str(tmp_path), "pipeline", *args]) == 0
+    table = rotation_family(config).cons.table
+    dim = json.loads((tmp_path / "dimension.json").read_text())
+    with open(tmp_path / "dimension.csv") as f:
+        rows = list(csv.DictReader(f))
+    widths = [table.delta_(p) for p in range(1, 4)]
+    assert [parse_rational(s["delta"])
+            for s in dim["estimate"]["scales"]] == widths
+    assert [parse_rational(r["scale"]) for r in rows] == widths
+    assert dim["estimate"]["scales"][2]["delta"].startswith("2^-")
 
 
 def test_verify_makes_no_expj_in_hierarchy(tmp_path, monkeypatch):
