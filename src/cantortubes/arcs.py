@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath
+from mpmath.libmp import dps_to_prec
 
 from .dyadic import is_dyadic
 from .errors import BracketError, FeasibilityError
@@ -104,13 +105,25 @@ class ArcSolution:
                 "level": self.level,
                 "precision_bits": self.prec,
                 "decimal_digits": dps,
-                "center": [mpmath.nstr(v, dps) for v in self.center],
-                "radius": mpmath.nstr(self.radius, dps),
+                "center": [_decimal(v, dps) for v in self.center],
+                "radius": _decimal(self.radius, dps),
                 "sub_angle": str(self.sub_angle),
-                "achieved": mpmath.nstr(self.achieved, dps),
-                "q": [mpmath.nstr(v, dps) for v in self.q],
-                "residual": mpmath.nstr(self.residual, dps),
+                "achieved": _decimal(self.achieved, dps),
+                "q": [_decimal(v, dps) for v in self.q],
+                "residual": _decimal(self.residual, dps),
             }
+
+
+def _decimal(x, dps: int) -> str:
+    """`mpmath.nstr(x, dps)` wherever that call succeeds.  Past Python's
+    limit on the decimal digits of an int (a value far below 1 held to
+    thousands of bits, as deep arcs' q is) x is first rounded to the
+    precision dps digits need, then formatted."""
+    try:
+        return mpmath.nstr(x, dps)
+    except ValueError:
+        with workprec(dps_to_prec(dps)):
+            return mpmath.nstr(+x, dps)
 
 
 def _angle_at_center(ax, ay, h):

@@ -534,13 +534,17 @@ def _worst_deviation(bound, centre, values):
 def _sampled_pairs(cons: Construction, n: int, n_samples: int,
                    rng: random.Random):
     """(parent, k) of one consecutive-children pair k, k + 1 per sampled
-    level-n parent: all parent paths are drawn from `rng` first, then one k
-    per path whose count is at least 1."""
-    rect = lru_cache(maxsize=None)(cons.rect_by_path)
+    level-n parent, both children in level n + 1: all parent paths are
+    drawn from `rng` first, then one k per path from 1..N(n) - 1 while level
+    n is counted (level n + 1 keeps the first N(n) children of each parent),
+    from 1..count - 1 beyond.  A parent with fewer than two children is
+    skipped."""
+    counted = n < cons.counted_depth()
     for ppath in cons.sample_parent_paths(n, n_samples, rng):
-        cnt = cons.count_children_of(rect(ppath))
-        if cnt >= 1:
-            yield rect(ppath), rng.randint(1, cnt)
+        parent = cons.rect_by_path(ppath)
+        kids = cons.N(n) if counted else cons.count_children_of(parent)
+        if kids >= 2:
+            yield parent, rng.randint(1, kids - 1)
 
 
 def _increments(cons: Construction, n: int, pairs) -> list:

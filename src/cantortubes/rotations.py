@@ -5,7 +5,9 @@ chosen so that consecutive rotated copies overlap heavily.  On the dyadic
 angle grid (multiples of the per-level angle steps) v is defined by a
 three-case recursion over `child_anchor` orbit points; elsewhere it is the
 left limit along the grid, with a certified Cauchy tail bound.  `v_limit`
-serves any angle, exactly (bound 0) on the grid.  Tube families inflate a
+serves any angle, exactly (bound 0) on the grid.  The recursion runs on
+integer pairs (m, i), the angle i*theta_m, split by divmod; a public angle
+becomes its finest-grid index once, at entry.  Tube families inflate a
 level's rectangles, rotate them, and translate them by v; their union over
 one level's grid is the level's stage of the covering set.  Both v and the
 tube families are built once per `RotationFamily` and then shared.
@@ -124,7 +126,7 @@ class RotationFamily:
 
     def __init__(self, cons: Construction):
         self.cons = cons
-        self._memo: dict[Fraction, tuple] = {}
+        self._memo: dict[tuple, tuple] = {}     # (m, i): v at i*theta_m, case
         self._orbit: dict[tuple, object] = {}   # (n, k): origin's anchor k + 1
         self._coarse: dict[tuple, object] = {}  # (n, j): exp(-i*j*theta_n)
         self._tails: dict[int, Fraction] = {}   # m: tail_bound(m)
@@ -138,54 +140,54 @@ class RotationFamily:
         counts of every coarser level: the construction's `counted_depth()`."""
         return self.cons.counted_depth()
 
-    def _on_grid(self, theta: Fraction, m: int) -> bool:
-        """Does the level-m step divide theta (refused outside [0, 1])?"""
+    def _steps(self, n: int, m: int) -> int:
+        """theta_n/theta_m for n <= m, a power of two (`validate_sequences`):
+        the ratio of the steps' denominators."""
+        table = self.cons.table
+        return table.theta_(m).denominator // table.theta_(n).denominator
+
+    def _grid_index(self, theta: Fraction) -> tuple:
+        """(floor(theta/theta_G), theta on that grid?) for the finest usable
+        grid G, refused outside [0, 1]."""
         if not 0 <= theta <= 1:
             raise ValueError(f"angle must lie in [0, 1], got {theta}")
-        return (theta / self.cons.table.theta_(m)).denominator == 1
-
-    def grid_level_of(self, theta: Fraction) -> int:
-        """Coarsest level whose step divides theta."""
-        theta = Fraction(theta)
-        for m in range(1, self.grid_depth() + 1):
-            if self._on_grid(theta, m):
-                return m
-        raise OffGridError(
-            f"{theta} is not a multiple of any usable grid step "
-            f"(finest: level {self.grid_depth()}); use v_limit")
+        i, rest = divmod(theta, self.cons.table.theta_(self.grid_depth()))
+        return i, rest == 0
 
     # -- translation vectors ---------------------------------------------------
 
     def v(self, theta: Fraction):
         """Translation vector on the dyadic angle grid (exact recursion)."""
-        return self._v_tagged(Fraction(theta))[0]
+        theta = Fraction(theta)
+        i, on_grid = self._grid_index(theta)
+        if not on_grid:
+            raise OffGridError(f"{theta} is off the finest usable grid "
+                               f"(level {self.grid_depth()}); use v_limit")
+        return self._v(self.grid_depth(), i)[0]
 
-    def _v_tagged(self, theta: Fraction) -> tuple:
-        if theta not in self._memo:
-            self._memo[theta] = self._v_recursion(theta)
-        return self._memo[theta]
+    def _v(self, m: int, i: int) -> tuple:
+        """(v, case) at the angle i*theta_m, memoised by (m, i)."""
+        if (m, i) not in self._memo:
+            self._memo[m, i] = self._v_recursion(m, i)
+        return self._memo[m, i]
 
-    def _v_recursion(self, theta: Fraction) -> tuple:
-        """v at theta = j*theta_n + (q*N_n + k)*theta_m, m = n + 1 its grid
-        level.  The origin's orbit point child_anchor(0, sol_n, k + 1) is
-        kept per (n, k), and the coarse rotation exp(-i*j*theta_n) per
-        (n, j): a level's table meets each of them once per j or k, not once
-        per entry.  Each is built once by the expression it replaces, at the
-        construction's precision, so every v is bit for bit the one built
-        without them."""
-        m = self.grid_level_of(theta)
-        if m == 1:  # theta = 0 included
+    def _v_recursion(self, m: int, i: int) -> tuple:
+        """v at i*theta_m = j*theta_n + K*theta_m, n = m - 1: the coarser
+        level's v when K = 0, else with K = q*N_n + k.  The origin's orbit
+        point child_anchor(0, sol_n, k + 1) is kept per (n, k), and the
+        coarse rotation exp(-i*j*theta_n) per (n, j): a level's table meets
+        each of them once per j or k, not once per entry.  Each is built
+        once by the expression it replaces, at the construction's
+        precision, so every v is bit for bit the one built without them."""
+        if m == 1:  # every multiple of theta_1, 0 included
             return mpmath.mpc(0, 0), CASE_ROTATION_ONLY
-        table = self.cons.table
         n = m - 1
-        theta_n = table.theta_(n)
-        theta_m = table.theta_(m)
-        j = floor_frac(theta / theta_n)
-        rem = theta - j * theta_n
-        K = rem / theta_m
-        assert K.denominator == 1
+        theta_n = self.cons.table.theta_(n)
+        j, K = divmod(i, self._steps(n, m))
+        if not K:
+            return self._v(n, j)
         N_n = self.cons.N(n)
-        q, k = divmod(int(K), N_n)
+        q, k = divmod(K, N_n)
         sol = self.cons.sol(n)
         with workprec(self.cons.prec):
             if (n, k) not in self._orbit:
@@ -196,7 +198,7 @@ class RotationFamily:
                 base = mpmath.expj(-sol.turn(q * N_n)) * base
                 case = CASE_ROTATED_ANCHOR
             if j:
-                coarse, _ = self._v_tagged(j * theta_n)
+                coarse, _ = self._v(n, j)
                 if (n, j) not in self._coarse:
                     self._coarse[n, j] = mpmath.expj(-frac_to_mpf(j * theta_n))
                 base = self._coarse[n, j] * base + coarse
@@ -222,12 +224,10 @@ class RotationFamily:
         points below theta on every grid level; the finest value ships with
         its certified bound, 0 when theta lies on the finest usable grid."""
         theta = Fraction(theta)
-        table = self.cons.table
+        i, on_grid = self._grid_index(theta)
         level = self.grid_depth()
-        on_grid = self._on_grid(theta, level)
-        evals = tuple(
-            (m, self.v(floor_frac(theta / table.theta_(m)) * table.theta_(m)))
-            for m in range(1, level + 1))
+        evals = tuple((m, self._v(m, i // self._steps(m, level))[0])
+                      for m in range(1, level + 1))
         return VLimitResult(
             theta=theta, point=evals[-1][1],
             error_bound=0.0 if on_grid else float(self.tail_bound(level)),
@@ -243,10 +243,9 @@ class RotationFamily:
                                      cap=TRANSLATION_TABLE_CAP)
         entries = []
         for idx in range(count):
-            th = idx * step
-            point, case = self._v_tagged(th)
+            point, case = self._v(level, idx)
             entries.append(TranslationEntry(
-                index=idx, theta=th,
+                index=idx, theta=idx * step,
                 x=float(point.real), y=float(point.imag), case=case))
         return entries
 
@@ -310,7 +309,7 @@ class RotationFamily:
         if not 0 <= l < n_fam:
             raise ValueError(f"angle index {l} outside 0..{n_fam - 1}")
         angle = l * step
-        v = self.v(angle)
+        v = self._v(level, l)[0]
         fam = TubeFamily(
             level=level, angle_index=l, angle=angle, variant=variant, C=C,
             half_width=mult * float(C * step),

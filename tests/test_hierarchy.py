@@ -822,6 +822,7 @@ def test_level5_spacing_margins_in_mpmath(depth5, profile):
     cons = depth5(profile)
     table = cons.table
     sol = cons.sol(4)
+    assert cons.counted_depth() < 4  # level-4 parents: per-parent counts
     rng = random.Random(0)
     worst_y = worst_x = mpmath.inf
     with workprec(cons.prec):
@@ -830,7 +831,7 @@ def test_level5_spacing_margins_in_mpmath(depth5, profile):
         stride = frac_to_mpf(table.delta_(4) / table.Delta_(4) * table.Delta_(5))
         for ppath in cons.sample_parent_paths(4, 30, rng):
             parent = cons.rect_by_path(ppath)
-            k = rng.randint(1, cons.count_children_of(parent))
+            k = rng.randint(1, cons.count_children_of(parent) - 1)
             d = (child_anchor(parent.anchor, sol, k + 1)
                  - child_anchor(parent.anchor, sol, k))
             worst_y = min(worst_y, 1 - abs(Delta - d.imag) / bound_y)
@@ -845,12 +846,13 @@ def test_level5_spacing_report_writes_exact_margins(depth5):
     cons = depth5("strict")
     table, sol = cons.table, cons.sol(4)
     report = verify_spacing(cons, 5, n_samples=30, rng=random.Random(0))
+    assert cons.counted_depth() < 4  # level-4 parents: per-parent counts
     rng = random.Random(0)
     with workprec(cons.prec):
         pairs = []
         for ppath in cons.sample_parent_paths(4, 30, rng):
             parent = cons.rect_by_path(ppath)
-            k = rng.randint(1, cons.count_children_of(parent))
+            k = rng.randint(1, cons.count_children_of(parent) - 1)
             pairs.append(child_anchor(parent.anchor, sol, k + 1)
                          - child_anchor(parent.anchor, sol, k))
         bound_y = frac_to_mpf(table.c1 * table.theta_(5))
@@ -889,12 +891,15 @@ def test_y_projection_checks_split_siblings_from_cousins(cons, shallow_cons):
 # -- spacing increments in the arc's local frame ------------------------------
 
 def sampled_pairs(cons, n, n_samples, seed):
-    """(parent, k) of each pair a sampled check draws: the rng replayed."""
+    """(parent, k) of each pair a sampled check draws: the rng replayed, k
+    from 1..N(n) - 1 while level n is counted, from 1..count - 1 beyond."""
     rng = random.Random(seed)
     pairs = []
     for ppath in cons.sample_parent_paths(n, n_samples, rng):
         parent = cons.rect_by_path(ppath)
-        pairs.append((parent, rng.randint(1, cons.count_children_of(parent))))
+        kids = (cons.N(n) if n < cons.counted_depth()
+                else cons.count_children_of(parent))
+        pairs.append((parent, rng.randint(1, kids - 1)))
     return pairs
 
 
@@ -1247,6 +1252,30 @@ def screened_pairs(cons, level, n_samples):
     if n_samples is None:
         return [(p, k) for p in cons.level(n).rects for k in range(1, cons.N(n))]
     return list(_sampled_pairs(cons, n, n_samples, random.Random(level)))
+
+
+@pytest.fixture(scope="module")
+def cap10_cons(strict_table, strict_arcs):
+    """Level 1 materialized only: level 2 is sampled, from N(1) = 16."""
+    return Construction(strict_table, sols=strict_arcs, cap=10)
+
+
+@pytest.mark.parametrize("name, level, n_samples", [
+    ("cons", 3, 2000), ("cap10_cons", 2, 2000), ("strict4_cons", 3, 300),
+    ("strict4_cons", 4, 300), ("demo4_cons", 4, 300)])
+def test_sampled_pairs_lie_in_the_level(request, name, level, n_samples):
+    # Both children k and k + 1 of a sampled pair are level-`level`
+    # rectangles: the first N(n) children of each parent while level n is
+    # counted, the first `count_children_of` beyond.  Every parent here has
+    # at least two children, so each sampled parent yields its pair.
+    cons = request.getfixturevalue(name)
+    n = level - 1
+    pairs = list(_sampled_pairs(cons, n, n_samples, random.Random(level)))
+    assert len(pairs) == n_samples
+    for parent, k in pairs:
+        kids = (cons.N(n) if n < cons.counted_depth()
+                else cons.count_children_of(parent))
+        assert 1 <= k and k + 1 <= kids, (parent.path, k, kids)
 
 
 @pytest.mark.parametrize("name, level, n_samples", SCREEN_CASES)

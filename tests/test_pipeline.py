@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantortubes import errors, hierarchy
+from cantortubes.arcs import solve_table_arcs
 from cantortubes.cli import main
 from cantortubes.dyadic import parse_rational
 from cantortubes.errors import BracketError, FeasibilityError, GridTooLargeError
@@ -28,6 +29,7 @@ from cantortubes.render import render_arc_diagram, render_gamma_theta, \
     render_level_set, render_tube_stage
 from cantortubes.reports import EXPECTED_FAILURES, known_shortfall
 from cantortubes.rotations import RotationFamily
+from cantortubes.sequences import build_schedule, derive_sequences
 
 FAST = dict(
     # Coarse raster and small samples keep the full pipeline quick; the
@@ -259,24 +261,24 @@ def test_pipeline_depth2_checks_containment_below_depth(tmp_path):
 #: with numpy 2.4.6 and mpmath 1.3.0 (pure-Python backend); another numpy or
 #: mpmath may round differently.
 MANIFEST_SHA256 = {
-    "default": ("7e53776a4c441f2bfb3e5dab74abda10096d57d31cce91c2037c9fc5a25dfcc6",
+    "default": ("f92f0f8ab0e68ae9d084cb0271dbf8143f6f49225f54c6326bd91236926eac4b",
                 {}),
     # A cap of 10 leaves level 1 materialized only: the lazy side of the
     # materialization boundary.
-    "cap10-fast": ("65dac69f2d3e2c3d1e1417feeb09e7d423c8067dfe5fc925aa1dc84cb3d5430b",
+    "cap10-fast": ("bffafe12950e777780f6507ada8070ee3a2f85a47a65412d38ed02f9b270b20a",
                    dict(materialization_cap=10, **FAST)),
     # Depth 4 of both profiles: sampled spacing and a lazy projection level.
-    "demo4-fast": ("094a139561a16fa194c9d6fee2f08617b7b374b9441b0609ae4c6a4da853508b",
+    "demo4-fast": ("0ea365367666c90e0ebbc6f006206946d799b8571fd128f10ff4a0573fa2eccb",
                    dict(profile="demo", depth=4, **FAST)),
-    "strict4-fast": ("ddd0defc7d1c0b1805ba1f8d8aaed1b7f42fc0a75f46c0c962d028385ea78842",
+    "strict4-fast": ("0ff37f5e47709457b4ee9da0fa76f1da7aaab833f571a5f2a7c6711a20992ec1",
                      dict(depth=4, **FAST)),
     # The benchmark's own pipeline configs (perfbench/workloads.py), at
     # seed 1 for the default one so the seed reaches every sampled stage.
-    "strict4-lazy": ("c38c311f7897915808fb86b3c7315ac2636bead7b2da4977d8935d63b5a2546f",
+    "strict4-lazy": ("00eef1f2db9c01987eb6cc6db67a9e0be9834fa43aebf67deca6d26254a87430",
                      dict(depth=4, neighborhood_radius=Fraction(1, 8),
                           raster_resolution=Fraction(1, 32),
                           spacing_samples=300)),
-    "default-seed1": ("c3bf62559b9e16d8acf0c06b9c12f91447f8be56d9d7fabb957e667ea23a6602",
+    "default-seed1": ("e1eee8401107447ffccfbbc5d338c803ee5265c4c33e46c381649ba07438a5d4",
                       dict(seed=1)),
 }
 
@@ -602,6 +604,28 @@ def test_cli_writes_widths_past_the_int_digit_limit(tmp_path, args, config):
             for s in dim["estimate"]["scales"]] == widths
     assert [parse_rational(r["scale"]) for r in rows] == widths
     assert dim["estimate"]["scales"][2]["delta"].startswith("2^-")
+
+
+def test_arc_command_writes_values_past_the_int_digit_limit(tmp_path):
+    # At s = 1/10, depth 4, level 3's q lies near 2^-12898 at 15,785 bits,
+    # past the digits str() converts; each value is still written to 40
+    # digits and parses back within 1e-39 of the solution's own.
+    assert main(["--out", str(tmp_path), "arc", "--s", "1/10",
+                 "--depth", "4"]) == 0
+    blob = json.loads((tmp_path / "arcs.json").read_text())["solutions"]
+    sols = solve_table_arcs(derive_sequences(build_schedule(Fraction(1, 10), 4),
+                                             Fraction(1, 16)))
+    assert [s["level"] for s in blob] == [sol.level for sol in sols]
+    for written, sol in zip(blob, sols):
+        with mpmath.workprec(sol.prec):
+            pairs = [(written["radius"], sol.radius),
+                     (written["achieved"], sol.achieved),
+                     (written["residual"], sol.residual)]
+            pairs += list(zip(written["center"], sol.center))
+            pairs += list(zip(written["q"], sol.q))
+            for text, value in pairs:
+                assert abs(mpmath.mpf(text) - value) <= 1e-39 * abs(value), \
+                    (sol.level, text)
 
 
 def test_verify_makes_no_expj_in_hierarchy(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from cantortubes.rotations import (
     RotationFamily,
     verify_translation_invariants,
 )
+from cantortubes.sequences import build_schedule, derive_sequences
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,11 @@ def demo_rf(demo_table, demo_arcs):
 
 
 def v_case(rf, theta):
-    """The recursion case of v(theta)."""
-    return rf._v_tagged(Fraction(theta))[1]
+    """The recursion case of v(theta), theta on the finest grid."""
+    level = rf.grid_depth()
+    i = Fraction(theta) / rf.cons.table.theta_(level)
+    assert i.denominator == 1
+    return rf._v(level, i.numerator)[1]
 
 
 def v_any(rf, theta):
@@ -112,7 +116,7 @@ def test_v_off_grid_rejected(rf):
         rf.v(Fraction(1, 3))
     for call in (lambda: rf.v(Fraction(3, 2)),
                  lambda: rf.v_limit(Fraction(3, 2)),
-                 lambda: rf.grid_level_of(-1)):
+                 lambda: rf.v(-1), lambda: rf.v_limit(Fraction(-1, 7))):
         with pytest.raises(ValueError, match=r"angle must lie in \[0, 1\]"):
             call()
 
@@ -592,13 +596,22 @@ def test_containment_checks_share_one_level_draw(rf):
         assert np.array_equal(shifted, kept)
 
 
+def table_level(table, theta):
+    """The coarsest level whose angle step divides theta, read off the
+    table by Fraction division."""
+    return next(m for m in range(1, table.depth + 1)
+                if (theta / table.theta_(m)).denominator == 1)
+
+
 def former_v(rf, theta):
-    """The recursion with every orbit point and rotation formed afresh: the
-    oracle for the factors `_v_recursion` keeps."""
-    m = rf.grid_level_of(theta)
+    """The Fraction recursion with every orbit point and rotation formed
+    afresh, each angle's grid level found from the table: the oracle for
+    the integer recursion and the factors `_v_recursion` keeps."""
+    cons = rf.cons
+    m = table_level(cons.table, theta)
     if m == 1:
         return mpmath.mpc(0, 0)
-    cons, n = rf.cons, m - 1
+    n = m - 1
     theta_n = cons.table.theta_(n)
     j = floor_frac(theta / theta_n)
     q, k = divmod(int((theta - j * theta_n) / cons.table.theta_(m)), cons.N(n))
@@ -611,6 +624,35 @@ def former_v(rf, theta):
             base = (mpmath.expj(-frac_to_mpf(j * theta_n)) * base
                     + former_v(rf, j * theta_n))
     return base
+
+
+@pytest.mark.parametrize("profile, depth", [("strict", 3), ("strict", 4),
+                                            ("demo", 4)])
+def test_v_matches_the_fraction_recursion_on_every_grid_level(profile, depth):
+    # Every grid level's first and last index, and 15 seeded multiples of
+    # each coarser level's step: v there, and the left-limit evaluations on
+    # every grid level there and a third of a step above, equal the
+    # Fraction oracle bit for bit.
+    rf = RotationFamily(Construction(
+        derive_sequences(build_schedule(1, depth), Fraction(1, 16), profile)))
+    table, rng = rf.cons.table, random.Random(depth)
+    assert rf.grid_depth() == 3
+    for level in range(1, rf.grid_depth() + 1):
+        step, count = table.theta_(level), table.family_count(level)
+        indices = [0, count - 1]
+        for m in range(1, level + 1):
+            per = int(table.theta_(m) / step)
+            indices += [rng.randrange(table.family_count(m)) * per
+                        for _ in range(15)]
+        assert {table_level(table, i * step) for i in indices} == set(
+            range(1, level + 1))
+        for i in indices:
+            assert rf.v(i * step) == former_v(rf, i * step), (level, i)
+            for theta in (i * step, min(i * step + step / 3, Fraction(1))):
+                for m, point in rf.v_limit(theta).evaluations:
+                    below = (floor_frac(theta / table.theta_(m))
+                             * table.theta_(m))
+                    assert point == former_v(rf, below), (theta, m)
 
 
 def test_kept_orbit_factors_give_v_bit_for_bit(cons, monkeypatch):
