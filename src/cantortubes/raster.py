@@ -17,14 +17,19 @@ solves (`_Boxes`), so the slab it skips never holds the max or min bound,
 and every range is bit-identical to solving both slabs on every row.
 
 In a dense fan of tubes most ranges land on cells that other boxes cover
-on every row anyway.  The painter walks the frame once, in blocks of rows.
-In each block it keeps the fewest boxes spanning the block that cover,
-on each of its rows, what all the spanning boxes cover there (a greedy
-minimal interval cover), skips every other box whose ranges there all lie
-in those cells (`_Boxes.cull`), then paints the kept boxes band by band.
-A block is no shorter than an average band, and a set too small to thin
-out any block is walked as one block.  Each set's union, hence every
-count, is unchanged cell for cell, and work grows with the kept ranges.
+on every row anyway.  The painter cuts the frame into blocks of rows, and
+in each block keeps the fewest boxes spanning the block that cover, on
+each of its rows, what all the spanning boxes cover there (a greedy
+minimal interval cover), skipping every other box whose ranges there all
+lie in those cells (`_Boxes.cull`).  It then halves each block and culls
+each half again among the boxes kept on the block, for as long as the
+halves' kept solves and their culls' come to fewer than the block's
+(`_Boxes.kept`); the culls of one depth run together, the blocks side by
+side on one line of columns.  Last it paints the kept (block, box) pairs
+band by band, a band taking the pairs of every block it meets.  A set too
+small to thin out any block is one block, unculled.  Each set's union,
+hence every count, is unchanged cell for cell, and work grows with the
+kept ranges.
 """
 
 from __future__ import annotations
@@ -46,9 +51,11 @@ MAX_CELLS = 80_000_000
 # A band's temporaries peak at about 84 bytes a solve (tracemalloc, default
 # stage 2), against 177 bytes a range when both slabs were solved on every
 # row, so a band takes under 0.7 MB, as 4,096 two-slab ranges did.  A band
-# holds whole rows, and its run bookkeeping covers every kept box it
-# crosses; in the middle of the default stage 2 a band holds some 26 rows,
-# about 7,500 ranges of the 270 or so boxes the cull keeps there.
+# holds whole rows, and its run bookkeeping covers the kept (block, box)
+# pairs of every block it meets; in the middle of the default stage 2 a band
+# holds some 170 rows over 3 blocks, about 7,300 ranges of 150 pairs.  The
+# culls and the frame's row counts take about 190 bytes a pair, so they run
+# in batches of about _BAND_ENTRIES / 2 pairs, a band's worth.
 _BAND_ENTRIES = 1 << 13
 
 
@@ -73,25 +80,36 @@ class RasterResult:
         return (self.full, self.center, self.touched)
 
 
-def _family_extents(fam, inflate: float) -> tuple:
-    """World-aligned half-extents of one family's rotated boxes."""
-    hw, hh = fam.half_width + inflate, fam.half_height + inflate
-    c, s = abs(np.cos(fam.rotation)), abs(np.sin(fam.rotation))
+def _families(families) -> tuple:
+    """The non-empty families' half-widths, half-heights, rotations and box
+    counts, one entry per family, and all their centers, family by
+    family."""
+    fams = [fam for fam in families if len(fam)]
+    hw, hh, rot = np.array([(fam.half_width, fam.half_height, fam.rotation)
+                            for fam in fams]).reshape(-1, 3).T
+    centers = [fam.centers for fam in fams]
+    sizes = np.array([len(c) for c in centers], dtype=int)
+    return (hw, hh, rot, sizes,
+            np.concatenate(centers) if fams else np.empty((0, 2)))
+
+
+def _extents(hw, hh, rotation) -> tuple:
+    """World-aligned half-extents of boxes of half-sizes hw, hh turned by
+    `rotation`, one per family."""
+    c, s = np.abs(np.cos(rotation)), np.abs(np.sin(rotation))
     return hw * c + hh * s, hw * s + hh * c
 
 
 def union_bbox(families, inflate: float = 0.0, pad: float = 0.0) -> tuple:
-    xs_min = ys_min = np.inf
-    xs_max = ys_max = -np.inf
-    for fam in families:
-        if len(fam) == 0:
-            continue
-        ex, ey = _family_extents(fam, inflate)
-        xs_min = min(xs_min, fam.centers[:, 0].min() - ex)
-        xs_max = max(xs_max, fam.centers[:, 0].max() + ex)
-        ys_min = min(ys_min, fam.centers[:, 1].min() - ey)
-        ys_max = max(ys_max, fam.centers[:, 1].max() + ey)
-    return (xs_min - pad, ys_min - pad, xs_max + pad, ys_max + pad)
+    hw, hh, rot, sizes, centers = _families(families)
+    if not len(sizes):
+        return (np.inf, np.inf, -np.inf, -np.inf)
+    ex, ey = _extents(hw + inflate, hh + inflate, rot)
+    first = np.cumsum(sizes) - sizes
+    c_lo = np.minimum.reduceat(centers, first)
+    c_hi = np.maximum.reduceat(centers, first)
+    return ((c_lo[:, 0] - ex).min() - pad, (c_lo[:, 1] - ey).min() - pad,
+            (c_hi[:, 0] + ex).max() + pad, (c_hi[:, 1] + ey).max() + pad)
 
 
 def _axis_interval(slab, idx, dy, big: float):
@@ -123,24 +141,26 @@ def _axis_interval(slab, idx, dy, big: float):
     return lo, hi
 
 
-def _family_slabs(fam, inflate: float, rc: float) -> list:
-    """One family's two slabs, each as |a|, the factor of dy after the sign
-    flip and the half-widths per classification (full, center, touched: the
-    box shrunk by the cell half-diagonal rc, as it is, and grown by it), the
-    slab solved on every row first; then T, the |dy| up to which the other
-    slab cannot bind (see `_Boxes`)."""
-    hw, hh = fam.half_width + inflate, fam.half_height + inflate
-    ca, sa = float(np.cos(fam.rotation)), float(np.sin(fam.rotation))
-    w = [hw + g for g in (-rc, 0.0, rc)]
-    h = [hh + g for g in (-rc, 0.0, rc)]
+def _slabs(hw, hh, rotation, rc: float) -> np.ndarray:
+    """Each family's two slabs, one column per family: each as |a|, the
+    factor of dy after the sign flip and the half-widths per classification
+    (full, center, touched: the box shrunk by the cell half-diagonal rc, as
+    it is, and grown by it), the slab solved on every row first; then T,
+    the |dy| up to which the other slab cannot bind (see `_Boxes`)."""
+    ca, sa = np.cos(rotation), np.sin(rotation)
+    grow = np.array([[-rc], [0.0], [rc]])
+    w, h = hw + grow, hh + grow
+    a1, a2 = np.abs(ca), np.abs(sa)
     # Slabs |ca*dx + sa*dy| <= w and |-sa*dx + ca*dy| <= h.
-    first = [abs(ca), -sa if ca < 0 else sa, *w]
-    second = [abs(sa), -ca if sa > 0 else ca, *h]
-    d = [abs(ca) * hk - abs(sa) * wk for wk, hk in zip(w, h)]
-    s = max(abs(ca) * hk + abs(sa) * wk for wk, hk in zip(w, h))
-    if -max(d) > min(d):
-        first, second, d = second, first, [-x for x in d]
-    return first + second + [min(d) - 2.0 ** -47 * s]
+    first = np.vstack((a1, np.where(ca < 0, -sa, sa), w))
+    second = np.vstack((a2, np.where(sa > 0, -ca, ca), h))
+    d = a1 * h - a2 * w
+    s = (a1 * h + a2 * w).max(axis=0)
+    swap = -d.max(axis=0) > d.min(axis=0)
+    first, second = (np.where(swap, second, first),
+                     np.where(swap, first, second))
+    d = np.where(swap, -d, d)
+    return np.vstack((first, second, d.min(axis=0) - 2.0 ** -47 * s))
 
 
 class _Boxes:
@@ -176,34 +196,40 @@ class _Boxes:
     the rows whose center lies in [cy - T, cy + T], searched for with both
     ends rounded inward.
 
-    The cull (`cull`) works on a block of rows [r0, r1), over the boxes that
-    reach it: r_lo < r1 and r_hi > r0.  dy grows with the row, and each
+    The cull (`cull`) works on a block of rows [r0, r1), over boxes that
+    reach it (r_lo < r1 and r_hi > r0).  dy grows with the row, and each
     slab's float solve is monotone in dy, as are the shift, scaling, ceil,
     floor and clip after it; so a box's first-slab bounds over the block
     lie between their values at its first and last row there.  A lower
     bound that is monotone, or flat (-big on one run of rows, +big off it),
-    is largest at one of the two ends, and so is the max of two such bounds;
-    alike for upper bounds and their min.  Hence a box that spans the block
-    covers, in the full class, I = [max il, min ih) of its ranges at the
-    block's two end rows on every row of the block.  Swept in order of
-    start, the ranges I that reach past the running maximum (U) have the
+    is largest at one of the two ends, and so is the max of two such
+    bounds; alike for upper bounds and their min.  Hence a box that spans
+    the block covers, in the full class, I = [max il, min ih) of its ranges
+    at the block's two end rows on every row of the block.  Swept in order
+    of start, the ranges I that reach past the running maximum (U) have the
     union K of them all, and so does a greedy minimal cover G of K drawn
-    from U (`_cover`), often a small part of it.  A box's hull,
-    [min il, max ih) of its first slab's touched ranges at its first and
-    last row in the block, holds every range it paints there in every
-    class: the touched half-width is the widest, the second slab only
-    narrows a range, and a class shrunk to nothing paints nothing.  So a
-    box outside G whose hull lies in one component of K paints only cells
-    that G covers on the same row in the full class, hence in its own;
-    skipping it leaves each set's union as it is.  The cull's bounds come
-    from the same `_axis_interval` and `_columns` calls as `ranges` (the
-    middle's one-slab ranges being bit-identical), so no rounding margin is
-    needed.  A flat first slope, whose bound leaves the
-    hull open as it is not monotone, or a bound that is not finite keeps a
-    box out of the cull (`_family_slabs` puts a flat slope second, so the
-    first is not flat in practice).  A block reached by no more boxes than
-    it has rows is not culled: solving every box at the block's two ends
-    would cost about what skipping saves."""
+    from U (`_cover`), often a small part of it.  A box's hull, [min il,
+    max ih) of its first slab's touched ranges at its first and last row in
+    the block, holds every range it paints there in every class: the
+    touched half-width is the widest, the second slab only narrows a range,
+    and a class shrunk to nothing paints nothing.  So a box outside G whose
+    hull lies in one component of K paints only cells that G covers on the
+    same row in the full class, hence in its own; skipping it leaves each
+    set's union as it is.  The cull's bounds come from the same
+    `_axis_interval` and `_columns` calls as `ranges` (the middle's
+    one-slab ranges being bit-identical), so no rounding margin is needed.
+    A flat first slope, whose bound leaves the hull open as it is not
+    monotone, or a bound that is not finite keeps a box out of the cull
+    (`_slabs` puts a flat slope second, so the first is not flat in
+    practice).  A block reached by no more boxes than it has rows is not
+    culled: solving every box at the block's two ends would cost about what
+    skipping saves.
+
+    The walk (`kept`) culls the frame's blocks over every box that reaches
+    them, then each half of a block over the boxes kept on the block alone.
+    That is exact: a box skipped on the block paints only cells that the
+    block's G covers on each of its rows, the half's rows among them, and
+    G's boxes are kept and reach both halves."""
 
     def __init__(self, families, inflate: float, x0: float, y0: float,
                  cell: float, nx: int, ny: int):
@@ -211,18 +237,14 @@ class _Boxes:
         self.big = (nx + 4) * cell
         self.ys = y0 + (np.arange(ny) + 0.5) * cell
         rc = cell * np.sqrt(2.0) / 2.0
-        fams = [fam for fam in families if len(fam)]
-        centers = (np.concatenate([fam.centers for fam in fams]) if fams
-                   else np.empty((0, 2)))
+        hw, hh, rot, sizes, centers = _families(families)
         cy = centers[:, 1]
         # Per family: the slab solved on every row (rows 0-4 of params), the
         # other (5-9), T (10) and the grown box's y-extent (11).
-        params = np.array([
-            _family_slabs(fam, inflate, rc)
-            + [_family_extents(fam, inflate + rc)[1]] for fam in fams])
-        params = params.reshape(-1, 12).T
-        fam_of_box = np.repeat(np.arange(len(fams)),
-                               [len(fam) for fam in fams])
+        params = np.vstack((
+            _slabs(hw + inflate, hh + inflate, rot, rc),
+            _extents(hw + (inflate + rc), hh + (inflate + rc), rot)[1]))
+        fam_of_box = np.repeat(np.arange(len(sizes)), sizes)
         # Rows whose centers lie within the grown box's y-extent, with a row
         # of slack on each side for the rounding of the solve.
         ey = params[11, fam_of_box]
@@ -263,23 +285,124 @@ class _Boxes:
         gone = (params[2:5] <= 0) | (params[7:10] <= 0)
         self.gone = gone[:, fam_of_box] if gone.any() else None
 
-    def row_solves(self, r0: int, r1: int, boxes) -> np.ndarray:
-        """Number of slab solves on each row of [r0, r1) over the sorted
-        indices `boxes`: two per (box, row) range in a cap, one in a
-        middle."""
-        runs = np.minimum(np.maximum(self.runs[:, boxes], r0), r1)
+    def _runs(self, boxes, lo, hi) -> np.ndarray:
+        """The runs of rows (see `runs`) of the indices `boxes`, each clipped
+        to its block [lo, hi)."""
+        return np.minimum(np.maximum(self.runs[:, boxes], lo), hi)
+
+    def row_solves(self, r0: int, r1: int, boxes, runs=None) -> np.ndarray:
+        """Number of slab solves on each row of [r0, r1) over the indices
+        `boxes`, whose runs of rows are `runs` (by default their own): two
+        per (box, row) range in a cap, one in a middle."""
+        runs = self.runs[:, boxes] if runs is None else runs
+        runs = np.minimum(np.maximum(runs, r0), r1)
         weights = np.repeat((2, 2, 1, -2, -2, -1), runs.shape[1])
         solves = np.bincount((runs - r0).ravel(), weights, r1 - r0 + 1)
         return solves.cumsum()[:r1 - r0].astype(np.int64)
 
-    def cull(self, r0: int, r1: int) -> np.ndarray:
-        """Sorted indices of the boxes to paint on the block [r0, r1): those
-        that reach it, less the boxes whose every range there lies in cells
-        that the kept boxes cover on the same row (see `_Boxes`)."""
-        stop = np.searchsorted(self.r_lo, r1, "left")
-        box = np.flatnonzero(self.r_hi[:stop] > r0)
-        if len(box) <= r1 - r0:
-            return box
+    def _solves(self, boxes, lo, hi) -> np.ndarray:
+        """Slab solves of each of `boxes` over its block [lo, hi)."""
+        runs = self._runs(boxes, lo, hi)
+        n = runs[3:] - runs[:3]
+        return 2 * (n[0] + n[1]) + n[2]
+
+    def kept(self) -> tuple:
+        """The (block, box) pairs to paint, ordered by block, as each
+        pair's block [lo, hi), box and runs of rows (see `runs`) clipped to
+        the block: the frame's blocks `block_rows` tall, culled (`cull`),
+        then split where the cull pays.  A block is halved and each half
+        culled again among the boxes kept on the block, which is exact (see
+        `_Boxes`).  The halves replace the block if their kept solves and
+        their culls' solves come to fewer than the block's kept solves, and
+        are then split in turn; otherwise the block is painted as it is.  A
+        set with no more boxes than a block has rows is one block,
+        unculled: no block of it could be thinned out.  Culls run in
+        batches of whole blocks whose temporaries come to about a band's,
+        and the frame's blocks list their boxes one batch at a time."""
+        ny, n = len(self.ys), len(self.cy)
+        if n <= self.block_rows:
+            return (np.zeros(n, np.int32), np.full(n, ny, np.int32),
+                    np.arange(n), self.runs)
+        lo = np.arange(0, ny, self.block_rows, dtype=np.int32)
+        hi = np.minimum(lo + self.block_rows, ny).astype(np.int32)
+        # A box reaches [lo, hi) when r_lo < hi, unless r_hi <= lo.
+        stop = np.searchsorted(self.r_lo, hi)
+        reached = stop - np.searchsorted(np.sort(self.r_hi), lo, "right")
+        kept = []
+        for g0, g1 in _split(2 * reached, 0, self.nx):
+            reach = [np.flatnonzero(self.r_hi[:k] > b0)
+                     for b0, k in zip(lo[g0:g1].tolist(),
+                                      stop[g0:g1].tolist())]
+            blk = np.repeat(np.arange(g0, g1, dtype=np.int32),
+                            reached[g0:g1])
+            box = np.concatenate(reach)
+            keep, _ = self.cull(lo, hi, blk, box)
+            kept.append((blk[keep], box[keep]))
+        blk, box = (np.concatenate(part) for part in zip(*kept))
+        solves = np.bincount(blk, self._solves(box, lo[blk], hi[blk]),
+                             len(lo))
+        done = []
+        # A block one row tall is painted as it is.
+        while (hi - lo > 1)[blk].any():
+            mid = (lo + hi) // 2
+            # The halves of block b are blocks 2b and 2b + 1, each with the
+            # kept boxes that reach it.
+            tall = hi - lo > 1
+            low = tall[blk] & (self.r_lo[box] < mid[blk])
+            high = tall[blk] & (self.r_hi[box] > mid[blk])
+            hblk = np.concatenate((2 * blk[low], 2 * blk[high] + 1))
+            order = np.argsort(hblk, kind="stable")
+            hblk = hblk[order]
+            hbox = np.concatenate((box[low], box[high]))[order]
+            hlo = np.column_stack((lo, mid)).ravel()
+            hhi = np.column_stack((mid, hi)).ravel()
+            reached = np.bincount(hblk, minlength=len(hlo))
+            first = np.concatenate(([0], np.cumsum(reached)))
+            keep = np.empty(len(hbox), dtype=bool)
+            cost = np.zeros(len(hlo), dtype=np.int64)
+            for g0, g1 in _split(2 * reached, 0, self.nx):
+                part = slice(first[g0], first[g1])
+                keep[part], c = self.cull(hlo, hhi, hblk[part], hbox[part])
+                cost += c
+            hblk, hbox = hblk[keep], hbox[keep]
+            hsolves = np.bincount(hblk, self._solves(hbox, hlo[hblk],
+                                                     hhi[hblk]), len(hlo))
+            paid = tall & ((hsolves + cost).reshape(-1, 2).sum(axis=1)
+                           < solves)
+            final = ~paid[blk]
+            done.append((lo[blk[final]], hi[blk[final]], box[final]))
+            split = np.repeat(paid, 2)
+            lo, hi, solves = hlo[split], hhi[split], hsolves[split]
+            on = split[hblk]
+            blk = (np.cumsum(split, dtype=np.int32) - 1)[hblk[on]]
+            box = hbox[on]
+        done.append((lo[blk], hi[blk], box))
+        lo, hi, box = (np.concatenate(part) for part in zip(*done))
+        order = np.argsort(lo, kind="stable")
+        lo, hi, box = lo[order], hi[order], box[order]
+        return lo, hi, box, self._runs(box, lo, hi)
+
+    def cull(self, b_lo, b_hi, blk, box) -> tuple:
+        """Which of the (block, box) pairs to paint, and the slab solves of
+        each block's cull.  Block k is the rows [b_lo[k], b_hi[k]); pair i
+        puts box[i] on block blk[i], each box reaching its block, sorted by
+        block and then box.  A block keeps its boxes less those whose every
+        range there lies in cells that the kept boxes cover on the same row
+        (see `_Boxes`); a block reached by no more boxes than it has rows
+        keeps them all and costs nothing, and a culled block costs two end
+        rows of both slabs a box.  The blocks are culled together, each
+        one's columns offset by its rank times nx + 1, as `_keys` does for
+        rows, so that one `_cover` serves them all: a batch of blocks spans
+        fewer than 2**31 columns (`_split`)."""
+        reached = np.bincount(blk, minlength=len(b_lo))
+        culled = reached > b_hi - b_lo
+        cost = 4 * reached * culled
+        keep = np.ones(len(box), dtype=bool)
+        sel = np.flatnonzero(culled[blk])
+        if not len(sel):
+            return keep, cost
+        rank = (np.cumsum(culled, dtype=np.int32) - 1)[blk[sel]]
+        r0, r1, box = b_lo[blk[sel]], b_hi[blk[sel]], box[sel]
         ends = np.concatenate((np.maximum(self.r_lo[box], r0),
                                np.minimum(self.r_hi[box], r1) - 1))
         idx = np.concatenate((box, box))
@@ -305,29 +428,32 @@ class _Boxes:
         np.minimum(hi[0], hi2[0], out=hi[0])
         del lo2, hi2
         il, ih = self._columns(idx, lo, hi)
-        hl = np.minimum(il[1, :n], il[1, n:])
-        hh = np.maximum(ih[1, :n], ih[1, n:])
         if self.gone is not None:
             ih[0, self.gone[0].take(idx)] = 0
-        cl = np.maximum(il[0, :n], il[0, n:])
-        ch = np.minimum(ih[0, :n], ih[0, n:])
+        off = (rank - rank[0]) * np.int32(self.nx + 1)
+        hl = np.minimum(il[1, :n], il[1, n:]) + off
+        hh = np.maximum(ih[1, :n], ih[1, n:]) + off
+        cl = np.maximum(il[0, :n], il[0, n:]) + off
+        ch = np.minimum(ih[0, :n], ih[0, n:]) + off
         span = np.flatnonzero(ok & (self.r_lo[box] <= r0)
                               & (self.r_hi[box] >= r1) & (ch > cl))
         if not len(span):
-            return box
+            return keep, cost
         span = span[np.argsort(cl[span], kind="stable")]
         chosen, k_lo, k_hi = _cover(cl[span], ch[span])
         k = np.searchsorted(k_lo, hl, side="right") - 1
         skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
         skip[span[chosen]] = False
-        return box[~skip]
+        keep[sel[skip]] = False
+        return keep, cost
 
-    def _entries(self, r0: int, r1: int, boxes):
+    def _entries(self, r0: int, r1: int, boxes, runs):
         """Boxes and rows, counted from r0, of the (box, row) ranges of the
-        sorted indices `boxes` in the band [r0, r1), the caps' first, and how
-        many ranges the caps hold."""
+        indices `boxes`, whose runs of rows are `runs`, in the band
+        [r0, r1), the caps' first, and how many ranges the caps hold."""
         # Runs of boxes that miss the band are empty.
-        runs = np.minimum(np.maximum(self.runs[:, boxes], r0), r1)
+        runs = self.runs[:, boxes] if runs is None else runs
+        runs = np.minimum(np.maximum(runs, r0), r1)
         runs -= r0
         first = runs[:3].ravel()
         n = runs[3:].ravel() - first
@@ -354,12 +480,13 @@ class _Boxes:
         np.clip(hi, 0, self.nx, out=hi)
         return lo.astype(np.int32), hi.astype(np.int32)
 
-    def ranges(self, r0: int, r1: int, boxes):
-        """Rows counted from r0, and the column ranges [il, ih) of the sorted
-        indices `boxes` on every row of [r0, r1) they reach, one row of il
-        and ih per classification (full, center, touched); ih <= il marks an
-        empty range."""
-        idx, rows, caps = self._entries(r0, r1, boxes)
+    def ranges(self, r0: int, r1: int, boxes, runs=None):
+        """Rows counted from r0, and the column ranges [il, ih) of the
+        indices `boxes` on every row of [r0, r1) in their runs of rows
+        `runs` (by default their own), one row of il and ih per
+        classification (full, center, touched); ih <= il marks an empty
+        range."""
+        idx, rows, caps = self._entries(r0, r1, boxes, runs)
         dy = self.ys[r0:r1].take(rows)
         dy -= self.cy.take(idx)
         # Temporaries are freed once spent: a band's peak sets the memory.
@@ -409,7 +536,9 @@ def _cover(cl, ch):
 def _split(solves, r0: int, nx: int):
     """Split the rows r0, r0 + 1, ... with the given slab solves into bands
     of about _BAND_ENTRIES solves; a row with more is a band of its own.  A
-    band spans fewer than 2**31 cells, so flat cell indices fit int32."""
+    band spans fewer than 2**31 cells, so flat cell indices fit int32.
+    `_Boxes.kept` splits blocks alike into batches of culls, weighing each
+    block by twice its (block, box) pairs."""
     before = np.zeros(len(solves) + 1, dtype=np.int64)
     before[1:] = solves.cumsum()
     max_rows = max(1, np.iinfo(np.int32).max // (nx + 1))
@@ -423,27 +552,28 @@ def _split(solves, r0: int, nx: int):
 
 
 def _painted(tables, ny: int, nx: int):
-    """Each table's `ranges` over the boxes its `cull` keeps, band by band.
-    The frame is walked once, in blocks as tall as the least of the tables'
-    `block_rows` but no shorter than an average band: a block costs a cull
-    and a split whatever its size, so no more blocks are walked than bands
-    painted.  The frame is one block when no table holds more boxes than a
-    block has rows, since the cull could then thin out no block.  Each
-    block is split into bands of about _BAND_ENTRIES solves of the kept
-    boxes.  Yields each band's first row and its ranges per table."""
-    rows = min(t.block_rows for t in tables)
-    # Counted in ranges, of which a band holds at most _BAND_ENTRIES, so a
-    # block is at least as tall as an average band.
-    ranges = sum(int((t.r_hi - t.r_lo).sum()) for t in tables)
-    rows = max(rows, ny * _BAND_ENTRIES // max(ranges, 1))
-    if max(len(t.cy) for t in tables) <= rows:
-        rows = ny
-    for b0 in range(0, ny, rows):
-        b1 = min(b0 + rows, ny)
-        kept = [t.cull(b0, b1) for t in tables]
-        for r0, r1 in _split(sum(t.row_solves(b0, b1, k)
-                                 for t, k in zip(tables, kept)), b0, nx):
-            yield r0, [t.ranges(r0, r1, k) for t, k in zip(tables, kept)]
+    """Each table's `ranges` over the (block, box) pairs its `kept` returns,
+    band by band.  The frame is split into bands of about _BAND_ENTRIES
+    solves of the kept pairs, a band taking the pairs of every block it
+    meets, each pair's runs of rows clipped to its block.  Yields each
+    band's first row and its ranges per table."""
+    kept = [t.kept() for t in tables]
+    solves = np.zeros(ny, dtype=np.int64)
+    step = _BAND_ENTRIES // 2
+    for t, (_, _, box, runs) in zip(tables, kept):
+        # A pair's temporaries here take about twice a band solve's.
+        for i in range(0, len(box), step):
+            solves += t.row_solves(0, ny, box[i:i + step],
+                                   runs[:, i:i + step])
+    bands = np.array(list(_split(solves, 0, nx)), dtype=np.int64)
+    # Blocks are disjoint and ordered, so the pairs of the blocks a band
+    # meets are one run.
+    cuts = [(np.searchsorted(hi, bands[:, 0], "right").tolist(),
+             np.searchsorted(lo, bands[:, 1]).tolist())
+            for lo, hi, _, _ in kept]
+    for k, (r0, r1) in enumerate(bands.tolist()):
+        yield r0, [t.ranges(r0, r1, box[i[k]:j[k]], runs[:, i[k]:j[k]])
+                   for t, (_, _, box, runs), (i, j) in zip(tables, kept, cuts)]
 
 
 def _keys(rows, il, ih, nx: int):

@@ -22,7 +22,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .dyadic import floor_frac
 from .errors import OffGridError, PopulationCapError
 from .hierarchy import Construction, child_anchor
 from .numerics import frac_to_mpf, workprec
@@ -48,6 +47,7 @@ class VLimitResult:
     error_bound: float
     grid_level: int
     evaluations: tuple       # ((m, point), ...) partial values per grid level
+    index: int               # floor(theta/theta_G) on that finest grid G
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ class RotationFamily:
         return VLimitResult(
             theta=theta, point=evals[-1][1],
             error_bound=0.0 if on_grid else float(self.tail_bound(level)),
-            grid_level=level, evaluations=evals)
+            grid_level=level, evaluations=evals, index=i)
 
     def translation_table(self, level: int) -> list:
         """Materialized v on a level's full angle grid, one `TranslationEntry`
@@ -364,16 +364,21 @@ class RotationFamily:
         rng)`, made here when not given (then from `n_samples` and `rng`);
         a caller checking several angles passes one draw to each.  Refined
         anchors go into this check's own copy, so no refinement carries over
-        from one check to the next.
+        from one check to the next.  The level n lies on the angle grid:
+        1 <= n <= `grid_depth()`.
         """
         table = self.cons.table
         C = self._tube_C(C)
         res = self.v_limit(theta)
+        if not 1 <= n <= res.grid_level:
+            raise ValueError(f"containment level {n} outside 1.."
+                             f"{res.grid_level}, the angle grid's levels")
         v, theta = res.point, res.theta
         anchors, paths, e = sample or self.level_anchors(n + 1, n_samples, rng)
         theta_n, Delta_n = float(table.theta_(n)), float(table.Delta_(n))
         n_fam = table.family_count(n)
-        i0 = min(floor_frac(theta / table.theta_(n)), n_fam - 1)
+        # floor(theta/theta_n) from the grid index: theta_G divides theta_n.
+        i0 = min(res.index // self._steps(n, res.grid_level), n_fam - 1)
         own = self.tube_family(n, i0, C, "T")
         others = []
 

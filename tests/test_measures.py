@@ -775,33 +775,81 @@ def test_culled_painter_matches_per_box_reference(case, rf, strict_table):
         assert kept < ranges / 2
 
 
+def culled_blocks(boxes, monkeypatch):
+    """Every block that `boxes.kept()` hands to `cull`, in order: its rows,
+    the boxes on it, which of them the cull keeps and the call it came in;
+    and what `kept` returns."""
+    blocks, calls = [], []
+    cull = raster._Boxes.cull
+
+    def recorded(self, b_lo, b_hi, blk, box):
+        keep, cost = cull(self, b_lo, b_hi, blk, box)
+        calls.append(len(box))
+        for k in np.unique(blk):
+            here = blk == k
+            blocks.append((int(b_lo[k]), int(b_hi[k]), box[here], keep[here],
+                           len(calls)))
+        return keep, cost
+
+    monkeypatch.setattr(raster._Boxes, "cull", recorded)
+    kept = boxes.kept()
+    monkeypatch.undo()
+    return blocks, kept
+
+
+def assert_walk_halves_culled_blocks(blocks, boxes):
+    """The walk's claims on the blocks it culls: the frame's blocks
+    `block_rows` tall come first, each culled once; every other block is a
+    half of a block culled before it, culled among the boxes kept there;
+    no block is culled twice, nor a box twice on one block."""
+    ny, rows = len(boxes.ys), boxes.block_rows
+    frame = {(b0, min(b0 + rows, ny)) for b0 in range(0, ny, rows)}
+    seen, halves = {}, False
+    for r0, r1, box, keep, _ in blocks:
+        assert (r0, r1) not in seen, (r0, r1)
+        assert len(np.unique(box)) == len(box)
+        halves = halves or (r0, r1) not in frame
+        if halves:
+            parents = [(p0, p1) for (p0, p1) in seen
+                       if (p0, (p0 + p1) // 2) == (r0, r1)
+                       or ((p0 + p1) // 2, p1) == (r0, r1)]
+            assert len(parents) == 1, (r0, r1)
+            on_parent, kept_on_parent = seen[parents[0]]
+            assert np.isin(box, on_parent[kept_on_parent]).all()
+        seen[r0, r1] = (box, keep)
+    return seen
+
+
 @pytest.mark.parametrize("mirror", [False, True])
 def test_cull_skips_only_boxes_inside_the_kept_full_cover(mirror, rf,
-                                                          strict_table):
+                                                          strict_table,
+                                                          monkeypatch):
     # The cull's own claim, stronger than equal counts: on every row of a
     # block, a skipped box's touched range lies in cells that the kept
-    # boxes' full ranges cover.  The fan's ranges drift one way, and its
-    # mirror image's the other.
+    # boxes' full ranges cover; checked on every block the walk culls,
+    # the halves of refined blocks included.  The fan's ranges drift one
+    # way, and its mirror image's the other.
     fams, inflate, res = painter_case("fan", rf, strict_table)
     if mirror:
         fams = [replace(f, rotation=-f.rotation, centers=f.centers * (-1, 1))
                 for f in fams]
     boxes, grid = _boxes_on_frame(fams, res, inflate)
-    skipped = 0
-    for b0 in range(0, grid.ny, boxes.block_rows):
-        b1 = min(b0 + boxes.block_rows, grid.ny)
-        kept = boxes.cull(b0, b1)
-        reaching = np.flatnonzero((boxes.r_lo < b1) & (boxes.r_hi > b0))
-        gone = np.setdiff1d(reaching, kept)
+    blocks, _ = culled_blocks(boxes, monkeypatch)
+    assert_walk_halves_culled_blocks(blocks, boxes)
+    skipped = {"frame": 0, "halves": 0}
+    for b0, b1, box, keep, _ in blocks:
+        gone = box[~keep]
         if not len(gone):
             continue
-        skipped += len(gone)
-        rows, il, ih = boxes.ranges(b0, b1, kept)
+        tall = "frame" if b1 - b0 == boxes.block_rows else "halves"
+        skipped[tall] += len(gone)
+        rows, il, ih = boxes.ranges(b0, b1, box[keep])
         cover = _row_masks(rows, il[0], ih[0], b1 - b0, grid.nx)
         rows, il, ih = boxes.ranges(b0, b1, gone)
         assert not (_row_masks(rows, il[2], ih[2], b1 - b0, grid.nx)
                     & ~cover).any(), (b0, b1)
-    assert skipped > 0
+    # The frame's blocks and some of their halves skip boxes.
+    assert skipped["frame"] > 0 and skipped["halves"] > 0, skipped
 
 
 def unculled_counts(families, res, inflate=0.0, minus=()):
@@ -855,20 +903,21 @@ def clustered_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_culled_counts_equal_unculled_counts(sets, inflate):
     # At cell 1/512 about a third of these sets hold blocks the cull
-    # thins out.  As the painter runs, each cull returns, in order, only
-    # boxes that reach its block, and all of them when it may skip none.
+    # thins out.  As the painter runs, each cull is handed, in order of
+    # block and then box, only boxes that reach their block, and keeps all
+    # of a block's boxes, at no cost, when it may skip none.
     fams, minus = sets
     res = 1 / 512
     cull = raster._Boxes.cull
 
-    def checked(self, r0, r1):
-        kept = cull(self, r0, r1)
-        reaching = np.flatnonzero((self.r_lo < r1) & (self.r_hi > r0))
-        assert (np.diff(kept) > 0).all()
-        assert np.isin(kept, reaching).all()
-        if len(reaching) <= r1 - r0:
-            assert np.array_equal(kept, reaching)
-        return kept
+    def checked(self, lo, hi, blk, box):
+        keep, cost = cull(self, lo, hi, blk, box)
+        assert ((np.diff(blk) > 0) | ((np.diff(blk) == 0)
+                                      & (np.diff(box) > 0))).all()
+        assert ((self.r_lo[box] < hi[blk]) & (self.r_hi[box] > lo[blk])).all()
+        few = np.bincount(blk, minlength=len(lo)) <= hi - lo
+        assert keep[few[blk]].all() and not cost[few].any()
+        return keep, cost
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(raster._Boxes, "cull", checked)
@@ -876,10 +925,10 @@ def test_culled_counts_equal_unculled_counts(sets, inflate):
     assert got == unculled_counts(fams, res, inflate, minus)
 
 
-def test_blocks_are_no_shorter_than_an_average_band(monkeypatch):
+def test_blocks_one_row_tall_are_culled_once(monkeypatch):
     # Near-square boxes turned by about 45 degrees have no middle, so
-    # `block_rows` is one row; the painter still culls no more blocks than
-    # it would paint bands unculled.
+    # `block_rows` is one row: each block is culled once, with each of its
+    # boxes once, and none can be halved.
     rng = np.random.default_rng(3)
     fams = [replace(box_family(0, 0, 0.2, 0.2, angle=0.785 + d),
                     centers=0.3 + rng.uniform(-0.02, 0.02, (80, 2)))
@@ -887,18 +936,12 @@ def test_blocks_are_no_shorter_than_an_average_band(monkeypatch):
     res, inflate = 1 / 512, 0.01
     boxes, grid = _boxes_on_frame(fams, res, inflate)
     assert boxes.block_rows == 1
-    bands = len(list(unculled_walk([boxes], grid.ny, grid.nx)))
     want = unculled_counts(fams, res, inflate)
-    culled = []
-    cull = raster._Boxes.cull
-
-    def counted_cull(self, r0, r1):
-        culled.append((r0, r1))
-        return cull(self, r0, r1)
-
-    monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
+    blocks, (lo, hi, _, _) = culled_blocks(boxes, monkeypatch)
+    seen = assert_walk_halves_culled_blocks(blocks, boxes)
+    assert all(r1 - r0 == 1 for r0, r1 in seen)
+    assert (hi - lo == 1).all()
     assert rasterize(fams, res, inflate=inflate).counts() == want
-    assert 1 < len(culled) <= bands, (len(culled), bands)
 
 
 def test_default_stage2_unions_few_ranges(rf, strict_table, monkeypatch):
@@ -920,13 +963,19 @@ def test_default_stage2_unions_few_ranges(rf, strict_table, monkeypatch):
 
 def test_overlap_loss_solves_no_more_than_its_ranges(rf, monkeypatch):
     # Two families of 16 boxes over hundreds of rows: no table holds more
-    # boxes than a block has rows, so the frame is one block, culled once
-    # per table, and the cull solves nothing of its own.
+    # boxes than a block has rows, so each table is one block, the frame,
+    # that is never culled, and nothing is solved but its ranges.
     a, b = rf.tube_family(2, 64), rf.tube_family(2, 65)
     res = 1 / 512
     frame = rasterize([a], res)
     tables = [raster._Boxes([f], 0.0, frame.x0, frame.y0, frame.cell,
                             frame.nx, frame.ny) for f in (a, b)]
+    for t in tables:
+        assert len(t.cy) <= t.block_rows
+        lo, hi, box, runs = t.kept()
+        assert np.array_equal(runs, t.runs)
+        assert (lo == 0).all() and (hi == frame.ny).all()
+        assert np.array_equal(box, np.arange(len(t.cy)))
     want = sum(int(t.row_solves(0, frame.ny, np.arange(len(t.cy))).sum())
                for t in tables)
     solved, culled = [], []
@@ -936,35 +985,35 @@ def test_overlap_loss_solves_no_more_than_its_ranges(rf, monkeypatch):
         solved.append(len(idx))
         return solve(slab, idx, dy, big)
 
-    def counted_cull(self, r0, r1):
-        culled.append((r0, r1))
-        return cull(self, r0, r1)
+    def counted_cull(self, *args):
+        culled.append(args)
+        return cull(self, *args)
 
     monkeypatch.setattr(raster, "_axis_interval", counted)
     monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
     assert pairwise_overlap_loss(a, b, res).cells_on > 0
     assert sum(solved) == want
-    assert culled == [(0, frame.ny)] * 2
+    assert culled == []
 
 
 def test_default_stage2_culls_each_block_once(rf, strict_table,
                                               monkeypatch):
-    # Counted as the painter runs: 3,932 rows in blocks of 159, each culled
-    # once, the last one 116 rows tall.
+    # Counted as the painter runs: the 3,932 rows are culled in blocks of
+    # 159, the last one 116 rows tall, each once; then halves of blocks
+    # culled before, among the boxes kept on the halved block, each once,
+    # no (block, box) pair twice, and several blocks to a call.
     fams = rf.besicovitch_stage(2)
     radius = float(strict_table.theta_(2))
-    culled = []
-    cull = raster._Boxes.cull
-
-    def counted_cull(self, r0, r1):
-        culled.append((r0, r1, self.block_rows, len(self.ys)))
-        return cull(self, r0, r1)
-
-    monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
+    boxes, grid = _boxes_on_frame(fams, radius / 4, radius)
+    assert (grid.ny, boxes.block_rows) == (3932, 159)
+    blocks, _ = culled_blocks(boxes, monkeypatch)
+    seen = assert_walk_halves_culled_blocks(blocks, boxes)
+    assert list(seen)[:25] == [(b0, min(b0 + 159, 3932))
+                               for b0 in range(0, 3932, 159)]
+    assert len(seen) > 25
+    calls = [call for *_, call in blocks]
+    assert len(set(calls)) < len(calls)
     assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
-    assert len(culled) == math.ceil(3932 / 159) == 25
-    assert culled == [(b0, min(b0 + 159, 3932), 159, 3932)
-                      for b0 in range(0, 3932, 159)]
 
 
 # -- the union count of row ranges --------------------------------------------
@@ -1078,8 +1127,9 @@ def test_overlap_bracket_holds_exact_difference_area(seed):
 
 def test_default_stage2_unions_a_tenth_of_its_ranges(rf, strict_table,
                                                      monkeypatch):
-    # The cull keeps a minimal cover of each block's spanning ranges, so
-    # the painter unions under a tenth of the 7,388,595 (box, row) ranges.
+    # The cull keeps a minimal cover of each block's spanning ranges, and
+    # blocks are halved where that pays, so the painter unions at most
+    # 200,000 of the 7,388,595 (box, row) ranges.
     fams = rf.besicovitch_stage(2)
     radius = float(strict_table.theta_(2))
     unioned = []
@@ -1091,7 +1141,90 @@ def test_default_stage2_unions_a_tenth_of_its_ranges(rf, strict_table,
 
     monkeypatch.setattr(raster, "_union_cells", counted)
     assert neighborhood_area(fams, radius, radius / 4).cells_on == 10078482
-    assert sum(unioned) <= 0.1 * 7388595
+    assert sum(unioned) <= 200_000
+
+
+def test_c_2_to_the_minus_5_stage2_counts(monkeypatch):
+    # The largest painter case run here: the default stage 2 at
+    # c = 2^-5, 32,800 boxes on a 189 M-cell frame, past `MAX_CELLS`, which
+    # is lifted for this test alone.  Its counts are frozen, and the walk
+    # unions a ninth of the 10,153,903 ranges that one cull per geometric
+    # block paints.
+    table = derive_sequences(build_schedule(1, 3), Fraction(1, 32))
+    fams = RotationFamily(Construction(table)).besicovitch_stage(2)
+    radius = float(table.theta_(2))
+    monkeypatch.setattr(raster, "MAX_CELLS", 200_000_000)
+    unioned = []
+    union = raster._union_cells
+
+    def counted(starts, ends):
+        unioned.append(starts.shape[-1])
+        return union(starts, ends)
+
+    monkeypatch.setattr(raster, "_union_cells", counted)
+    grid = rasterize(fams, radius / 4, inflate=radius)
+    assert grid.counts() == (109724298, 109775349, 109825287)
+    assert sum(unioned) <= 1_250_000
+
+
+def scalar_slabs(fam, inflate, rc):
+    """The oracle for `raster._slabs`: one family's slabs and T from scalar
+    float arithmetic, as a list of 11 numbers."""
+    hw, hh = fam.half_width + inflate, fam.half_height + inflate
+    ca, sa = float(np.cos(fam.rotation)), float(np.sin(fam.rotation))
+    w = [hw + g for g in (-rc, 0.0, rc)]
+    h = [hh + g for g in (-rc, 0.0, rc)]
+    first = [abs(ca), -sa if ca < 0 else sa, *w]
+    second = [abs(sa), -ca if sa > 0 else ca, *h]
+    d = [abs(ca) * hk - abs(sa) * wk for wk, hk in zip(w, h)]
+    s = max(abs(ca) * hk + abs(sa) * wk for wk, hk in zip(w, h))
+    if -max(d) > min(d):
+        first, second, d = second, first, [-x for x in d]
+    return first + second + [min(d) - 2.0 ** -47 * s]
+
+
+def scalar_union_bbox(families, inflate, pad):
+    """The oracle for `raster.union_bbox`, family by family in scalars."""
+    x0 = y0 = np.inf
+    x1 = y1 = -np.inf
+    for fam in families:
+        if len(fam) == 0:
+            continue
+        hw, hh = fam.half_width + inflate, fam.half_height + inflate
+        c, s = abs(np.cos(fam.rotation)), abs(np.sin(fam.rotation))
+        ex, ey = hw * c + hh * s, hw * s + hh * c
+        x0 = min(x0, fam.centers[:, 0].min() - ex)
+        x1 = max(x1, fam.centers[:, 0].max() + ex)
+        y0 = min(y0, fam.centers[:, 1].min() - ey)
+        y1 = max(y1, fam.centers[:, 1].max() + ey)
+    return (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
+
+
+@pytest.mark.parametrize("case", ["default", "quadrants", "wide",
+                                  "near-vertical", "exact-edges", "shrunk"])
+def test_family_setup_is_the_scalar_one_bit_for_bit(case, rf, strict_table):
+    # The frame and every slab are formed for all families at once; numpy's
+    # cos and sin over an array must give the floats they give one angle at
+    # a time, or the ranges could move.
+    if case == "default":
+        fams = rf.besicovitch_stage(2)
+        inflate = float(strict_table.theta_(2))
+        res = inflate / 4
+        rotations = np.array([fam.rotation for fam in fams])
+        assert len(rotations) == 257
+        assert np.array_equal(np.cos(rotations),
+                              [np.cos(float(r)) for r in rotations])
+        assert np.array_equal(np.sin(rotations),
+                              [np.sin(float(r)) for r in rotations])
+    else:
+        fams, inflate, res = painter_case(case, rf, strict_table)
+    assert raster.union_bbox(fams, inflate, 2 * res) == \
+        scalar_union_bbox(fams, inflate, 2 * res)
+    rc = res * np.sqrt(2.0) / 2.0
+    hw, hh, rot, _, _ = raster._families(fams)
+    got = raster._slabs(hw + inflate, hh + inflate, rot, rc)
+    want = np.array([scalar_slabs(fam, inflate, rc) for fam in fams]).T
+    assert np.array_equal(got, want)
 
 
 @st.composite

@@ -655,6 +655,34 @@ def test_v_matches_the_fraction_recursion_on_every_grid_level(profile, depth):
                     assert point == former_v(rf, below), (theta, m)
 
 
+@pytest.mark.parametrize("profile, depth", [("strict", 3), ("strict", 4),
+                                            ("demo", 4)])
+def test_own_family_index_is_the_grid_index_coarsened(profile, depth):
+    # `check_containment` takes the angle's own family at level n from
+    # `v_limit`'s index on the finest grid G, i // (theta_n/theta_G), where
+    # the Fraction form is floor(theta/theta_n): they agree on every grid
+    # level's points, on theta = 1 and on seeded angles off the grid.
+    rf = RotationFamily(Construction(
+        derive_sequences(build_schedule(1, depth), Fraction(1, 16), profile)))
+    table, rng = rf.cons.table, random.Random(10 + depth)
+    grid = rf.grid_depth()
+    thetas = [Fraction(1)] + [Fraction(rng.random()).limit_denominator(10**12)
+                              for _ in range(30)]
+    for m in range(1, grid + 1):
+        step, count = table.theta_(m), table.family_count(m)
+        for k in [0, 1, count - 1] + [rng.randrange(count) for _ in range(10)]:
+            thetas += [k * step, max(k * step - table.theta_(grid), 0)]
+    for theta in thetas:
+        res = rf.v_limit(theta)
+        for n in range(1, grid + 1):
+            n_fam = table.family_count(n)
+            assert (min(res.index // rf._steps(n, grid), n_fam - 1)
+                    == min(floor_frac(theta / table.theta_(n)), n_fam - 1)), \
+                (theta, n)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        rf.check_containment(Fraction(1, 3), grid + 1, n_samples=10)
+
+
 def test_kept_orbit_factors_give_v_bit_for_bit(cons, monkeypatch):
     # The level-2 table forms its 15 orbit points and 15 coarse rotations
     # once each; every v, on the level-2 and the level-3 grid, equals the
