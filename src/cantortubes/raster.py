@@ -30,6 +30,18 @@ band by band, a band taking the pairs of every block it meets.  A set too
 small to thin out any block is one block, unculled.  Each set's union,
 hence every count, is unchanged cell for cell, and work grows with the
 kept ranges.
+
+A set difference, the cells of a plus set P outside a minus set M, is
+counted on each row as |P u M| - |M|, each class of P against a class of
+M that holds M's full cells.  Both sets form one table, whose frame blocks
+are halved where culling the halves pays, as above, but culled by two
+other rules.  A plus box whose cells on a block all lie in cells that M
+fills in the full class adds nothing to |P u M| beyond |M|: it is skipped
+(plus buried under minus).  Then a minus box that shares no cell there
+with the kept plus boxes adds as much to |P u M| as to |M|: it is skipped
+too (minus clear of plus).  So every count is unchanged, and the overlap
+loss of two nearby families, whose boxes nearly coincide, paints under a
+third of its ranges.
 """
 
 from __future__ import annotations
@@ -229,15 +241,37 @@ class _Boxes:
     them, then each half of a block over the boxes kept on the block alone.
     That is exact: a box skipped on the block paints only cells that the
     block's G covers on each of its rows, the half's rows among them, and
-    G's boxes are kept and reach both halves."""
+    G's boxes are kept and reach both halves.
+
+    A difference table (`minus`) holds the plus boxes P and then the minus
+    boxes M, flagged in `minus`, and counts |P u M| - |M| on each row, the
+    full class of P against the touched class of M, center against center
+    and touched against full: each class of M holds M's full cells.  Its
+    cull (`_difference_cull`) weighs the same hulls and covers by two
+    rules.  Plus buried under minus: let K be the union of the ranges I of
+    the minus boxes that span the block; a plus box whose hull lies in one
+    component of K paints, in every class and on every row of the block,
+    only cells that M fills in the full class, hence in the class its own
+    is counted against, so skipping it leaves |P u M| - |M| as it is.
+    Minus clear of plus: a minus box whose hull meets no kept plus box's
+    hull shares no cell with the kept plus boxes on any row of the block,
+    in any class, so skipping it lowers |P u M| and |M| alike.  The second
+    rule, taken after the first, may skip a minus box whose cells buried a
+    plus box; that is exact as it weighs only the kept plus boxes.  A hull
+    that is not sound is taken as the whole row, which holds every range
+    of its box.  So a block with no minus box keeps its plus boxes, and
+    one with no plus box skips its minus boxes.  Each cull keeps
+    |P u M| - |M| on every row of its block, given the boxes it is handed,
+    so culling the halves of a block among the boxes kept there is exact
+    too."""
 
     def __init__(self, families, inflate: float, x0: float, y0: float,
-                 cell: float, nx: int, ny: int):
+                 cell: float, nx: int, ny: int, minus=()):
         self.cell, self.nx = cell, nx
         self.big = (nx + 4) * cell
         self.ys = y0 + (np.arange(ny) + 0.5) * cell
         rc = cell * np.sqrt(2.0) / 2.0
-        hw, hh, rot, sizes, centers = _families(families)
+        hw, hh, rot, sizes, centers = _families([*families, *minus])
         cy = centers[:, 1]
         # Per family: the slab solved on every row (rows 0-4 of params), the
         # other (5-9), T (10) and the grown box's y-extent (11).
@@ -252,6 +286,9 @@ class _Boxes:
         r_hi = np.clip(np.floor((cy + ey - y0) / cell - 0.5) + 2, 0, ny)
         order = np.argsort(r_lo, kind="stable")
         r_lo, r_hi = r_lo[order].astype(np.int32), r_hi[order].astype(np.int32)
+        # The boxes of `minus` come after those of `families`.
+        minus = order >= sum(len(fam) for fam in families)
+        self.minus = minus if minus.any() else None
         self.cy = cy[order]
         self.shift = centers[order, 0] - x0
         fam_of_box = fam_of_box[order]
@@ -318,7 +355,14 @@ class _Boxes:
         set with no more boxes than a block has rows is one block,
         unculled: no block of it could be thinned out.  Culls run in
         batches of whole blocks whose temporaries come to about a band's,
-        and the frame's blocks list their boxes one batch at a time."""
+        and the frame's blocks list their boxes one batch at a time.  A
+        difference table takes its own walk (`_difference_kept`), whose
+        culls skip plus boxes buried under the minus boxes' full cover,
+        which paint only cells that the minus set fills, and then minus
+        boxes clear of the kept plus boxes, which add as many cells to the
+        union as to the minus set: neither moves |P u M| - |M|."""
+        if self.minus is not None:
+            return self._difference_kept()
         ny, n = len(self.ys), len(self.cy)
         if n <= self.block_rows:
             return (np.zeros(n, np.int32), np.full(n, ny, np.int32),
@@ -382,6 +426,76 @@ class _Boxes:
         lo, hi, box = lo[order], hi[order], box[order]
         return lo, hi, box, self._runs(box, lo, hi)
 
+    def _difference_kept(self) -> tuple:
+        """`kept` for a difference table.  The frame's blocks, `block_rows`
+        tall, are not culled themselves: each block is halved, each half
+        culled (`_difference_cull`) among the boxes kept on the block, and
+        the halves replace the block if their kept solves and their culls'
+        solves come to fewer than the block's kept solves, as in `kept`;
+        they are then split in turn.  A frame block's own cull would only
+        count where its halves do not pay, and it would cost a cull of
+        every box on the frame.  Each cull is exact given the boxes it is
+        handed (see `_Boxes`), so each half's is too."""
+        ny = len(self.ys)
+        lo = np.arange(0, ny, self.block_rows, dtype=np.int32)
+        hi = np.minimum(lo + self.block_rows, ny).astype(np.int32)
+        # A box reaches [lo, hi) when r_lo < hi, unless r_hi <= lo.
+        stop = np.searchsorted(self.r_lo, hi)
+        reached = stop - np.searchsorted(np.sort(self.r_hi), lo, "right")
+        blk = np.repeat(np.arange(len(lo), dtype=np.int32), reached)
+        box = np.concatenate([np.flatnonzero(self.r_hi[:k] > b0)
+                              for b0, k in zip(lo.tolist(), stop.tolist())])
+        solves = np.bincount(blk, self._solves(box, lo[blk], hi[blk]),
+                             len(lo))
+        done = []
+        while len(blk):
+            # The halves of block b are blocks 2b and 2b + 1, each with the
+            # kept boxes that reach it; a block one row tall is painted as
+            # it is.
+            mid = (lo + hi) // 2
+            tall = hi - lo > 1
+            low = tall[blk] & (self.r_lo[box] < mid[blk])
+            high = tall[blk] & (self.r_hi[box] > mid[blk])
+            hblk = np.concatenate((2 * blk[low], 2 * blk[high] + 1))
+            order = np.argsort(hblk, kind="stable")
+            hblk = hblk[order]
+            hbox = np.concatenate((box[low], box[high]))[order]
+            hlo, hhi = np.repeat(lo, 2), np.repeat(hi, 2)
+            hlo[1::2] = mid
+            hhi[::2] = mid
+            keep, cost = self._culls(hlo, hhi, hblk, hbox)
+            hblk, hbox = hblk[keep], hbox[keep]
+            hsolves = np.bincount(hblk, self._solves(hbox, hlo[hblk],
+                                                     hhi[hblk]), len(hlo))
+            paid = tall & ((hsolves + cost).reshape(-1, 2).sum(axis=1)
+                           < solves)
+            final = ~paid[blk]
+            done.append((lo[blk[final]], hi[blk[final]], box[final]))
+            split = np.repeat(paid, 2)
+            lo, hi, solves = hlo[split], hhi[split], hsolves[split]
+            on = split[hblk]
+            blk = (np.cumsum(split, dtype=np.int32) - 1)[hblk[on]]
+            box = hbox[on]
+        lo, hi, box = (np.concatenate(part) for part in zip(*done))
+        order = np.argsort(lo, kind="stable")
+        lo, hi, box = lo[order], hi[order], box[order]
+        return lo, hi, box, self._runs(box, lo, hi)
+
+    def _culls(self, lo, hi, blk, box) -> tuple:
+        """`cull` over the pairs (blk, box), sorted by block, in batches of
+        whole blocks whose temporaries come to about a band's."""
+        if 2 * len(box) <= _BAND_ENTRIES:
+            return self.cull(lo, hi, blk, box)
+        reached = np.bincount(blk, minlength=len(lo))
+        first = np.concatenate(([0], np.cumsum(reached)))
+        keep = np.empty(len(box), dtype=bool)
+        cost = np.zeros(len(lo), dtype=np.int64)
+        for g0, g1 in _split(2 * reached, 0, self.nx):
+            part = slice(first[g0], first[g1])
+            keep[part], c = self.cull(lo, hi, blk[part], box[part])
+            cost += c
+        return keep, cost
+
     def cull(self, b_lo, b_hi, blk, box) -> tuple:
         """Which of the (block, box) pairs to paint, and the slab solves of
         each block's cull.  Block k is the rows [b_lo[k], b_hi[k]); pair i
@@ -393,7 +507,10 @@ class _Boxes:
         rows of both slabs a box.  The blocks are culled together, each
         one's columns offset by its rank times nx + 1, as `_keys` does for
         rows, so that one `_cover` serves them all: a batch of blocks spans
-        fewer than 2**31 columns (`_split`)."""
+        fewer than 2**31 columns (`_split`).  A difference table is culled
+        by its own rules (`_difference_cull`)."""
+        if self.minus is not None:
+            return self._difference_cull(b_lo, b_hi, blk, box)
         reached = np.bincount(blk, minlength=len(b_lo))
         culled = reached > b_hi - b_lo
         cost = 4 * reached * culled
@@ -403,6 +520,59 @@ class _Boxes:
             return keep, cost
         rank = (np.cumsum(culled, dtype=np.int32) - 1)[blk[sel]]
         r0, r1, box = b_lo[blk[sel]], b_hi[blk[sel]], box[sel]
+        ok, hl, hh, cl, ch = self._ends(
+            r0, r1, box, (rank - rank[0]) * np.int32(self.nx + 1))
+        span = np.flatnonzero(ok & (self.r_lo[box] <= r0)
+                              & (self.r_hi[box] >= r1) & (ch > cl))
+        if not len(span):
+            return keep, cost
+        span = span[np.argsort(cl[span], kind="stable")]
+        chosen, k_lo, k_hi = _cover(cl[span], ch[span])
+        k = np.searchsorted(k_lo, hl, side="right") - 1
+        skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
+        skip[span[chosen]] = False
+        keep[sel[skip]] = False
+        return keep, cost
+
+    def _difference_cull(self, b_lo, b_hi, blk, box) -> tuple:
+        """`cull` for a difference table: every block skips its plus boxes
+        buried under its minus boxes, then its minus boxes clear of the
+        plus boxes it keeps (see `_Boxes`), at a cost of two end rows of
+        both slabs a box.  Each block's columns are offset by its index
+        times nx + 1, in 64 bits, so that one sort serves them all."""
+        r0, r1 = b_lo[blk], b_hi[blk]
+        off = blk.astype(np.int64) * (self.nx + 1)
+        ok, hl, hh, cl, ch = self._ends(r0, r1, box, off)
+        if not ok.all():
+            hl = np.where(ok, hl, off)
+            hh = np.where(ok, hh, off + self.nx)
+        # An empty hull [l, h) is taken as [l, l), which the rules below
+        # count as they count any hull.
+        np.maximum(hh, hl, out=hh)
+        neg = self.minus[box]
+        # Plus buried under minus: the hull lies in one component of K,
+        # which is the case where one more component starts at or before
+        # its start than ends before its end.
+        span = (ok & neg & (ch > cl) & (self.r_lo[box] <= r0)
+                & (self.r_hi[box] >= r1))
+        k_lo, k_hi = _union(cl[span], ch[span])
+        skip = ~neg & (np.searchsorted(k_lo, hl, side="right")
+                       == np.searchsorted(k_hi, hh) + 1)
+        # Minus clear of plus: as many kept plus hulls start before the
+        # hull's end as end at or before its start.
+        plus = ~(neg | skip)
+        pl, ph = np.sort(hl[plus]), np.sort(hh[plus])
+        skip |= neg & (np.searchsorted(pl, hh)
+                       <= np.searchsorted(ph, hl, side="right"))
+        return ~skip, 4 * np.bincount(blk, minlength=len(b_lo))
+
+    def _ends(self, r0, r1, box, off) -> tuple:
+        """The end-row solve of a cull: for each box of `box` on its block
+        [r0, r1), whether its hull is sound, the hull [hl, hh) and the full
+        cover [cl, ch), both offset by its block's `off` columns (see
+        `_Boxes`).  The hull is the first slab's touched range at the box's
+        first and last row in the block, the cover its full range at both,
+        solved as `ranges` solves them."""
         ends = np.concatenate((np.maximum(self.r_lo[box], r0),
                                np.minimum(self.r_hi[box], r1) - 1))
         idx = np.concatenate((box, box))
@@ -417,35 +587,20 @@ class _Boxes:
             lo2, hi2 = _axis_interval((a2, m2, w2[:1], f2), idx, dy,
                                       self.big)
         del dy
-        # Hull: the first slab's touched range at the two end rows.
         ok = np.isfinite(lo[1]) & np.isfinite(hi[1])
         ok = ok[:n] & ok[n:]
         if f:
             ok &= a.take(box) >= 1e-300
-        # Cover: the full range of the boxes spanning the block, at its two
-        # end rows, both slabs solved, as `ranges` would.
         np.maximum(lo[0], lo2[0], out=lo[0])
         np.minimum(hi[0], hi2[0], out=hi[0])
         del lo2, hi2
         il, ih = self._columns(idx, lo, hi)
         if self.gone is not None:
             ih[0, self.gone[0].take(idx)] = 0
-        off = (rank - rank[0]) * np.int32(self.nx + 1)
-        hl = np.minimum(il[1, :n], il[1, n:]) + off
-        hh = np.maximum(ih[1, :n], ih[1, n:]) + off
-        cl = np.maximum(il[0, :n], il[0, n:]) + off
-        ch = np.minimum(ih[0, :n], ih[0, n:]) + off
-        span = np.flatnonzero(ok & (self.r_lo[box] <= r0)
-                              & (self.r_hi[box] >= r1) & (ch > cl))
-        if not len(span):
-            return keep, cost
-        span = span[np.argsort(cl[span], kind="stable")]
-        chosen, k_lo, k_hi = _cover(cl[span], ch[span])
-        k = np.searchsorted(k_lo, hl, side="right") - 1
-        skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
-        skip[span[chosen]] = False
-        keep[sel[skip]] = False
-        return keep, cost
+        return (ok, np.minimum(il[1, :n], il[1, n:]) + off,
+                np.maximum(ih[1, :n], ih[1, n:]) + off,
+                np.maximum(il[0, :n], il[0, n:]) + off,
+                np.minimum(ih[0, :n], ih[0, n:]) + off)
 
     def _entries(self, r0: int, r1: int, boxes, runs):
         """Boxes and rows, counted from r0, of the (box, row) ranges of the
@@ -533,6 +688,21 @@ def _cover(cl, ch):
     return u[chosen], cl[first], ch[last]
 
 
+def _union(l, h) -> tuple:
+    """The starts and ends of the components of the union of the integer
+    ranges [l, h), l < h, sorting both in place.  Sorting starts and ends
+    apart re-pairs the ranges without changing their union (see
+    `_union_cells`), and the re-paired ranges are ordered by both ends: a
+    component starts where a range starts past the end before it."""
+    l.sort()
+    h.sort()
+    first = np.ones(len(l), dtype=bool)
+    first[1:] = l[1:] > h[:-1]
+    last = np.ones(len(l), dtype=bool)
+    last[:-1] = first[1:]
+    return l[first], h[last]
+
+
 def _split(solves, r0: int, nx: int):
     """Split the rows r0, r0 + 1, ... with the given slab solves into bands
     of about _BAND_ENTRIES solves; a row with more is a band of its own.  A
@@ -551,29 +721,33 @@ def _split(solves, r0: int, nx: int):
         i = j
 
 
-def _painted(tables, ny: int, nx: int):
-    """Each table's `ranges` over the (block, box) pairs its `kept` returns,
-    band by band.  The frame is split into bands of about _BAND_ENTRIES
-    solves of the kept pairs, a band taking the pairs of every block it
-    meets, each pair's runs of rows clipped to its block.  Yields each
-    band's first row and its ranges per table."""
-    kept = [t.kept() for t in tables]
+def _painted(boxes, ny: int, nx: int):
+    """The ranges of the (block, box) pairs that `boxes.kept` returns, band
+    by band: one set of ranges, or for a difference table those of the
+    plus and of the minus boxes.  The frame is split into bands of about
+    _BAND_ENTRIES solves of the kept pairs, a band taking the pairs of
+    every block it meets, each pair's runs of rows clipped to its block.
+    Yields each band's first row and its ranges per set."""
+    lo, hi, box, runs = boxes.kept()
+    sets = [(lo, hi, box, runs)]
+    if boxes.minus is not None:
+        neg = boxes.minus[box]
+        sets = [(lo[k], hi[k], box[k], runs[:, k]) for k in (~neg, neg)]
     solves = np.zeros(ny, dtype=np.int64)
     step = _BAND_ENTRIES // 2
-    for t, (_, _, box, runs) in zip(tables, kept):
-        # A pair's temporaries here take about twice a band solve's.
-        for i in range(0, len(box), step):
-            solves += t.row_solves(0, ny, box[i:i + step],
+    # A pair's temporaries here take about twice a band solve's.
+    for i in range(0, len(box), step):
+        solves += boxes.row_solves(0, ny, box[i:i + step],
                                    runs[:, i:i + step])
     bands = np.array(list(_split(solves, 0, nx)), dtype=np.int64)
     # Blocks are disjoint and ordered, so the pairs of the blocks a band
     # meets are one run.
     cuts = [(np.searchsorted(hi, bands[:, 0], "right").tolist(),
              np.searchsorted(lo, bands[:, 1]).tolist())
-            for lo, hi, _, _ in kept]
+            for lo, hi, _, _ in sets]
     for k, (r0, r1) in enumerate(bands.tolist()):
-        yield r0, [t.ranges(r0, r1, box[i[k]:j[k]], runs[:, i[k]:j[k]])
-                   for t, (_, _, box, runs), (i, j) in zip(tables, kept, cuts)]
+        yield r0, [boxes.ranges(r0, r1, box[i[k]:j[k]], runs[:, i[k]:j[k]])
+                   for (_, _, box, runs), (i, j) in zip(sets, cuts)]
 
 
 def _keys(rows, il, ih, nx: int):
@@ -605,7 +779,12 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
     cells of the families' union outside the union of the `minus` families
     (inflated alike, on the same frame), with the bracket kept rigorous by
     removing touched cells from full ones and full cells from touched ones.
-    A frame of more than `MAX_CELLS` cells raises `GridTooLargeError`."""
+    Block by block, the painter then skips the families' boxes buried
+    under the `minus` boxes' full cover, which paint only cells that
+    `minus` fills, and the `minus` boxes clear of the families' kept
+    boxes, which add as many cells to the union as to `minus`; so every
+    count is as it would be with no box skipped (see `_Boxes`).  A frame
+    of more than `MAX_CELLS` cells raises `GridTooLargeError`."""
     resolution, inflate = float(resolution), float(inflate)
     if not (np.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got "
@@ -622,12 +801,9 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
             f"{nx} x {ny} = {nx * ny} cells exceeds raster.MAX_CELLS = "
             f"{MAX_CELLS}, the cap on raster work, or a row reaches 2**31 "
             "cells; use a coarser resolution")
-    frame = (x0, y0, resolution, nx, ny)
-    plus = _Boxes(families, inflate, *frame)
-    sub = _Boxes(minus, inflate, *frame)
-    tables = (plus, sub) if len(sub.cy) else (plus,)
+    boxes = _Boxes(families, inflate, x0, y0, resolution, nx, ny, minus)
     counts = np.zeros(3, dtype=np.int64)
-    for _, painted in _painted(tables, ny, nx):
+    for _, painted in _painted(boxes, ny, nx):
         # Each band's ranges are freed once turned into keys, and its keys
         # once counted, before the next band is painted.
         ps, pe = _keys(*painted.pop(0), nx)

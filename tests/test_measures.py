@@ -755,7 +755,7 @@ def culled_masks(families, inflate, grid):
     boxes = raster._Boxes(families, inflate, grid.x0, grid.y0, grid.cell,
                           grid.nx, grid.ny)
     bands = [(rows + r0, il, ih) for r0, [(rows, il, ih)]
-             in raster._painted([boxes], grid.ny, grid.nx)]
+             in raster._painted(boxes, grid.ny, grid.nx)]
     rows, il, ih = (np.concatenate(part, axis=-1) for part in zip(*bands))
     masks = tuple(_row_masks(rows, l, h, grid.ny, grid.nx)
                   for l, h in zip(il, ih))
@@ -797,14 +797,20 @@ def culled_blocks(boxes, monkeypatch):
     return blocks, kept
 
 
-def assert_walk_halves_culled_blocks(blocks, boxes):
+def assert_walk_halves_culled_blocks(blocks, boxes, frame_culled=True):
     """The walk's claims on the blocks it culls: the frame's blocks
-    `block_rows` tall come first, each culled once; every other block is a
-    half of a block culled before it, culled among the boxes kept there;
-    no block is culled twice, nor a box twice on one block."""
+    `block_rows` tall come first, each culled once, or with
+    `frame_culled` false are taken as culled before all others, keeping
+    every box that reaches them; every other block is a half of a block
+    culled before it, culled among the boxes kept there; no block is
+    culled twice, nor a box twice on one block."""
     ny, rows = len(boxes.ys), boxes.block_rows
     frame = {(b0, min(b0 + rows, ny)) for b0 in range(0, ny, rows)}
-    seen, halves = {}, False
+    seen, halves = {}, not frame_culled
+    if halves:
+        for b0, b1 in frame:
+            reach = np.flatnonzero((boxes.r_lo < b1) & (boxes.r_hi > b0))
+            seen[b0, b1] = (reach, np.ones(len(reach), dtype=bool))
     for r0, r1, box, keep, _ in blocks:
         assert (r0, r1) not in seen, (r0, r1)
         assert len(np.unique(box)) == len(box)
@@ -904,8 +910,9 @@ def clustered_sets(draw):
 def test_culled_counts_equal_unculled_counts(sets, inflate):
     # At cell 1/512 about a third of these sets hold blocks the cull
     # thins out.  As the painter runs, each cull is handed, in order of
-    # block and then box, only boxes that reach their block, and keeps all
-    # of a block's boxes, at no cost, when it may skip none.
+    # block and then box, only boxes that reach their block; a single
+    # table's cull keeps all of a block's boxes, at no cost, when it may
+    # skip none.
     fams, minus = sets
     res = 1 / 512
     cull = raster._Boxes.cull
@@ -915,14 +922,121 @@ def test_culled_counts_equal_unculled_counts(sets, inflate):
         assert ((np.diff(blk) > 0) | ((np.diff(blk) == 0)
                                       & (np.diff(box) > 0))).all()
         assert ((self.r_lo[box] < hi[blk]) & (self.r_hi[box] > lo[blk])).all()
-        few = np.bincount(blk, minlength=len(lo)) <= hi - lo
-        assert keep[few[blk]].all() and not cost[few].any()
+        if self.minus is None:
+            few = np.bincount(blk, minlength=len(lo)) <= hi - lo
+            assert keep[few[blk]].all() and not cost[few].any()
+        else:
+            # A difference table's cull weighs every block, at two end
+            # rows of both slabs a box: a block with no minus box keeps
+            # its plus boxes, and one with no plus box none of its minus
+            # boxes.
+            neg = self.minus[box]
+            plus = np.bincount(blk[~neg], minlength=len(lo))
+            minus = np.bincount(blk[neg], minlength=len(lo))
+            assert keep[(minus == 0)[blk]].all()
+            assert not keep[(plus == 0)[blk]].any()
+            assert np.array_equal(cost, 4 * (plus + minus))
         return keep, cost
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(raster._Boxes, "cull", checked)
         got = rasterize(fams, res, inflate=inflate, minus=minus).counts()
     assert got == unculled_counts(fams, res, inflate, minus)
+
+
+@st.composite
+def near_coincident_sets(draw):
+    """A family of 4 to 40 overlapping boxes on a line of centers near
+    (0.3, 0.3), and as the minus set the same family turned by at most
+    0.02 rad about (0.3, 0.3) and shifted by at most 3 cells of 1/512,
+    with at most one other family: the sets' boxes lie nearly on top of
+    each other, as consecutive loss families do."""
+    n = draw(st.integers(4, 40))
+    w = draw(st.sampled_from([0.01, 0.03, 0.1]))
+    h = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    angle = draw(st.floats(-math.pi, math.pi))
+    step = np.array(draw(st.tuples(st.floats(-0.02, 0.02),
+                                   st.floats(-0.02, 0.02))))
+    fam = replace(box_family(0, 0, w, h, angle=angle),
+                  centers=0.3 + np.arange(n)[:, None] * step)
+    turn = draw(st.floats(-0.02, 0.02))
+    shift = np.array(draw(st.tuples(st.floats(-3, 3), st.floats(-3, 3))))
+    c, s = math.cos(turn), math.sin(turn)
+    centers = 0.3 + (fam.centers - 0.3) @ np.array([[c, s], [-s, c]])
+    minus = [replace(fam, rotation=angle + turn,
+                     centers=centers + shift / 512)]
+    minus += draw(st.lists(clustered_family(angle), max_size=1))
+    return [fam], minus
+
+
+@given(near_coincident_sets(), st.sampled_from([0.0, 0.01]))
+@settings(max_examples=150, deadline=None)
+def test_difference_counts_equal_unculled_counts(sets, inflate):
+    # Near-coincident sets are where the difference cull skips most: plus
+    # boxes buried under the minus boxes' cover, and minus boxes clear of
+    # the plus boxes.
+    fams, minus = sets
+    res = 1 / 512
+    got = rasterize(fams, res, inflate=inflate, minus=minus).counts()
+    assert got == unculled_counts(fams, res, inflate, minus)
+
+
+def test_difference_cull_skips_buried_plus_and_clear_minus_boxes(
+        rf, monkeypatch):
+    # The difference cull's own claims, stronger than equal counts, on
+    # every block the walk culls at l = 64/65, all halves of the frame's
+    # blocks or of halves: on each row of the block, a skipped plus box's
+    # touched range lies in cells that the block's minus boxes fill in
+    # the full class, and a skipped minus box's touched range shares no
+    # cell with the kept plus boxes' touched ranges.  Both kinds of skip
+    # occur.
+    a, b = rf.tube_family(2, 64), rf.tube_family(2, 65)
+    grid = rasterize([a], 1 / 512)
+    boxes = raster._Boxes([a], 0.0, grid.x0, grid.y0, grid.cell, grid.nx,
+                          grid.ny, minus=[b])
+    blocks, _ = culled_blocks(boxes, monkeypatch)
+    assert_walk_halves_culled_blocks(blocks, boxes, frame_culled=False)
+    skipped = {"plus": 0, "minus": 0}
+    for b0, b1, box, keep, _ in blocks:
+        neg = boxes.minus[box]
+
+        def cells(which, cls):
+            rows, il, ih = boxes.ranges(b0, b1, box[which])
+            return _row_masks(rows, il[cls], ih[cls], b1 - b0, grid.nx)
+
+        buried, clear = ~keep & ~neg, ~keep & neg
+        skipped["plus"] += int(buried.sum())
+        skipped["minus"] += int(clear.sum())
+        if buried.any():
+            assert not (cells(buried, 2) & ~cells(neg, 0)).any(), (b0, b1)
+        if clear.any():
+            assert not (cells(clear, 2) & cells(keep & ~neg, 2)).any(), \
+                (b0, b1)
+    assert skipped["plus"] > 0 and skipped["minus"] > 0, skipped
+
+
+@pytest.mark.parametrize("case", ["C0", "far", "identical", "T_prime",
+                                  "l0-fine", "l255-fine"])
+def test_overlap_loss_edge_cases_count_as_unculled(case, rf):
+    # A minus set that fills no cell (C = 0), that lies off the frame, that
+    # is the plus set, or that is twice as wide; and the end families of
+    # the fan at a finer cell.
+    l, res = 64, 1 / 512
+    if case.endswith("fine"):
+        l, res = (0 if case == "l0-fine" else 255), 1 / 1024
+    a, b = rf.tube_family(2, l), rf.tube_family(2, l + 1)
+    if case == "C0":
+        b = rf.tube_family(2, l + 1, C=0)
+    elif case == "far":
+        b = replace(b, centers=b.centers + 100)
+    elif case == "identical":
+        b = a
+    elif case == "T_prime":
+        b = rf.tube_family(2, l + 1, variant="T_prime")
+    got = rasterize([a], res, minus=[b]).counts()
+    assert got == unculled_counts([a], res, minus=[b])
+    if case == "identical":
+        assert got[:2] == (0, 0)
 
 
 def test_blocks_one_row_tall_are_culled_once(monkeypatch):
@@ -962,38 +1076,39 @@ def test_default_stage2_unions_few_ranges(rf, strict_table, monkeypatch):
 
 
 def test_overlap_loss_solves_no_more_than_its_ranges(rf, monkeypatch):
-    # Two families of 16 boxes over hundreds of rows: no table holds more
-    # boxes than a block has rows, so each table is one block, the frame,
-    # that is never culled, and nothing is solved but its ranges.
+    # Two families of 16 boxes over hundreds of rows, at nearby angles:
+    # the difference walk skips the plus boxes buried under the minus
+    # boxes' cover and the minus boxes clear of the kept plus boxes, so it
+    # paints few of the 32,376 (box, row) ranges, and solves fewer slabs,
+    # its culls' end rows included, than painting every range takes.  A
+    # walk that culls no loss table paints them all.
     a, b = rf.tube_family(2, 64), rf.tube_family(2, 65)
     res = 1 / 512
     frame = rasterize([a], res)
     tables = [raster._Boxes([f], 0.0, frame.x0, frame.y0, frame.cell,
                             frame.nx, frame.ny) for f in (a, b)]
-    for t in tables:
-        assert len(t.cy) <= t.block_rows
-        lo, hi, box, runs = t.kept()
-        assert np.array_equal(runs, t.runs)
-        assert (lo == 0).all() and (hi == frame.ny).all()
-        assert np.array_equal(box, np.arange(len(t.cy)))
+    assert sum(int((t.r_hi - t.r_lo).sum()) for t in tables) == 32376
     want = sum(int(t.row_solves(0, frame.ny, np.arange(len(t.cy))).sum())
                for t in tables)
-    solved, culled = [], []
-    solve, cull = raster._axis_interval, raster._Boxes.cull
+    solved, painted = [], []
+    solve, ranges = raster._axis_interval, raster._Boxes.ranges
 
     def counted(slab, idx, dy, big):
         solved.append(len(idx))
         return solve(slab, idx, dy, big)
 
-    def counted_cull(self, *args):
-        culled.append(args)
-        return cull(self, *args)
+    def counted_ranges(self, *args):
+        rows, il, ih = ranges(self, *args)
+        painted.append(len(rows))
+        return rows, il, ih
 
     monkeypatch.setattr(raster, "_axis_interval", counted)
-    monkeypatch.setattr(raster._Boxes, "cull", counted_cull)
-    assert pairwise_overlap_loss(a, b, res).cells_on > 0
-    assert sum(solved) == want
-    assert culled == []
+    monkeypatch.setattr(raster._Boxes, "ranges", counted_ranges)
+    got = rasterize([a], res, minus=[b]).counts()
+    monkeypatch.undo()
+    assert sum(painted) <= 12000
+    assert sum(solved) < want
+    assert got == unculled_counts([a], res, minus=[b])
 
 
 def test_default_stage2_culls_each_block_once(rf, strict_table,
