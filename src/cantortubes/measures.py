@@ -78,9 +78,7 @@ def pairwise_overlap_loss(fam_a, fam_b, resolution) -> AreaEstimate:
     """Rasterized area of the set difference (union A) minus (union B) for
     two families of the same level at nearby angles, on A's frame.  The
     raster paints A's boxes only where B's full cover does not bury them,
-    and B's boxes only where they meet A's kept boxes (`raster._Boxes`):
-    at level 2, l = 64 against 65 and cell 1/512, 9,844 of the 32,376
-    (box, row) ranges."""
+    and B's boxes only where they meet A's kept boxes (`raster._Boxes`)."""
     return AreaEstimate.from_raster(
         rasterize([fam_a], resolution, minus=[fam_b]))
 

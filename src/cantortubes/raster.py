@@ -32,16 +32,10 @@ hence every count, is unchanged cell for cell, and work grows with the
 kept ranges.
 
 A set difference, the cells of a plus set P outside a minus set M, is
-counted on each row as |P u M| - |M|, each class of P against a class of
-M that holds M's full cells.  Both sets form one table, whose frame blocks
-are halved where culling the halves pays, as above, but culled by two
-other rules.  A plus box whose cells on a block all lie in cells that M
-fills in the full class adds nothing to |P u M| beyond |M|: it is skipped
-(plus buried under minus).  Then a minus box that shares no cell there
-with the kept plus boxes adds as much to |P u M| as to |M|: it is skipped
-too (minus clear of plus).  So every count is unchanged, and the overlap
-loss of two nearby families, whose boxes nearly coincide, paints under a
-third of its ranges.
+counted on each row as |P u M| - |M|, on one table of both sets whose
+blocks are culled by two other exact rules (see `_Boxes`): plus boxes
+buried under M's full cover, and minus boxes clear of the kept plus boxes,
+are skipped.
 """
 
 from __future__ import annotations
@@ -238,10 +232,10 @@ class _Boxes:
     skipping saves.
 
     The walk (`kept`) culls the frame's blocks over every box that reaches
-    them, then each half of a block over the boxes kept on the block alone.
-    That is exact: a box skipped on the block paints only cells that the
-    block's G covers on each of its rows, the half's rows among them, and
-    G's boxes are kept and reach both halves.
+    them, then each half of a block over the boxes kept on the block alone
+    (`_halved`).  That is exact: a box skipped on the block paints only
+    cells that the block's G covers on each of its rows, the half's rows
+    among them, and G's boxes are kept and reach both halves.
 
     A difference table (`minus`) holds the plus boxes P and then the minus
     boxes M, flagged in `minus`, and counts |P u M| - |M| on each row, the
@@ -263,7 +257,8 @@ class _Boxes:
     one with no plus box skips its minus boxes.  Each cull keeps
     |P u M| - |M| on every row of its block, given the boxes it is handed,
     so culling the halves of a block among the boxes kept there is exact
-    too."""
+    too; the walk hands each frame block's halves every box that reaches
+    the block."""
 
     def __init__(self, families, inflate: float, x0: float, y0: float,
                  cell: float, nx: int, ny: int, minus=()):
@@ -347,24 +342,15 @@ class _Boxes:
         """The (block, box) pairs to paint, ordered by block, as each
         pair's block [lo, hi), box and runs of rows (see `runs`) clipped to
         the block: the frame's blocks `block_rows` tall, culled (`cull`),
-        then split where the cull pays.  A block is halved and each half
-        culled again among the boxes kept on the block, which is exact (see
-        `_Boxes`).  The halves replace the block if their kept solves and
-        their culls' solves come to fewer than the block's kept solves, and
-        are then split in turn; otherwise the block is painted as it is.  A
-        set with no more boxes than a block has rows is one block,
-        unculled: no block of it could be thinned out.  Culls run in
-        batches of whole blocks whose temporaries come to about a band's,
-        and the frame's blocks list their boxes one batch at a time.  A
-        difference table takes its own walk (`_difference_kept`), whose
-        culls skip plus boxes buried under the minus boxes' full cover,
-        which paint only cells that the minus set fills, and then minus
-        boxes clear of the kept plus boxes, which add as many cells to the
-        union as to the minus set: neither moves |P u M| - |M|."""
-        if self.minus is not None:
-            return self._difference_kept()
+        then split where the cull pays (`_halved`).  A set with no more
+        boxes than a block has rows is one block, unculled: no block of it
+        could be thinned out.  The frame's blocks list their boxes, and are
+        culled, in batches of whole blocks whose temporaries come to about
+        a band's.  A difference table's frame blocks are not culled, only
+        halved: their own cull would count only where their halves do not
+        pay, and it would cost a cull of every box on the frame."""
         ny, n = len(self.ys), len(self.cy)
-        if n <= self.block_rows:
+        if self.minus is None and n <= self.block_rows:
             return (np.zeros(n, np.int32), np.full(n, ny, np.int32),
                     np.arange(n), self.runs)
         lo = np.arange(0, ny, self.block_rows, dtype=np.int32)
@@ -372,7 +358,7 @@ class _Boxes:
         # A box reaches [lo, hi) when r_lo < hi, unless r_hi <= lo.
         stop = np.searchsorted(self.r_lo, hi)
         reached = stop - np.searchsorted(np.sort(self.r_hi), lo, "right")
-        kept = []
+        pairs = []
         for g0, g1 in _split(2 * reached, 0, self.nx):
             reach = [np.flatnonzero(self.r_hi[:k] > b0)
                      for b0, k in zip(lo[g0:g1].tolist(),
@@ -380,79 +366,28 @@ class _Boxes:
             blk = np.repeat(np.arange(g0, g1, dtype=np.int32),
                             reached[g0:g1])
             box = np.concatenate(reach)
-            keep, _ = self.cull(lo, hi, blk, box)
-            kept.append((blk[keep], box[keep]))
-        blk, box = (np.concatenate(part) for part in zip(*kept))
-        solves = np.bincount(blk, self._solves(box, lo[blk], hi[blk]),
-                             len(lo))
-        done = []
-        # A block one row tall is painted as it is.
-        while (hi - lo > 1)[blk].any():
-            mid = (lo + hi) // 2
-            # The halves of block b are blocks 2b and 2b + 1, each with the
-            # kept boxes that reach it.
-            tall = hi - lo > 1
-            low = tall[blk] & (self.r_lo[box] < mid[blk])
-            high = tall[blk] & (self.r_hi[box] > mid[blk])
-            hblk = np.concatenate((2 * blk[low], 2 * blk[high] + 1))
-            order = np.argsort(hblk, kind="stable")
-            hblk = hblk[order]
-            hbox = np.concatenate((box[low], box[high]))[order]
-            hlo = np.column_stack((lo, mid)).ravel()
-            hhi = np.column_stack((mid, hi)).ravel()
-            reached = np.bincount(hblk, minlength=len(hlo))
-            first = np.concatenate(([0], np.cumsum(reached)))
-            keep = np.empty(len(hbox), dtype=bool)
-            cost = np.zeros(len(hlo), dtype=np.int64)
-            for g0, g1 in _split(2 * reached, 0, self.nx):
-                part = slice(first[g0], first[g1])
-                keep[part], c = self.cull(hlo, hhi, hblk[part], hbox[part])
-                cost += c
-            hblk, hbox = hblk[keep], hbox[keep]
-            hsolves = np.bincount(hblk, self._solves(hbox, hlo[hblk],
-                                                     hhi[hblk]), len(hlo))
-            paid = tall & ((hsolves + cost).reshape(-1, 2).sum(axis=1)
-                           < solves)
-            final = ~paid[blk]
-            done.append((lo[blk[final]], hi[blk[final]], box[final]))
-            split = np.repeat(paid, 2)
-            lo, hi, solves = hlo[split], hhi[split], hsolves[split]
-            on = split[hblk]
-            blk = (np.cumsum(split, dtype=np.int32) - 1)[hblk[on]]
-            box = hbox[on]
-        done.append((lo[blk], hi[blk], box))
-        lo, hi, box = (np.concatenate(part) for part in zip(*done))
-        order = np.argsort(lo, kind="stable")
-        lo, hi, box = lo[order], hi[order], box[order]
-        return lo, hi, box, self._runs(box, lo, hi)
+            if self.minus is None:
+                keep, _ = self.cull(lo, hi, blk, box)
+                blk, box = blk[keep], box[keep]
+            pairs.append((blk, box))
+        blk, box = (np.concatenate(part) for part in zip(*pairs))
+        return self._halved(lo, hi, blk, box)
 
-    def _difference_kept(self) -> tuple:
-        """`kept` for a difference table.  The frame's blocks, `block_rows`
-        tall, are not culled themselves: each block is halved, each half
-        culled (`_difference_cull`) among the boxes kept on the block, and
-        the halves replace the block if their kept solves and their culls'
-        solves come to fewer than the block's kept solves, as in `kept`;
-        they are then split in turn.  A frame block's own cull would only
-        count where its halves do not pay, and it would cost a cull of
-        every box on the frame.  Each cull is exact given the boxes it is
-        handed (see `_Boxes`), so each half's is too."""
-        ny = len(self.ys)
-        lo = np.arange(0, ny, self.block_rows, dtype=np.int32)
-        hi = np.minimum(lo + self.block_rows, ny).astype(np.int32)
-        # A box reaches [lo, hi) when r_lo < hi, unless r_hi <= lo.
-        stop = np.searchsorted(self.r_lo, hi)
-        reached = stop - np.searchsorted(np.sort(self.r_hi), lo, "right")
-        blk = np.repeat(np.arange(len(lo), dtype=np.int32), reached)
-        box = np.concatenate([np.flatnonzero(self.r_hi[:k] > b0)
-                              for b0, k in zip(lo.tolist(), stop.tolist())])
+    def _halved(self, lo, hi, blk, box) -> tuple:
+        """`kept`'s pairs from the pairs (blk, box) on the blocks [lo, hi),
+        sorted by block.  A block is halved and each half culled again
+        among the boxes kept on the block, which is exact (see `_Boxes`).
+        The halves replace the block if their kept solves and their culls'
+        solves come to fewer than the block's kept solves, and are then
+        split in turn; otherwise the block is painted as it is."""
         solves = np.bincount(blk, self._solves(box, lo[blk], hi[blk]),
                              len(lo))
         done = []
         while len(blk):
+            mid = (lo + hi) // 2
             # The halves of block b are blocks 2b and 2b + 1, each with the
             # kept boxes that reach it; a block one row tall is painted as
             # it is.
-            mid = (lo + hi) // 2
             tall = hi - lo > 1
             low = tall[blk] & (self.r_lo[box] < mid[blk])
             high = tall[blk] & (self.r_hi[box] > mid[blk])
@@ -707,8 +642,8 @@ def _split(solves, r0: int, nx: int):
     """Split the rows r0, r0 + 1, ... with the given slab solves into bands
     of about _BAND_ENTRIES solves; a row with more is a band of its own.  A
     band spans fewer than 2**31 cells, so flat cell indices fit int32.
-    `_Boxes.kept` splits blocks alike into batches of culls, weighing each
-    block by twice its (block, box) pairs."""
+    `_Boxes.kept` and `_Boxes._culls` split blocks alike into batches of
+    culls, weighing each block by twice its (block, box) pairs."""
     before = np.zeros(len(solves) + 1, dtype=np.int64)
     before[1:] = solves.cumsum()
     max_rows = max(1, np.iinfo(np.int32).max // (nx + 1))
@@ -779,12 +714,10 @@ def rasterize(families, resolution: float, inflate: float = 0.0,
     cells of the families' union outside the union of the `minus` families
     (inflated alike, on the same frame), with the bracket kept rigorous by
     removing touched cells from full ones and full cells from touched ones.
-    Block by block, the painter then skips the families' boxes buried
-    under the `minus` boxes' full cover, which paint only cells that
-    `minus` fills, and the `minus` boxes clear of the families' kept
-    boxes, which add as many cells to the union as to `minus`; so every
-    count is as it would be with no box skipped (see `_Boxes`).  A frame
-    of more than `MAX_CELLS` cells raises `GridTooLargeError`."""
+    Block by block, the painter skips the boxes that cannot move a count:
+    those of the families buried under the `minus` boxes' full cover, and
+    the `minus` boxes clear of the families' kept boxes (see `_Boxes`).  A
+    frame of more than `MAX_CELLS` cells raises `GridTooLargeError`."""
     resolution, inflate = float(resolution), float(inflate)
     if not (np.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got "
