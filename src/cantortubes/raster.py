@@ -26,10 +26,9 @@ each half again among the boxes kept on the block, for as long as the
 halves' kept solves and their culls' come to fewer than the block's
 (`_Boxes.kept`); the culls of one depth run together, the blocks side by
 side on one line of columns.  Last it paints the kept (block, box) pairs
-band by band, a band taking the pairs of every block it meets.  A set too
-small to thin out any block is one block, unculled.  Each set's union,
-hence every count, is unchanged cell for cell, and work grows with the
-kept ranges.
+band by band, a band taking the pairs of every block it meets.  Each
+set's union, hence every count, is unchanged cell for cell, and work grows
+with the kept ranges.
 
 A set difference, the cells of a plus set P outside a minus set M, is
 counted on each row as |P u M| - |M|, on one table of both sets whose
@@ -59,7 +58,7 @@ MAX_CELLS = 80_000_000
 # row, so a band takes under 0.7 MB, as 4,096 two-slab ranges did.  A band
 # holds whole rows, and its run bookkeeping covers the kept (block, box)
 # pairs of every block it meets; in the middle of the default stage 2 a band
-# holds some 170 rows over 3 blocks, about 7,300 ranges of 150 pairs.  The
+# holds some 210 rows over 6 blocks, about 7,200 ranges of 220 pairs.  The
 # culls and the frame's row counts take about 190 bytes a pair, so they run
 # in batches of about _BAND_ENTRIES / 2 pairs, a band's worth.
 _BAND_ENTRIES = 1 << 13
@@ -225,11 +224,10 @@ class _Boxes:
     `_axis_interval` and `_columns` calls as `ranges` (the middle's
     one-slab ranges being bit-identical), so no rounding margin is needed.
     A flat first slope, whose bound leaves the hull open as it is not
-    monotone, or a bound that is not finite keeps a box out of the cull
+    monotone, or a bound that is not finite keeps a box out of K, and its
+    hull is taken as the whole row, which holds every range of its box
     (`_slabs` puts a flat slope second, so the first is not flat in
-    practice).  A block reached by no more boxes than it has rows is not
-    culled: solving every box at the block's two ends would cost about what
-    skipping saves.
+    practice).
 
     The walk (`kept`) culls the frame's blocks over every box that reaches
     them, then each half of a block over the boxes kept on the block alone
@@ -241,24 +239,22 @@ class _Boxes:
     boxes M, flagged in `minus`, and counts |P u M| - |M| on each row, the
     full class of P against the touched class of M, center against center
     and touched against full: each class of M holds M's full cells.  Its
-    cull (`_difference_cull`) weighs the same hulls and covers by two
-    rules.  Plus buried under minus: let K be the union of the ranges I of
-    the minus boxes that span the block; a plus box whose hull lies in one
-    component of K paints, in every class and on every row of the block,
-    only cells that M fills in the full class, hence in the class its own
-    is counted against, so skipping it leaves |P u M| - |M| as it is.
+    cull weighs the same hulls and covers by two other rules.  Plus buried
+    under minus: let K be the union of the ranges I of the minus boxes that
+    span the block; a plus box whose hull lies in one component of K
+    paints, in every class and on every row of the block, only cells that M
+    fills in the full class, hence in the class its own is counted against,
+    so skipping it leaves |P u M| - |M| as it is.
     Minus clear of plus: a minus box whose hull meets no kept plus box's
     hull shares no cell with the kept plus boxes on any row of the block,
     in any class, so skipping it lowers |P u M| and |M| alike.  The second
     rule, taken after the first, may skip a minus box whose cells buried a
-    plus box; that is exact as it weighs only the kept plus boxes.  A hull
-    that is not sound is taken as the whole row, which holds every range
-    of its box.  So a block with no minus box keeps its plus boxes, and
-    one with no plus box skips its minus boxes.  Each cull keeps
-    |P u M| - |M| on every row of its block, given the boxes it is handed,
-    so culling the halves of a block among the boxes kept there is exact
-    too; the walk hands each frame block's halves every box that reaches
-    the block."""
+    plus box; that is exact as it weighs only the kept plus boxes.  So a
+    block with no minus box keeps its plus boxes, and one with no plus box
+    skips its minus boxes.  Each cull keeps |P u M| - |M| on every row of
+    its block, given the boxes it is handed, so culling the halves of a
+    block among the boxes kept there is exact too; the walk hands each
+    frame block's halves every box that reaches the block."""
 
     def __init__(self, families, inflate: float, x0: float, y0: float,
                  cell: float, nx: int, ny: int, minus=()):
@@ -342,17 +338,13 @@ class _Boxes:
         """The (block, box) pairs to paint, ordered by block, as each
         pair's block [lo, hi), box and runs of rows (see `runs`) clipped to
         the block: the frame's blocks `block_rows` tall, culled (`cull`),
-        then split where the cull pays (`_halved`).  A set with no more
-        boxes than a block has rows is one block, unculled: no block of it
-        could be thinned out.  The frame's blocks list their boxes, and are
-        culled, in batches of whole blocks whose temporaries come to about
-        a band's.  A difference table's frame blocks are not culled, only
-        halved: their own cull would count only where their halves do not
-        pay, and it would cost a cull of every box on the frame."""
-        ny, n = len(self.ys), len(self.cy)
-        if self.minus is None and n <= self.block_rows:
-            return (np.zeros(n, np.int32), np.full(n, ny, np.int32),
-                    np.arange(n), self.runs)
+        then split where the cull pays (`_halved`).  The frame's blocks
+        list their boxes, and are culled, in batches of whole blocks whose
+        temporaries come to about a band's.  A difference table's frame
+        blocks are not culled, only halved: their own cull would count only
+        where their halves do not pay, and it would cost a cull of every
+        box on the frame."""
+        ny = len(self.ys)
         lo = np.arange(0, ny, self.block_rows, dtype=np.int32)
         hi = np.minimum(lo + self.block_rows, ny).astype(np.int32)
         # A box reaches [lo, hi) when r_lo < hi, unless r_hi <= lo.
@@ -367,7 +359,7 @@ class _Boxes:
                             reached[g0:g1])
             box = np.concatenate(reach)
             if self.minus is None:
-                keep, _ = self.cull(lo, hi, blk, box)
+                keep = self.cull(lo, hi, blk, box)
                 blk, box = blk[keep], box[keep]
             pairs.append((blk, box))
         blk, box = (np.concatenate(part) for part in zip(*pairs))
@@ -377,9 +369,11 @@ class _Boxes:
         """`kept`'s pairs from the pairs (blk, box) on the blocks [lo, hi),
         sorted by block.  A block is halved and each half culled again
         among the boxes kept on the block, which is exact (see `_Boxes`).
-        The halves replace the block if their kept solves and their culls'
-        solves come to fewer than the block's kept solves, and are then
-        split in turn; otherwise the block is painted as it is."""
+        A cull costs 4 slab solves for each pair it is handed, the two end
+        rows of both slabs.  The halves replace the block if their kept
+        solves and their culls' come to fewer than the block's kept solves,
+        and are then split in turn; otherwise the block is painted as it
+        is."""
         solves = np.bincount(blk, self._solves(box, lo[blk], hi[blk]),
                              len(lo))
         done = []
@@ -398,7 +392,8 @@ class _Boxes:
             hlo, hhi = np.repeat(lo, 2), np.repeat(hi, 2)
             hlo[1::2] = mid
             hhi[::2] = mid
-            keep, cost = self._culls(hlo, hhi, hblk, hbox)
+            cost = 4 * np.bincount(hblk, minlength=len(hlo))
+            keep = self._culls(hlo, hhi, hblk, hbox)
             hblk, hbox = hblk[keep], hbox[keep]
             hsolves = np.bincount(hblk, self._solves(hbox, hlo[hblk],
                                                      hhi[hblk]), len(hlo))
@@ -416,7 +411,7 @@ class _Boxes:
         lo, hi, box = lo[order], hi[order], box[order]
         return lo, hi, box, self._runs(box, lo, hi)
 
-    def _culls(self, lo, hi, blk, box) -> tuple:
+    def _culls(self, lo, hi, blk, box) -> np.ndarray:
         """`cull` over the pairs (blk, box), sorted by block, in batches of
         whole blocks whose temporaries come to about a band's."""
         if 2 * len(box) <= _BAND_ENTRIES:
@@ -424,59 +419,29 @@ class _Boxes:
         reached = np.bincount(blk, minlength=len(lo))
         first = np.concatenate(([0], np.cumsum(reached)))
         keep = np.empty(len(box), dtype=bool)
-        cost = np.zeros(len(lo), dtype=np.int64)
         for g0, g1 in _split(2 * reached, 0, self.nx):
             part = slice(first[g0], first[g1])
-            keep[part], c = self.cull(lo, hi, blk[part], box[part])
-            cost += c
-        return keep, cost
+            keep[part] = self.cull(lo, hi, blk[part], box[part])
+        return keep
 
-    def cull(self, b_lo, b_hi, blk, box) -> tuple:
-        """Which of the (block, box) pairs to paint, and the slab solves of
-        each block's cull.  Block k is the rows [b_lo[k], b_hi[k]); pair i
-        puts box[i] on block blk[i], each box reaching its block, sorted by
-        block and then box.  A block keeps its boxes less those whose every
-        range there lies in cells that the kept boxes cover on the same row
-        (see `_Boxes`); a block reached by no more boxes than it has rows
-        keeps them all and costs nothing, and a culled block costs two end
-        rows of both slabs a box.  The blocks are culled together, each
-        one's columns offset by its rank times nx + 1, as `_keys` does for
-        rows, so that one `_cover` serves them all: a batch of blocks spans
-        fewer than 2**31 columns (`_split`).  A difference table is culled
-        by its own rules (`_difference_cull`)."""
-        if self.minus is not None:
-            return self._difference_cull(b_lo, b_hi, blk, box)
-        reached = np.bincount(blk, minlength=len(b_lo))
-        culled = reached > b_hi - b_lo
-        cost = 4 * reached * culled
-        keep = np.ones(len(box), dtype=bool)
-        sel = np.flatnonzero(culled[blk])
-        if not len(sel):
-            return keep, cost
-        rank = (np.cumsum(culled, dtype=np.int32) - 1)[blk[sel]]
-        r0, r1, box = b_lo[blk[sel]], b_hi[blk[sel]], box[sel]
-        ok, hl, hh, cl, ch = self._ends(
-            r0, r1, box, (rank - rank[0]) * np.int32(self.nx + 1))
-        span = np.flatnonzero(ok & (self.r_lo[box] <= r0)
-                              & (self.r_hi[box] >= r1) & (ch > cl))
-        if not len(span):
-            return keep, cost
-        span = span[np.argsort(cl[span], kind="stable")]
-        chosen, k_lo, k_hi = _cover(cl[span], ch[span])
-        k = np.searchsorted(k_lo, hl, side="right") - 1
-        skip = ok & (k >= 0) & (hh <= k_hi.take(np.maximum(k, 0)))
-        skip[span[chosen]] = False
-        keep[sel[skip]] = False
-        return keep, cost
-
-    def _difference_cull(self, b_lo, b_hi, blk, box) -> tuple:
-        """`cull` for a difference table: every block skips its plus boxes
-        buried under its minus boxes, then its minus boxes clear of the
-        plus boxes it keeps (see `_Boxes`), at a cost of two end rows of
-        both slabs a box.  Each block's columns are offset by its index
-        times nx + 1, in 64 bits, so that one sort serves them all."""
+    def cull(self, b_lo, b_hi, blk, box) -> np.ndarray:
+        """Which of the (block, box) pairs to paint.  Block k is the rows
+        [b_lo[k], b_hi[k]); pair i puts box[i] on block blk[i], each box
+        reaching its block, sorted by block and then box.  Both kinds of
+        table share the end-row solve and the test of a hull against the
+        full cover K of spanning boxes (see `_Boxes`); only the rules
+        differ.  A single table keeps a greedy cover of K, drawn from all
+        its spanning boxes, and skips every other box whose hull lies in
+        one component of K.  A difference table skips its plus boxes
+        buried in the K of its spanning minus boxes, then its minus boxes
+        clear of the kept plus hulls.  The caller prices a cull at 4 slab
+        solves a pair, the two end rows of both slabs (`_halved`).  The
+        blocks are culled together, each one's columns offset by its index
+        past the first block's times nx + 1, as `_keys` does for rows, so
+        that one sort serves them all: a batch of blocks spans fewer than
+        2**31 columns (`_split`)."""
         r0, r1 = b_lo[blk], b_hi[blk]
-        off = blk.astype(np.int64) * (self.nx + 1)
+        off = (blk - blk[:1]) * np.int32(self.nx + 1)
         ok, hl, hh, cl, ch = self._ends(r0, r1, box, off)
         if not ok.all():
             hl = np.where(ok, hl, off)
@@ -484,22 +449,25 @@ class _Boxes:
         # An empty hull [l, h) is taken as [l, l), which the rules below
         # count as they count any hull.
         np.maximum(hh, hl, out=hh)
-        neg = self.minus[box]
-        # Plus buried under minus: the hull lies in one component of K,
-        # which is the case where one more component starts at or before
-        # its start than ends before its end.
-        span = (ok & neg & (ch > cl) & (self.r_lo[box] <= r0)
+        span = (ok & (ch > cl) & (self.r_lo[box] <= r0)
                 & (self.r_hi[box] >= r1))
-        k_lo, k_hi = _union(cl[span], ch[span])
-        skip = ~neg & (np.searchsorted(k_lo, hl, side="right")
-                       == np.searchsorted(k_hi, hh) + 1)
+        if self.minus is None:
+            span = np.flatnonzero(span)
+            span = span[np.argsort(cl[span], kind="stable")]
+            chosen, k_lo, k_hi = _cover(cl[span], ch[span])
+            skip = _within(k_lo, k_hi, hl, hh)
+            skip[span[chosen]] = False
+            return ~skip
+        neg = self.minus[box]
+        span &= neg
+        skip = ~neg & _within(*_union(cl[span], ch[span]), hl, hh)
         # Minus clear of plus: as many kept plus hulls start before the
         # hull's end as end at or before its start.
         plus = ~(neg | skip)
         pl, ph = np.sort(hl[plus]), np.sort(hh[plus])
         skip |= neg & (np.searchsorted(pl, hh)
                        <= np.searchsorted(ph, hl, side="right"))
-        return ~skip, 4 * np.bincount(blk, minlength=len(b_lo))
+        return ~skip
 
     def _ends(self, r0, r1, box, off) -> tuple:
         """The end-row solve of a cull: for each box of `box` on its block
@@ -607,10 +575,13 @@ def _cover(cl, ch):
     extends[1:] = ch[1:] > reach[:-1]
     u = np.flatnonzero(extends)
     cl, ch = cl[u], ch[u]
-    # A component starts where a range starts past the reach before it.
-    first = np.flatnonzero(cl[1:] > ch[:-1]) + 1
-    last = np.append(first - 1, len(u) - 1)
-    first = np.insert(first, 0, 0)
+    # A component starts where a range starts past the reach before it,
+    # and ends where the next one starts.
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = cl[1:] > ch[:-1]
+    last = np.ones(len(u), dtype=bool)
+    last[:-1] = first[1:]
+    first, last = np.flatnonzero(first), np.flatnonzero(last)
     # after[j]: the last range of U that starts at or before ch[j].
     after = (np.searchsorted(cl, ch, side="right") - 1).tolist()
     starts = np.searchsorted(cl, cl[first], side="right") - 1
@@ -636,6 +607,14 @@ def _union(l, h) -> tuple:
     last = np.ones(len(l), dtype=bool)
     last[:-1] = first[1:]
     return l[first], h[last]
+
+
+def _within(k_lo, k_hi, l, h) -> np.ndarray:
+    """Whether each range [l, h), h >= l, lies in one component of a union
+    whose components start at k_lo and end at k_hi: one more component
+    starts at or before l than ends before h."""
+    return (np.searchsorted(k_lo, l, side="right")
+            == np.searchsorted(k_hi, h) + 1)
 
 
 def _split(solves, r0: int, nx: int):
